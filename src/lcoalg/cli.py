@@ -82,6 +82,15 @@ def print_report(report: AxiomReport) -> None:
         print(f"note\t{report.axiom}\t{note}")
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: a vacuous range (degree 0 or below) is a usage
+    error, not a check that passes."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_bindings(raw: Sequence[str]) -> Dict[str, str]:
     bindings: Dict[str, str] = {}
     for item in raw:
@@ -312,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space")
     p.add_argument("--coproduct", default="Delta")
     p.add_argument("--unit", required=True)
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=_positive_int, default=3)
     p.add_argument("--form", default="primary",
                    choices=("primary", "prime", "alternative"))
     p.set_defaults(func=cmd_complex)
@@ -340,7 +349,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (DslError, ScalarSyntaxError) as exc:
         return _fail(str(exc))
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _fail(str(exc))
     except (KeyError, ValueError) as exc:
         return _fail(str(exc))

@@ -21,9 +21,7 @@ from .linalg import (
     tensor_scale,
     tensor_sub,
 )
-from .scalars import ONE, Scalar
-
-_MINUS_ONE = Scalar.from_rational(-1)
+from .scalars import MINUS_ONE, ONE
 
 
 def flower_coproducts(space: BasisSpace, unit_label: str) -> Dict[str, MultiLinearMap]:
@@ -95,10 +93,10 @@ def boundary_apply(
             )
             step = tensor_sub(step, flower)
         out = tensor_add(out, tensor_scale(step, sign))
-        sign = sign * _MINUS_ONE
+        sign = sign * MINUS_ONE
     if form == "primary":
         out = tensor_sub(out, insert_unit(tensor, 0, unit_label))
-        end_sign = _MINUS_ONE if n % 2 == 0 else ONE
+        end_sign = MINUS_ONE if n % 2 == 0 else ONE
         out = tensor_sub(
             out, tensor_scale(insert_unit(tensor, n, unit_label), end_sign)
         )

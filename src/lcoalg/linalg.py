@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .scalars import ONE, Scalar
+from .scalars import MINUS_ONE, ONE, Scalar
 
 Label = str
 Term = Tuple[Label, ...]
@@ -76,7 +76,7 @@ def vec_scale(a: Vector, c: Scalar) -> Vector:
 
 
 def vec_sub(a: Vector, b: Vector) -> Vector:
-    return vec_add(a, vec_scale(b, Scalar.from_rational(-1)))
+    return vec_add(a, vec_scale(b, MINUS_ONE))
 
 
 def unit_vector(label: Label) -> Vector:
@@ -102,7 +102,7 @@ def tensor_scale(a: Tensor, c: Scalar) -> Tensor:
 
 
 def tensor_sub(a: Tensor, b: Tensor) -> Tensor:
-    return tensor_add(a, tensor_scale(b, Scalar.from_rational(-1)))
+    return tensor_add(a, tensor_scale(b, MINUS_ONE))
 
 
 def tensor_of(terms: Iterable[Tuple[Scalar, Term]]) -> Tensor:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coalgebra import AxiomReport
-from .scalars import ONE, Scalar
+from .scalars import MINUS_ONE, ONE, Scalar
 
 Word = Tuple[str, ...]
 NCPoly = Dict[Word, Scalar]  # canonical: no zero coefficients
@@ -58,7 +58,7 @@ def poly_scale(a: NCPoly, c: Scalar) -> NCPoly:
 
 
 def poly_sub(a: NCPoly, b: NCPoly) -> NCPoly:
-    return poly_add(a, poly_scale(b, Scalar.from_rational(-1)))
+    return poly_add(a, poly_scale(b, MINUS_ONE))
 
 
 def poly_mul(a: NCPoly, b: NCPoly) -> NCPoly:

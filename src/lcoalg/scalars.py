@@ -4,7 +4,26 @@ A scalar is a reduced fraction num/den of polynomials in q with Fraction
 coefficients.  Polynomials are coefficient tuples (index = power of q) with
 no trailing zeros; the zero polynomial is the empty tuple.  The denominator
 is monic and coprime to the numerator, so equality and hashing are
-structural.  Plain rationals are the degree-zero case.
+structural.  Plain rationals are the degree-zero case; they hash as their
+Fraction value, so a scalar equal to an int or a Fraction hashes like it.
+
+Arithmetic dispatches on the shape of its operands, so that only the
+shapes that need it pay the Euclidean gcd of the general constructor:
+
+* a nonzero rational constant scales the other operand's numerator in a
+  product, or adds a multiple of its denominator in a sum, and keeps that
+  denominator;
+* when both denominators are powers of q (``q^0 = 1`` included), the sum
+  or product is taken over ``q^max(ka, kb)`` or ``q^(ka + kb)`` and the
+  common power of q is stripped from the numerator;
+* every other shape goes through ``Scalar(num, den)``, which divides out
+  the gcd and makes the denominator monic.
+
+Every path yields exactly the canonical form the general constructor
+yields, and that constructor stays the reference the tests compare the
+fast paths against.  Powers use repeated squaring, and a monomial base
+c*q^k goes straight to ``Scalar.q_power``.  ``ZERO``, ``ONE`` and
+``MINUS_ONE`` are shared instances, since scalars are immutable.
 
 A small recursive-descent parser reads expressions such as
 ``(q^2 - 1)/(q - 1)`` or ``-3/2 * q``; ``str`` emits a form the parser
@@ -20,6 +39,7 @@ Poly = Tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_UNIT: Poly = (_ONE,)
 
 
 def _trim(coeffs) -> Poly:
@@ -85,6 +105,14 @@ def _pgcd(a: Poly, b: Poly) -> Poly:
     return _pscale(a, _ONE / a[-1])  # monic
 
 
+def _q_order(den: Poly) -> int:
+    """k when the monic polynomial ``den`` is q^k, else -1."""
+    k = len(den) - 1
+    if k and any(den[:k]):
+        return -1
+    return k
+
+
 class Scalar:
     """An element of Q(q) in canonical reduced form."""
 
@@ -111,16 +139,20 @@ class Scalar:
     def from_rational(value: Union[int, Fraction]) -> "Scalar":
         f = Fraction(value)
         if f == 0:
-            return Scalar((), (_ONE,), _canonical=True)
-        return Scalar((f,), (_ONE,), _canonical=True)
+            return ZERO
+        if f == 1:
+            return ONE
+        if f == -1:
+            return MINUS_ONE
+        return Scalar((f,), _UNIT, _canonical=True)
 
     @staticmethod
     def zero() -> "Scalar":
-        return Scalar((), (_ONE,), _canonical=True)
+        return ZERO
 
     @staticmethod
     def one() -> "Scalar":
-        return Scalar((_ONE,), (_ONE,), _canonical=True)
+        return ONE
 
     @staticmethod
     def q() -> "Scalar":
@@ -149,45 +181,45 @@ class Scalar:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "Scalar":
-        other = Scalar.coerce(other)
-        return Scalar(
-            _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
-            _pmul(self.den, other.den),
-        )
+        return _add(self, Scalar.coerce(other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(_pneg(self.num), self.den, _canonical=True)
+        return _neg(self)
 
     def __sub__(self, other) -> "Scalar":
-        return self + (-Scalar.coerce(other))
+        return _add(self, _neg(Scalar.coerce(other)))
 
     def __rsub__(self, other) -> "Scalar":
-        return Scalar.coerce(other) - self
+        return _add(Scalar.coerce(other), _neg(self))
 
     def __mul__(self, other) -> "Scalar":
-        other = Scalar.coerce(other)
-        return Scalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        return _mul(self, Scalar.coerce(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Scalar":
-        other = Scalar.coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("scalar division by zero")
-        return Scalar(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        return _mul(self, _inverse(Scalar.coerce(other)))
 
     def __rtruediv__(self, other) -> "Scalar":
-        return Scalar.coerce(other) / self
+        return _mul(Scalar.coerce(other), _inverse(self))
 
     def __pow__(self, n: int) -> "Scalar":
-        if n == 0:
-            return Scalar.one()
-        base = self if n > 0 else Scalar.one() / self
-        out = Scalar.one()
-        for _ in range(abs(n)):
-            out = out * base
+        base = self if n >= 0 else _inverse(self)
+        n = abs(n)
+        num, k = base.num, _q_order(base.den)
+        if num and k >= 0 and not any(num[:-1]):
+            # base = c*q^(i-k), c its only coefficient and i its degree.
+            power = Scalar.q_power((len(num) - 1 - k) * n)
+            return _scale(power, num[-1] ** n)
+        out = ONE
+        while n:
+            if n & 1:
+                out = _mul(out, base)
+            n >>= 1
+            if n:
+                base = _mul(base, base)
         return out
 
     # -- identity ----------------------------------------------------------
@@ -200,6 +232,9 @@ class Scalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        if len(self.den) == 1 and len(self.num) <= 1:
+            # A rational constant hashes as the number it equals.
+            return hash(self.num[0]) if self.num else 0
         return hash((self.num, self.den))
 
     # -- rendering ---------------------------------------------------------
@@ -217,6 +252,97 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
+
+
+# -- shape dispatch ---------------------------------------------------------
+#
+# The operands are canonical.  A rational constant has len(den) == 1 (its
+# monic denominator is 1) and len(num) == 1 once zero is ruled out.
+
+
+def _neg(a: Scalar) -> Scalar:
+    return Scalar(_pneg(a.num), a.den, _canonical=True)
+
+
+def _scale(a: Scalar, c: Fraction) -> Scalar:
+    """a*c for a nonzero rational c; the numerator stays coprime to den."""
+    if c == 1:
+        return a
+    if c == -1:
+        return _neg(a)
+    return Scalar(tuple(x * c for x in a.num), a.den, _canonical=True)
+
+
+def _add_constant(a: Scalar, c: Fraction) -> Scalar:
+    """a + c for a nonzero a and rational c, as (num + c*den)/den: the gcd
+    of num + c*den and den is the gcd of num and den, which is 1, and the
+    sum vanishes only when den is 1."""
+    num, den = a.num, a.den
+    if len(den) > 1:
+        return Scalar(_padd(num, _pscale(den, c)), den, _canonical=True)
+    # Only the constant term changes.
+    num = (num[0] + c,) + num[1:]
+    if not num[-1]:
+        return ZERO
+    return Scalar(num, den, _canonical=True)
+
+
+def _over_q_power(num: Poly, k: int) -> Scalar:
+    """num/q^k in canonical form: strip the common power of q."""
+    if not num:
+        return ZERO
+    s = 0
+    while s < k and not num[s]:
+        s += 1
+    if s:
+        num = num[s:]
+        k -= s
+    return Scalar(num, (_ZERO,) * k + _UNIT, _canonical=True)
+
+
+def _inverse(a: Scalar) -> Scalar:
+    """1/a: swap, then make the new denominator monic; no gcd is needed."""
+    num, den = a.num, a.den
+    if not num:
+        raise ZeroDivisionError("scalar division by zero")
+    lead = num[-1]
+    if lead == 1:
+        return Scalar(den, num, _canonical=True)
+    inv = _ONE / lead
+    return Scalar(_pscale(den, inv), _pscale(num, inv), _canonical=True)
+
+
+def _add(a: Scalar, b: Scalar) -> Scalar:
+    an, ad, bn, bd = a.num, a.den, b.num, b.den
+    if not an:
+        return b
+    if not bn:
+        return a
+    if len(bd) == 1 and len(bn) == 1:
+        return _add_constant(a, bn[0])
+    if len(ad) == 1 and len(an) == 1:
+        return _add_constant(b, an[0])
+    ka, kb = _q_order(ad), _q_order(bd)
+    if ka >= 0 and kb >= 0:
+        k = max(ka, kb)
+        return _over_q_power(
+            _padd((_ZERO,) * (k - ka) + an, (_ZERO,) * (k - kb) + bn), k
+        )
+    return Scalar(_padd(_pmul(an, bd), _pmul(bn, ad)), _pmul(ad, bd))
+
+
+def _mul(a: Scalar, b: Scalar) -> Scalar:
+    an, ad, bn, bd = a.num, a.den, b.num, b.den
+    if not an or not bn:
+        return ZERO
+    if len(bd) == 1 and len(bn) == 1:
+        return _scale(a, bn[0])
+    if len(ad) == 1 and len(an) == 1:
+        return _scale(b, an[0])
+    ka, kb = _q_order(ad), _q_order(bd)
+    if ka >= 0 and kb >= 0:
+        return _over_q_power(_pmul(an, bn), ka + kb)
+    return Scalar(_pmul(an, bn), _pmul(ad, bd))
 
 
 def _mono_str(coeff: Fraction, power: int) -> str:
@@ -248,8 +374,9 @@ def _poly_str(p: Poly) -> str:
     return " ".join(parts) if len(parts) > 1 else parts[0]
 
 
-ZERO = Scalar.zero()
-ONE = Scalar.one()
+ZERO = Scalar((), _UNIT, _canonical=True)
+ONE = Scalar(_UNIT, _UNIT, _canonical=True)
+MINUS_ONE = Scalar((-_ONE,), _UNIT, _canonical=True)
 Q = Scalar.q()
 
 

@@ -262,6 +262,40 @@ def test_missing_file_is_usage_error(capsys):
     assert "error:" in err
 
 
+def test_directory_as_document_is_usage_error(tmp_path, capsys):
+    code, out, err = run(capsys, "check", str(tmp_path), "--axiom", "coassoc")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_unreadable_edges_file_is_usage_error(tmp_path, capsys):
+    code, _, err = run(capsys, "embed", "--edges", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_complex_vacuous_degree_is_usage_error(group_doc, degree, capsys):
+    code, out, err = run(
+        capsys, "complex", str(group_doc), "--space", "G",
+        "--unit", "g0", "--max-degree", degree,
+    )
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "--max-degree" in err
+
+
+def test_complex_degree_one_is_checked(group_doc, capsys):
+    code, out, _ = run(
+        capsys, "complex", str(group_doc), "--space", "G",
+        "--unit", "g0", "--max-degree", "1",
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "check\tboundary_complex[primary]\tpass\t0"
+
+
 def test_malformed_document_is_usage_error(tmp_path, capsys):
     path = tmp_path / "bad.doc"
     path.write_text("space V = oops\n")

@@ -5,7 +5,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from lcoalg.scalars import ONE, Q, ZERO, Scalar, ScalarSyntaxError, parse_scalar
+from lcoalg import scalars as scalars_module
+from lcoalg.scalars import (
+    MINUS_ONE,
+    ONE,
+    Q,
+    ZERO,
+    Scalar,
+    ScalarSyntaxError,
+    _padd,
+    _pmul,
+    _pneg,
+    _trim,
+    parse_scalar,
+)
 
 
 def test_constants():
@@ -34,6 +47,36 @@ def test_powers():
     assert Q ** 3 == Q * Q * Q
     assert Q ** -1 * Q == ONE
     assert Q ** 0 == ONE
+    assert ZERO ** 0 == ONE
+    assert ZERO ** 3 == ZERO
+    with pytest.raises(ZeroDivisionError):
+        ZERO ** -1
+
+
+def test_powers_by_squaring():
+    product = ONE
+    for _ in range(8):
+        product = product * (Q + ONE)
+    assert (Q + ONE) ** 8 == product
+    assert (Q + ONE) ** -3 == ONE / ((Q + ONE) * (Q + ONE) * (Q + ONE))
+    half = Scalar.from_rational(Fraction(1, 2))
+    assert (half * Q ** -2) ** 3 == half * half * half * Q ** -6
+    assert (-Q) ** 5 == -(Q ** 5)
+
+
+def test_large_monomial_power_is_direct():
+    assert parse_scalar("q^20000") == Scalar.q_power(20000)
+    assert parse_scalar("q^-20000") == Scalar.q_power(-20000)
+    assert (Q ** 2) ** 10000 == Scalar.q_power(20000)
+
+
+def test_constants_are_shared():
+    assert Scalar.zero() is ZERO
+    assert Scalar.one() is ONE
+    assert Scalar.from_rational(0) is ZERO
+    assert Scalar.from_rational(Fraction(1)) is ONE
+    assert Scalar.from_rational(-1) is MINUS_ONE
+    assert MINUS_ONE == -ONE
 
 
 def test_division_by_zero():
@@ -112,9 +155,79 @@ def test_str_is_parseable(a):
     assert parse_scalar(str(a)) == a
 
 
-@given(scalars(), scalars())
-def test_equality_is_canonical(a, b):
-    # Equal values hash equally (structural canonical form).
+@given(scalars(), scalars(), small_rationals)
+def test_equality_is_canonical(a, b, r):
+    # Equal values hash equally (structural canonical form), also when one
+    # side is an int or a Fraction.
     if a == b:
         assert hash(a) == hash(b)
     assert (a - b).is_zero() == (a == b)
+    for number in (r, int(r)):
+        if a == number:
+            assert hash(a) == hash(number)
+        value = Scalar.from_rational(number)
+        assert value == number
+        assert hash(value) == hash(number)
+    assert len({Scalar.from_rational(1), 1, Fraction(1)}) == 1
+
+
+# -- fast paths against the general constructor ------------------------------
+
+small_polys = st.lists(small_rationals, min_size=1, max_size=4).map(_trim)
+nonzero_polys = small_polys.filter(bool)
+
+shaped_scalars = st.one_of(
+    small_rationals.map(Scalar.from_rational),
+    small_polys.map(lambda num: Scalar(num, (Fraction(1),))),
+    st.builds(
+        lambda num, k: Scalar(num, Scalar.q_power(k).num),
+        small_polys, st.integers(min_value=0, max_value=4),
+    ),
+    st.builds(Scalar, small_polys, nonzero_polys),
+)
+
+
+def _same(fast, reference):
+    assert fast.num == reference.num
+    assert fast.den == reference.den
+    assert str(fast) == str(reference)
+    assert all(type(c) is Fraction for c in fast.num + fast.den)
+
+
+@given(shaped_scalars, shaped_scalars)
+def test_fast_paths_match_general_constructor(a, b):
+    # Each reference result goes through Scalar(num, den) and its gcd.
+    cross = _pmul(a.num, b.den), _pmul(b.num, a.den)
+    den = _pmul(a.den, b.den)
+    _same(a + b, Scalar(_padd(*cross), den))
+    _same(a - b, Scalar(_padd(cross[0], _pneg(cross[1])), den))
+    _same(a * b, Scalar(_pmul(a.num, b.num), den))
+    if not b.is_zero():
+        _same(a / b, Scalar(_pmul(a.num, b.den), _pmul(a.den, b.num)))
+
+
+def test_fast_paths_skip_the_gcd(monkeypatch):
+    two_thirds = Scalar.from_rational(Fraction(2, 3))
+    poly = Q * Q - Q + 2
+    laurent = (Q + 3) * Q ** -2
+    general = ONE / (Q + ONE)
+
+    def fast_shapes():
+        return [
+            str(x) for x in (
+                two_thirds * general, two_thirds + general,
+                general / two_thirds, poly * poly, poly - Q,
+                laurent * laurent, laurent + Q ** -3, laurent / Q,
+                (Q + ONE) ** 5,
+            )
+        ]
+
+    expected = fast_shapes()
+
+    def no_gcd(a, b):
+        raise AssertionError("general constructor reached")
+
+    monkeypatch.setattr(scalars_module, "_pgcd", no_gcd)
+    assert fast_shapes() == expected
+    with pytest.raises(AssertionError, match="general constructor"):
+        general * general
