@@ -62,15 +62,19 @@ def _read_document(path: str) -> SpecDocument:
 
 
 def _pick_space(doc: SpecDocument, requested: Optional[str]) -> str:
+    """The space to work in.  Its errors are about the arguments, not a
+    place in the document, so they carry no source position."""
+    if not doc.spaces:
+        raise ValueError("document declares no space")
+    declared = " | ".join(sorted(doc.spaces))
     if requested is not None:
         if requested not in doc.spaces:
-            raise DslError(f"unknown space {requested!r}", 0)
+            raise ValueError(f"unknown space {requested!r} (expected {declared})")
         return requested
     if len(doc.spaces) == 1:
         return next(iter(doc.spaces))
-    raise DslError(
-        "document declares several spaces; pass --space", 0,
-        expected=sorted(doc.spaces),
+    raise ValueError(
+        f"document declares several spaces; pass --space (expected {declared})"
     )
 
 
@@ -137,14 +141,14 @@ def cmd_entangle(args) -> int:
     space = _pick_space(doc, args.space)
     structure = doc.structure(space)
     channel = doc.channel(args.channel)
+    if args.kind == "achiral" and not args.cotilde:
+        raise ValueError("--kind achiral needs --cotilde NAME")
     try:
         if args.kind == "self":
             entangled = self_entangle(
                 structure, args.coproduct, channel, eps_name=args.counit
             )
-        elif args.kind == "achiral":
-            if not args.cotilde:
-                raise DslError("--kind achiral needs --cotilde NAME", 0)
+        else:
             entangled = achiral_entangle(
                 structure,
                 args.coproduct,
@@ -152,11 +156,7 @@ def cmd_entangle(args) -> int:
                 channel,
                 transported=args.transport,
             )
-        else:
-            raise DslError(f"unknown entanglement kind {args.kind!r}", 0)
     except ValueError as exc:
-        if isinstance(exc, DslError):
-            raise
         # A construction that refuses its input is a failed check, not a
         # usage error: the message carries the witnesses.
         print(f"check\tconstruction\tfail\t{exc}")

@@ -26,13 +26,13 @@ from .linalg import (
     MultiLinearMap,
     Tensor,
     Vector,
+    add_scaled,
     rref,
     tensor_add,
     tensor_scale,
     tensor_sub,
     unit_vector,
     vec_add,
-    vec_scale,
     vec_sub,
 )
 from .scalars import ONE, Scalar
@@ -113,13 +113,13 @@ class ChannelMap:
     def apply(self, v: Vector) -> Vector:
         out: Vector = {}
         for lab, c in v.items():
-            out = vec_add(out, vec_scale(self.forward[lab], c))
+            add_scaled(out, self.forward[lab].items(), c)
         return out
 
     def unapply(self, v: Vector) -> Vector:
         out: Vector = {}
         for lab, c in v.items():
-            out = vec_add(out, vec_scale(self.inverse[lab], c))
+            add_scaled(out, self.inverse[lab].items(), c)
         return out
 
     def has_fixed_points(self) -> bool:
@@ -135,7 +135,7 @@ class ChannelMap:
         for lab in self.c1.labels:
             lhs: Tensor = {}
             for w, c in self.forward[lab].items():
-                lhs = tensor_add(lhs, tensor_scale(delta2.of_label(w), c))
+                add_scaled(lhs, delta2.of_label(w).items(), c)
             rhs = subst_leg(
                 subst_leg(delta1.of_label(lab), 1, self.forward), 2, self.forward
             )
@@ -152,23 +152,6 @@ class ChannelMap:
                 value = value + c * eps2.get(w, Scalar.zero())
             if value != eps1.get(lab, Scalar.zero()):
                 bad.append(lab)
-        return bad
-
-    def check_algebra_morphism(
-        self, algebra: FiniteAlgebra, unit1: Vector, unit2: Vector
-    ) -> List[str]:
-        """Pairs of C1 where Phi(xy) != Phi(x)Phi(y), plus the unit law."""
-        bad = []
-        for a in self.c1.labels:
-            for b in self.c1.labels:
-                lhs = self.apply(algebra.mul_labels(a, b))
-                rhs = algebra.mul_vectors(
-                    self.forward[a], self.forward[b]
-                )
-                if lhs != rhs:
-                    bad.append(f"{a}*{b}")
-        if self.apply(unit1) != unit2:
-            bad.append("unit")
         return bad
 
 
@@ -813,9 +796,7 @@ def leibniz_coderivative(e: EntangledStructure) -> Tuple[Dict[str, Vector], Axio
     both = delta1.add(deltahat1)
     delta_star = s.coproduct("Delta_star")
     for v in e.c1.labels:
-        lhs: Tensor = {}
-        for lab, c in table[v].items():
-            lhs = tensor_add(lhs, tensor_scale(both.of_label(lab), c))
+        lhs = both.of_vector(table[v])
         delta1_v = delta_star.of_label(v)  # = Delta1 on C1
         rhs = tensor_add(
             subst_leg(delta1_v, 1, table), subst_leg(delta1_v, 2, table)
@@ -825,22 +806,18 @@ def leibniz_coderivative(e: EntangledStructure) -> Tuple[Dict[str, Vector], Axio
 
     algebra = s.algebra
     if algebra is not None:
-        unit = algebra.unit
-        d_unit: Vector = {}
-        for lab, c in unit.items():
-            if lab in table:
-                d_unit = vec_add(d_unit, vec_scale(table[lab], c))
-        if d_unit:
-            report.witnesses.append(
-                ("1", "unit_annihilation", {(k,): c for k, c in d_unit.items()}, {})
-            )
-
         def d_of(vec: Vector) -> Vector:
             out: Vector = {}
             for lab, c in vec.items():
                 if lab in table:
-                    out = vec_add(out, vec_scale(table[lab], c))
+                    add_scaled(out, table[lab].items(), c)
             return out
+
+        d_unit = d_of(algebra.unit)
+        if d_unit:
+            report.witnesses.append(
+                ("1", "unit_annihilation", {(k,): c for k, c in d_unit.items()}, {})
+            )
 
         for a in e.c1.labels:
             for b in e.c1.labels:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .coalgebra import AxiomReport, LStructure
-from .linalg import BasisSpace, Vector, vec_add, vec_sub
+from .linalg import BasisSpace, Vector, add_scaled, vec_add, vec_sub
 from .scalars import Scalar, ONE
 
 Functional = Vector  # label -> value; the coefficient vector in the dual basis
@@ -33,22 +33,23 @@ def functional_value(f: Functional, v: Vector) -> Scalar:
 
 
 def conv_product(s: LStructure, name: str, f: Functional, g: Functional) -> Functional:
-    """(f * g)(x) = sum f(x_(1)) g(x_(2)) over the named coproduct."""
-    cp = s.coproduct(name)
+    """(f * g)(x) = sum f(x_(1)) g(x_(2)) over the named coproduct.
+
+    Read through the coproduct's transpose, so only the labels in the
+    supports of f and g are visited; the result lists its labels in
+    basis order."""
+    legs = s.coproduct(name).by_legs()
     out: Functional = {}
-    for lab in s.space.labels:
-        value = Scalar.zero()
-        for (a, b), c in cp.of_label(lab).items():
-            fa = f.get(a)
-            if fa is None:
-                continue
-            gb = g.get(b)
-            if gb is None:
-                continue
-            value = value + c * fa * gb
-        if not value.is_zero():
-            out[lab] = value
-    return out
+    for a, fa in f.items():
+        row = legs.get(a)
+        if row is None:
+            continue
+        for b, gb in g.items():
+            terms = row.get(b)
+            if terms is not None:
+                add_scaled(out, terms, fa * gb)
+    index = s.space.index
+    return {x: out[x] for x in sorted(out, key=index.__getitem__)}
 
 
 def bracket(

@@ -45,16 +45,6 @@ class WeightedDigraph:
     def weight(self, source: str, target: str) -> Scalar:
         return self.arrows.get((source, target), Scalar.zero())
 
-    def out_arrows(self, vertex: str) -> List[Tuple[str, Scalar]]:
-        return [
-            (t, w) for (s, t), w in sorted(self.arrows.items()) if s == vertex
-        ]
-
-    def in_arrows(self, vertex: str) -> List[Tuple[str, Scalar]]:
-        return [
-            (s, w) for (s, t), w in sorted(self.arrows.items()) if t == vertex
-        ]
-
     def is_bidirected(self) -> bool:
         return all((t, s) in self.arrows for (s, t) in self.arrows)
 

@@ -7,7 +7,7 @@ Zero coefficients are never stored, so dict equality is exact map equality.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from .scalars import MINUS_ONE, ONE, Scalar
 
@@ -15,6 +15,9 @@ Label = str
 Term = Tuple[Label, ...]
 Vector = Dict[Label, Scalar]
 Tensor = Dict[Term, Scalar]
+Key = TypeVar("Key")
+# The transpose of an arity-2 map: a -> b -> [(x, c), ...] (MultiLinearMap.by_legs).
+Legs = Dict[Label, Dict[Label, List[Tuple[Label, Scalar]]]]
 
 
 class BasisSpace:
@@ -69,6 +72,21 @@ def vec_add(a: Vector, b: Vector) -> Vector:
     return out
 
 
+def add_scaled(
+    out: Dict[Key, Scalar], terms: Iterable[Tuple[Key, Scalar]], c: Scalar
+) -> None:
+    """``out += c * terms``, in place.  A key whose sum cancels is dropped,
+    so the surviving keys keep the order in which they first arrived."""
+    for key, v in terms:
+        add = v * c
+        s = out.get(key, None)
+        s = add if s is None else s + add
+        if s.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = s
+
+
 def vec_scale(a: Vector, c: Scalar) -> Vector:
     if c.is_zero():
         return {}
@@ -105,20 +123,6 @@ def tensor_sub(a: Tensor, b: Tensor) -> Tensor:
     return tensor_add(a, tensor_scale(b, MINUS_ONE))
 
 
-def tensor_of(terms: Iterable[Tuple[Scalar, Term]]) -> Tensor:
-    out: Tensor = {}
-    for coeff, term in terms:
-        if coeff.is_zero():
-            continue
-        s = out.get(term, None)
-        s = coeff if s is None else s + coeff
-        if s.is_zero():
-            out.pop(term, None)
-        else:
-            out[term] = s
-    return out
-
-
 def tensor_product(a: Tensor, b: Tensor) -> Tensor:
     out: Tensor = {}
     for ta, ca in a.items():
@@ -134,10 +138,6 @@ def tensor_product(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def vector_to_tensor(v: Vector) -> Tensor:
-    return {(k,): c for k, c in v.items()}
-
-
 class MultiLinearMap:
     """A sparse linear map from a basis space into its m-th tensor power.
 
@@ -146,7 +146,7 @@ class MultiLinearMap:
     domain space, which doubles as the ambient space for glued structures.
     """
 
-    __slots__ = ("domain", "arity", "table")
+    __slots__ = ("domain", "arity", "table", "_legs")
 
     def __init__(self, domain: BasisSpace, arity: int, table: Dict[Label, Tensor]):
         if arity < 1:
@@ -171,6 +171,7 @@ class MultiLinearMap:
         self.domain = domain
         self.arity = arity
         self.table = clean
+        self._legs: Optional[Legs] = None
 
     # -- evaluation --------------------------------------------------------
 
@@ -182,8 +183,28 @@ class MultiLinearMap:
     def of_vector(self, v: Vector) -> Tensor:
         out: Tensor = {}
         for label, coeff in v.items():
-            out = tensor_add(out, tensor_scale(self.of_label(label), coeff))
+            add_scaled(out, self.of_label(label).items(), coeff)
         return out
+
+    def by_legs(self) -> Legs:
+        """The transpose of an arity-2 map: ``a -> b -> [(x, c), ...]``,
+        one pair for every term ``c<a, b>`` in the image of ``x``, with the
+        ``x`` in domain order.
+
+        Built on first use and cached.  The cache is sound only while the
+        map is immutable: nothing may write to ``table`` or to its tensors
+        after construction.  Nothing does (``add``, ``sub`` and ``tau``
+        build new maps), so the transpose cannot go stale.
+        """
+        if self._legs is None:
+            if self.arity != 2:
+                raise ValueError("by_legs applies to arity-2 maps")
+            legs: Legs = {}
+            for x in self.domain.labels:
+                for (a, b), c in self.of_label(x).items():
+                    legs.setdefault(a, {}).setdefault(b, []).append((x, c))
+            self._legs = legs
+        return self._legs
 
     def at_slot(self, tensor: Tensor, slot: int, degree: int) -> Tensor:
         """Apply this map at the given 1-based slot of a degree-``degree``
@@ -266,10 +287,6 @@ def map_equal(f: MultiLinearMap, g: MultiLinearMap) -> bool:
 
 def zero_map(domain: BasisSpace, arity: int = 2) -> MultiLinearMap:
     return MultiLinearMap(domain, arity, {})
-
-
-def identity_tensor(term: Term) -> Tensor:
-    return {term: ONE}
 
 
 # -- exact linear algebra --------------------------------------------------
@@ -384,7 +401,7 @@ class FiniteAlgebra:
         out: Vector = {}
         for a, ca in u.items():
             for b, cb in v.items():
-                out = vec_add(out, vec_scale(self.mul_labels(a, b), ca * cb))
+                add_scaled(out, self.product.get((a, b), {}).items(), ca * cb)
         return out
 
     def mul_tensors(self, s: Tensor, t: Tensor) -> Tensor:

@@ -153,7 +153,7 @@ def test_entangle_achiral_without_cotilde_is_usage_error(f_doc, capsys):
         "--kind", "achiral", "--coproduct", "Delta", "--channel", "Phi",
     )
     assert code == 2
-    assert "cotilde" in err
+    assert err == "error: --kind achiral needs --cotilde NAME\n"
 
 
 def test_bracket_table_format(f_doc, tmp_path, capsys):
@@ -308,3 +308,30 @@ def test_bad_usage_exits_two(capsys):
     assert main(["check"]) == 2
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_empty_document_declares_no_space(tmp_path, capsys):
+    path = tmp_path / "empty.doc"
+    path.write_text("")
+    code, out, err = run(capsys, "check", str(path), "--axiom", "coassoc")
+    assert code == 2
+    assert out == ""
+    assert err == "error: document declares no space\n"
+
+
+def test_unknown_space_is_usage_error_without_position(f_doc, capsys):
+    code, out, err = run(
+        capsys, "check", str(f_doc), "--space", "Z", "--axiom", "coassoc"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown space 'Z' (expected F | F2)\n"
+
+
+def test_several_spaces_need_space_option(f_doc, capsys):
+    code, out, err = run(capsys, "check", str(f_doc), "--axiom", "coassoc")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: document declares several spaces; pass --space (expected F | F2)\n"
+    )

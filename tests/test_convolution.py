@@ -1,6 +1,9 @@
 """Convolution products of dual functionals, the bridge bracket and its
 structure constants, and the exhaustive law suites on the glued fixture."""
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from lcoalg.convolution import (
     bracket,
     check_bar_unit,
@@ -14,7 +17,8 @@ from lcoalg.convolution import (
     functional_value,
     structure_constants,
 )
-from lcoalg.scalars import ONE
+from lcoalg.fixtures import fixture_cibils
+from lcoalg.scalars import ONE, Scalar, parse_scalar
 
 C1 = ["a", "b", "c", "d"]
 C2 = ["x", "y", "z", "u"]
@@ -139,3 +143,102 @@ def test_bracket_direct_equals_structure_constant(f_entangled):
     duals = dual_basis(s.space)
     direct = bracket(s, duals["b"], duals["c"])
     assert direct == {"a": ONE, "d": -ONE}
+
+
+# -- the transpose path against the label-by-label walk ---------------------
+
+
+def reference_conv_product(s, name, f, g):
+    """The direct definition: walk every label and every coproduct term."""
+    cp = s.coproduct(name)
+    out = {}
+    for lab in s.space.labels:
+        value = Scalar.zero()
+        for (a, b), c in cp.of_label(lab).items():
+            fa = f.get(a)
+            gb = g.get(b)
+            if fa is not None and gb is not None:
+                value = value + c * fa * gb
+        if not value.is_zero():
+            out[lab] = value
+    return out
+
+
+@pytest.fixture(scope="module")
+def conv_structures(f_entangled):
+    s = fixture_cibils(3)["structure"]
+    bar = s.coproduct("delta").add(s.coproduct("deltahat_d"))
+    return {"F": f_entangled.structure, "cibils3": s.with_coproduct("Delta_bar", bar)}
+
+
+CONV_CASES = [
+    ("F", "Delta_star"), ("F", "deltahat1"), ("F", "delta1"),
+    ("cibils3", "deltahat_d"), ("cibils3", "Delta_bar"), ("cibils3", "delta"),
+]
+VALUES = [parse_scalar(t) for t in ("1", "-1", "2", "-1/2", "q", "-q", "q^-1", "3*q^2")]
+
+
+@st.composite
+def functionals(draw, labels):
+    chosen = draw(st.lists(st.sampled_from(labels), min_size=1,
+                           max_size=len(labels), unique=True))
+    f = {lab: draw(st.sampled_from(VALUES)) for lab in chosen}
+    if len(chosen) > 1 and draw(st.booleans()):
+        f[chosen[1]] = -f[chosen[0]]  # a pair set up to cancel
+    return f
+
+
+@pytest.mark.parametrize("case, name", CONV_CASES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_conv_product_matches_label_walk(conv_structures, case, name, data):
+    s = conv_structures[case]
+    f = data.draw(functionals(s.space.labels))
+    g = data.draw(functionals(s.space.labels))
+    fast = conv_product(s, name, f, g)
+    slow = reference_conv_product(s, name, f, g)
+    assert fast == slow
+    assert list(fast) == list(slow)
+
+
+def test_conv_product_drops_cancelled_values(conv_structures):
+    # delta(x1) = <a0, x1> + <a1, x0>, so f(a0) g(x1) + f(a1) g(x0) = 0.
+    s = conv_structures["cibils3"]
+    f = {"a0": ONE, "a1": -ONE}
+    g = {"x0": ONE, "x1": ONE}
+    assert conv_product(s, "delta", f, g) == {"x0": ONE, "x2": -ONE}
+    assert reference_conv_product(s, "delta", f, g) == {"x0": ONE, "x2": -ONE}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_with_coproduct_reads_the_new_map(conv_structures, data):
+    s = conv_structures["cibils3"]
+    f = data.draw(functionals(s.space.labels))
+    g = data.draw(functionals(s.space.labels))
+    conv_product(s, "delta", f, g)  # the transpose of delta is now built
+    other = s.with_coproduct("delta", s.coproduct("Delta_bar"))
+    assert conv_product(other, "delta", f, g) == conv_product(s, "Delta_bar", f, g)
+    swapped = s.with_coproduct("delta", s.coproduct("delta").tau())
+    assert conv_product(swapped, "delta", f, g) == conv_product(s, "delta", g, f)
+
+
+# (triple, label, value) of each failing dendriform2 witness; dendriform3
+# fails on the same triples with the same values.  The right side is 0.
+CIBILS3_DENDRIFORM_FAILURES = [
+    ("x0,a0,a0", "x0", "-1"), ("x0,a0,a1", "x1", "-q"),
+    ("x0,a0,a2", "x2", "-q^2"), ("x0,a1,a0", "x1", "-q"),
+    ("x0,a1,a1", "x2", "-q^2"), ("x0,a2,a0", "x2", "-q^2"),
+    ("x1,a0,a0", "x1", "-1"), ("x1,a0,a1", "x2", "-q"),
+    ("x1,a1,a0", "x2", "-q"), ("x2,a0,a0", "x2", "-1"),
+]
+
+
+def test_dendriform_with_delta_as_right_product_fails_on_cibils(conv_structures):
+    s = conv_structures["cibils3"]
+    report = check_dendriform_algebra(s, "deltahat_d", "delta")
+    assert report.witnesses == [
+        (triple, eq, {(lab,): parse_scalar(value)}, {})
+        for eq in ("dendriform2", "dendriform3")
+        for triple, lab, value in CIBILS3_DENDRIFORM_FAILURES
+    ]
