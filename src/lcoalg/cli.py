@@ -186,10 +186,32 @@ def cmd_bracket(args) -> int:
     return 0
 
 
+# The complex check visits every basis tensor up to --max-degree and keeps
+# the boundary of each, so time and memory grow with their number.
+MAX_COMPLEX_TENSORS = 20_000
+
+
+def _check_complex_size(dim: int, max_degree: int) -> None:
+    """Refuse a --max-degree whose basis tensors, summed over the degrees
+    1..max_degree, outnumber MAX_COMPLEX_TENSORS.  The sum stops at the
+    first degree past the bound, so a huge degree costs nothing here."""
+    total, count = 0, 1
+    for degree in range(1, max_degree + 1):
+        count *= dim
+        total += count
+        if total > MAX_COMPLEX_TENSORS:
+            raise ValueError(
+                f"--max-degree {max_degree} would check more than "
+                f"{MAX_COMPLEX_TENSORS} basis tensors "
+                f"(already {total} up to degree {degree} on {dim} labels)"
+            )
+
+
 def cmd_complex(args) -> int:
     doc = _read_document(args.file)
     space = _pick_space(doc, args.space)
     structure = doc.structure(space)
+    _check_complex_size(structure.space.dim, args.max_degree)
     report = check_complex(
         structure, args.coproduct, args.unit,
         max_degree=args.max_degree, form=args.form,

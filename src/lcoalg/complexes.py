@@ -10,18 +10,13 @@ stripping the unit insertions the flower terms would contribute.
 from __future__ import annotations
 
 from itertools import product as iter_product
-from typing import Dict, Tuple
+from typing import Dict
 
 from .coalgebra import AxiomReport, LStructure
-from .linalg import (
-    BasisSpace,
-    MultiLinearMap,
-    Tensor,
-    tensor_add,
-    tensor_scale,
-    tensor_sub,
-)
+from .linalg import BasisSpace, MultiLinearMap, Tensor, Term, add_scaled, tensor_add
 from .scalars import MINUS_ONE, ONE
+
+_FORMS = ("primary", "prime", "alternative")
 
 
 def flower_coproducts(space: BasisSpace, unit_label: str) -> Dict[str, MultiLinearMap]:
@@ -42,17 +37,12 @@ def flower_coproducts(space: BasisSpace, unit_label: str) -> Dict[str, MultiLine
 
 
 def insert_unit(tensor: Tensor, gap: int, unit_label: str) -> Tensor:
-    """Insert the unit label into gap position 0..n of every term."""
-    out: Tensor = {}
-    for term, coeff in tensor.items():
-        new_term = term[:gap] + (unit_label,) + term[gap:]
-        prior = out.get(new_term)
-        total = coeff if prior is None else prior + coeff
-        if total.is_zero():
-            out.pop(new_term, None)
-        else:
-            out[new_term] = total
-    return out
+    """Insert the unit label into gap position 0..n of every term.  The
+    insertion is injective on terms, so no two terms collide."""
+    return {
+        term[:gap] + (unit_label,) + term[gap:]: coeff
+        for term, coeff in tensor.items()
+    }
 
 
 def boundary_apply(
@@ -72,6 +62,8 @@ def boundary_apply(
     insertions of the flower terms cancel in telescoping pairs, leaving
     exactly the two end corrections.
     """
+    if form not in _FORMS:
+        raise ValueError(f"unknown boundary form {form!r}")
     if not tensor:
         return {}
     degrees = {len(term) for term in tensor}
@@ -85,23 +77,19 @@ def boundary_apply(
     out: Tensor = {}
     sign = ONE
     for i in range(1, n + 1):
-        step = cp.at_slot(tensor, i, n)
+        add_scaled(out, cp.at_slot(tensor, i, n).items(), sign)
         if form == "alternative":
             flower = tensor_add(
                 insert_unit(tensor, i - 1, unit_label),
                 insert_unit(tensor, i, unit_label),
             )
-            step = tensor_sub(step, flower)
-        out = tensor_add(out, tensor_scale(step, sign))
-        sign = sign * MINUS_ONE
+            add_scaled(out, flower.items(), -sign)
+        sign = -sign
     if form == "primary":
-        out = tensor_sub(out, insert_unit(tensor, 0, unit_label))
-        end_sign = MINUS_ONE if n % 2 == 0 else ONE
-        out = tensor_sub(
-            out, tensor_scale(insert_unit(tensor, n, unit_label), end_sign)
-        )
-    elif form not in ("prime", "alternative"):
-        raise ValueError(f"unknown boundary form {form!r}")
+        add_scaled(out, insert_unit(tensor, 0, unit_label).items(), MINUS_ONE)
+        # minus (-1)^(n+1) times the unit at gap n
+        end_sign = MINUS_ONE if n % 2 else ONE
+        add_scaled(out, insert_unit(tensor, n, unit_label).items(), end_sign)
     return out
 
 
@@ -126,14 +114,24 @@ def check_complex(
             (unit_label, "unit_grouplike", unit_cp, {(unit_label, unit_label): ONE})
         )
         return report
-    labels = s.space.labels
+    # d is linear, so d(d(t)) is the sum of c * d(u) over the terms c*u of
+    # d(t): each basis tensor's row d(u) is built once and reused.
+    rows: Dict[Term, Tensor] = {}
+
+    def row(term: Term) -> Tensor:
+        r = rows.get(term)
+        if r is None:
+            r = rows[term] = boundary_apply(s, name, unit_label, {term: ONE}, form)
+        return r
+
     for n in range(1, max_degree + 1):
-        for term in iter_product(labels, repeat=n):
-            t: Tensor = {tuple(term): ONE}
-            once = boundary_apply(s, name, unit_label, t, form)
+        for term in iter_product(s.space.labels, repeat=n):
+            once = row(term)
             if not once:
                 continue
-            twice = boundary_apply(s, name, unit_label, once, form)
+            twice: Tensor = {}
+            for u, c in once.items():
+                add_scaled(twice, row(u).items(), c)
             if twice:
                 report.witnesses.append(
                     ("(" + ",".join(term) + ")", f"dd_degree_{n}", twice, {})

@@ -29,7 +29,6 @@ from .linalg import (
     add_scaled,
     rref,
     tensor_add,
-    tensor_scale,
     tensor_sub,
     unit_vector,
     vec_add,
@@ -227,9 +226,7 @@ def self_entangle(
     def on_c2(leg1_fwd: bool, leg2_fwd: bool) -> Dict[str, Tensor]:
         table: Dict[str, Tensor] = {}
         for w in c2.labels:
-            t: Tensor = {}
-            for v, c in inv[w].items():
-                t = tensor_add(t, tensor_scale(delta1_c1.of_label(v), c))
+            t = delta1_c1.of_vector(inv[w])
             if leg1_fwd:
                 t = subst_leg(t, 1, fwd)
             if leg2_fwd:
@@ -245,13 +242,7 @@ def self_entangle(
     delta2_map = MultiLinearMap(ambient, 2, delta2_table)
 
     def on_c1(leg: int) -> Dict[str, Tensor]:
-        table: Dict[str, Tensor] = {}
-        for v in c1.labels:
-            t: Tensor = {}
-            for w, c in fwd[v].items():
-                t = tensor_add(t, tensor_scale(delta2_map.of_label(w), c))
-            table[v] = subst_leg(t, leg, inv)
-        return table
+        return {v: subst_leg(delta2_map.of_vector(fwd[v]), leg, inv) for v in c1.labels}
 
     delta2 = _glue(ambient, delta2_map, c2.labels, on_c1(2))
     deltahat2 = _glue(ambient, delta2_map, c2.labels, on_c1(1))
@@ -360,13 +351,10 @@ def achiral_entangle(
     fwd, inv = channel.forward, channel.inverse
 
     def transport(cp: MultiLinearMap) -> Dict[str, Tensor]:
-        table: Dict[str, Tensor] = {}
-        for w in c2.labels:
-            t: Tensor = {}
-            for v, c in inv[w].items():
-                t = tensor_add(t, tensor_scale(cp.of_label(v), c))
-            table[w] = subst_leg(subst_leg(t, 1, fwd), 2, fwd)
-        return table
+        return {
+            w: subst_leg(subst_leg(cp.of_vector(inv[w]), 1, fwd), 2, fwd)
+            for w in c2.labels
+        }
 
     source = delta if transported == "Delta" else deltatilde
     deltatilde2_table = transport(source)
@@ -375,25 +363,17 @@ def achiral_entangle(
     delta_star = _glue(ambient, delta, c1.labels, deltatilde2_table)
 
     # delta1 := Delta1 over C1, delta1 Phi = (id x Phi) Delta1 over C2.
-    delta1_c2: Dict[str, Tensor] = {}
-    for w in c2.labels:
-        t: Tensor = {}
-        for v, c in inv[w].items():
-            t = tensor_add(t, tensor_scale(delta.of_label(v), c))
-        delta1_c2[w] = subst_leg(t, 2, fwd)
+    delta1_c2 = {w: subst_leg(delta.of_vector(inv[w]), 2, fwd) for w in c2.labels}
     delta1 = _glue(ambient, delta, c1.labels, delta1_c2)
 
     # deltatilde2 := Deltatilde2 over C2; over C1 the resolved orientation
     # (id x Phi^-1) Deltatilde2 Phi (the printed one contradicts the
     # worked example and breaks the asserted entanglement).
     def pull(leg: int) -> Dict[str, Tensor]:
-        table: Dict[str, Tensor] = {}
-        for v in c1.labels:
-            t: Tensor = {}
-            for w, c in fwd[v].items():
-                t = tensor_add(t, tensor_scale(deltatilde2_map.of_label(w), c))
-            table[v] = subst_leg(t, leg, inv)
-        return table
+        return {
+            v: subst_leg(deltatilde2_map.of_vector(fwd[v]), leg, inv)
+            for v in c1.labels
+        }
 
     deltatilde2 = _glue(ambient, deltatilde2_map, c2.labels, pull(2))
     deltatildehat2 = _glue(ambient, deltatilde2_map, c2.labels, pull(1))
@@ -504,23 +484,12 @@ def markov_entangle_de_bruijn(
 
     def push(cp: MultiLinearMap) -> Dict[str, Tensor]:
         # bridge Phi-image: bridge(Phi v) = (id x Phi) cp(v)
-        table: Dict[str, Tensor] = {}
-        for w in c2.labels:
-            t: Tensor = {}
-            for v, cc in inv[w].items():
-                t = tensor_add(t, tensor_scale(cp.of_label(v), cc))
-            table[w] = subst_leg(t, 2, fwd)
-        return table
+        return {w: subst_leg(cp.of_vector(inv[w]), 2, fwd) for w in c2.labels}
 
     delta_m = _glue(ambient, delta_m_g, c1.labels, push(delta_m_g))
     deltatilde_m = _glue(ambient, deltatilde_m_g, c1.labels, push(deltatilde_m_g))
 
-    delta_c1: Dict[str, Tensor] = {}
-    for v in c1.labels:
-        t: Tensor = {}
-        for w, cc in fwd[v].items():
-            t = tensor_add(t, tensor_scale(delta_c.of_label(w), cc))
-        delta_c1[v] = subst_leg(t, 2, inv)
+    delta_c1 = {v: subst_leg(delta_c.of_vector(fwd[v]), 2, inv) for v in c1.labels}
     delta = _glue(ambient, delta_c, c2.labels, delta_c1)
 
     delta_star = _glue(
@@ -582,12 +551,7 @@ def markov_entangle_flower(
     delta_f = MultiLinearMap(ambient, 2, delta_f_table)
     deltatilde_f = MultiLinearMap(ambient, 2, deltatilde_f_table)
 
-    delta_c1: Dict[str, Tensor] = {}
-    for v in c1.labels:
-        t: Tensor = {}
-        for w, cc in fwd[v].items():
-            t = tensor_add(t, tensor_scale(delta_c.of_label(w), cc))
-        delta_c1[v] = subst_leg(t, 2, inv)
+    delta_c1 = {v: subst_leg(delta_c.of_vector(fwd[v]), 2, inv) for v in c1.labels}
     delta = _glue(ambient, delta_c, c2.labels, delta_c1)
 
     delta_fl = delta_f.add(deltatilde_f)

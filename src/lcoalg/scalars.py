@@ -23,7 +23,9 @@ Every path yields exactly the canonical form the general constructor
 yields, and that constructor stays the reference the tests compare the
 fast paths against.  Powers use repeated squaring, and a monomial base
 c*q^k goes straight to ``Scalar.q_power``.  ``ZERO``, ``ONE`` and
-``MINUS_ONE`` are shared instances, since scalars are immutable.
+``MINUS_ONE`` are shared instances, since scalars are immutable; a product
+with ``ONE`` returns the other operand and negation swaps ``ONE`` and
+``MINUS_ONE``, so products and negations of these signs allocate nothing.
 
 A small recursive-descent parser reads expressions such as
 ``(q^2 - 1)/(q - 1)`` or ``-3/2 * q``; ``str`` emits a form the parser
@@ -261,6 +263,10 @@ class Scalar:
 
 
 def _neg(a: Scalar) -> Scalar:
+    if a is ONE:
+        return MINUS_ONE
+    if a is MINUS_ONE:
+        return ONE
     return Scalar(_pneg(a.num), a.den, _canonical=True)
 
 
@@ -332,6 +338,10 @@ def _add(a: Scalar, b: Scalar) -> Scalar:
 
 
 def _mul(a: Scalar, b: Scalar) -> Scalar:
+    if a is ONE:
+        return b
+    if b is ONE:
+        return a
     an, ad, bn, bd = a.num, a.den, b.num, b.den
     if not an or not bn:
         return ZERO

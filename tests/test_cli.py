@@ -335,3 +335,41 @@ def test_several_spaces_need_space_option(f_doc, capsys):
     assert err == (
         "error: document declares several spaces; pass --space (expected F | F2)\n"
     )
+
+
+@pytest.mark.parametrize("degree", ["8", "1000000000"])
+def test_complex_refuses_too_many_basis_tensors(tmp_path, degree, capsys):
+    # 4 + 16 + ... + 4^7 = 21,844 basis tensors already pass the bound.
+    code, text, _ = run(capsys, "fixtures", "group", "--n", "4")
+    path = tmp_path / "G4.doc"
+    path.write_text(text)
+    code, out, err = run(
+        capsys, "complex", str(path), "--unit", "g0", "--max-degree", degree,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: --max-degree {degree} would check more than 20000 basis "
+        "tensors (already 21844 up to degree 7 on 4 labels)\n"
+    )
+
+
+def test_complex_on_non_coassociative_coproduct_fails(tmp_path, capsys):
+    path = tmp_path / "V.doc"
+    path.write_text(
+        "space V = { e, x }\n\n"
+        "coproduct Delta on V:\n"
+        "  e -> <e, e>\n"
+        "  x -> <x, x> + q * <x, e> + -1/2 * <e, x>\n"
+    )
+    code, out, _ = run(capsys, "complex", str(path), "--unit", "e")
+    assert code == 1
+    degree_3 = ["e,e,x", "e,x,e", "e,x,x", "x,e,e", "x,e,x", "x,x,e", "x,x,x"]
+    assert out.splitlines() == (
+        ["check\tboundary_complex[primary]\tfail\t11",
+         "witness\tboundary_complex[primary]\tdd_degree_1\t(x)"]
+        + [f"witness\tboundary_complex[primary]\tdd_degree_2\t({t})"
+           for t in ("e,x", "x,e", "x,x")]
+        + [f"witness\tboundary_complex[primary]\tdd_degree_3\t({t})" for t in degree_3]
+        + ["check\tboundary_forms_agree\tpass\t0"]
+    )

@@ -2,7 +2,10 @@
 differential property, the equality of the corrected forms, and the flower
 coproducts themselves."""
 
+from itertools import product as iter_product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcoalg.complexes import (
     boundary_apply,
@@ -11,8 +14,10 @@ from lcoalg.complexes import (
     flower_coproducts,
     insert_unit,
 )
-from lcoalg.fixtures import fixture_group
-from lcoalg.scalars import ONE
+from lcoalg.dsl import parse_document
+from lcoalg.fixtures import fixture_cibils, fixture_group
+from lcoalg.linalg import add_scaled, tensor_add, tensor_scale, tensor_sub
+from lcoalg.scalars import MINUS_ONE, ONE, parse_scalar
 
 
 def test_flower_coproducts_shape(group3):
@@ -82,3 +87,157 @@ def test_boundary_needs_homogeneous_tensor(group3):
 def test_unknown_form_rejected(group3):
     with pytest.raises(ValueError):
         boundary_apply(group3, "Delta", "g0", {("g1",): ONE}, form="bogus")
+    # The form is checked before any work, also on the zero tensor.
+    with pytest.raises(ValueError, match="unknown boundary form"):
+        boundary_apply(group3, "Delta", "g0", {}, form="bogus")
+
+
+# -- a group-like unit on a coproduct that is not coassociative -------------
+
+NON_COASSOCIATIVE_DOC = """\
+space V = { e, x }
+
+coproduct Delta on V:
+  e -> <e, e>
+  x -> <x, x> + q * <x, e> + -1/2 * <e, x>
+"""
+
+# -- the one-accumulator boundary against the step-by-step definition -------
+
+
+def reference_insert_unit(tensor, gap, unit_label):
+    out = {}
+    for term, coeff in tensor.items():
+        new_term = term[:gap] + (unit_label,) + term[gap:]
+        prior = out.get(new_term)
+        total = coeff if prior is None else prior + coeff
+        if total.is_zero():
+            out.pop(new_term, None)
+        else:
+            out[new_term] = total
+    return out
+
+
+def reference_boundary(s, name, unit_label, tensor, form):
+    """Each slot's step built as its own tensor, then added with its sign."""
+    if not tensor:
+        return {}
+    n = len(next(iter(tensor)))
+    cp = s.coproduct(name)
+    out = {}
+    sign = ONE
+    for i in range(1, n + 1):
+        step = cp.at_slot(tensor, i, n)
+        if form == "alternative":
+            flower = tensor_add(
+                reference_insert_unit(tensor, i - 1, unit_label),
+                reference_insert_unit(tensor, i, unit_label),
+            )
+            step = tensor_sub(step, flower)
+        out = tensor_add(out, tensor_scale(step, sign))
+        sign = sign * MINUS_ONE
+    if form == "primary":
+        out = tensor_sub(out, reference_insert_unit(tensor, 0, unit_label))
+        end_sign = MINUS_ONE if n % 2 == 0 else ONE
+        out = tensor_sub(
+            out, tensor_scale(reference_insert_unit(tensor, n, unit_label), end_sign)
+        )
+    return out
+
+
+@pytest.fixture(scope="module")
+def boundary_structures(f_data):
+    return {
+        "group3": fixture_group(3),
+        "cibils2": fixture_cibils(2)["structure"],
+        "F": f_data["structure"],
+        "noncoassoc": parse_document(NON_COASSOCIATIVE_DOC).structure("V"),
+    }
+
+
+BOUNDARY_CASES = [
+    ("group3", "Delta"), ("cibils2", "Delta_star"), ("cibils2", "delta"),
+    ("F", "Delta"), ("noncoassoc", "Delta"),
+]
+FORMS = ("primary", "prime", "alternative")
+COEFFS = [
+    parse_scalar(t) for t in ("1", "-1", "2/3", "-5/2", "q", "-q^2", "q^-1", "3*q^-2")
+] + [ONE, MINUS_ONE]
+
+
+@st.composite
+def homogeneous_tensors(draw, labels):
+    degree = draw(st.integers(min_value=1, max_value=3))
+    terms = draw(st.lists(st.tuples(*[st.sampled_from(labels)] * degree),
+                          min_size=1, max_size=6))
+    tensor = {}
+    for term in terms:
+        add_scaled(tensor, [(term, draw(st.sampled_from(COEFFS)))], ONE)
+    return tensor
+
+
+@pytest.mark.parametrize("case, name", BOUNDARY_CASES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_boundary_matches_step_by_step_definition(boundary_structures, case, name, data):
+    s = boundary_structures[case]
+    unit = data.draw(st.sampled_from(s.space.labels))
+    tensor = data.draw(homogeneous_tensors(s.space.labels))
+    for form in FORMS:
+        assert boundary_apply(s, name, unit, tensor, form) == reference_boundary(
+            s, name, unit, tensor, form
+        )
+
+
+# F has no group-like label, so its complex check stops at the unit witness.
+@pytest.mark.parametrize("case, name", [c for c in BOUNDARY_CASES if c[0] != "F"])
+@pytest.mark.parametrize("form", FORMS)
+def test_complex_witnesses_match_label_walk(boundary_structures, case, name, form):
+    # Every group-like label as unit.
+    s = boundary_structures[case]
+    for unit in s.space.labels:
+        if s.coproduct(name).of_label(unit) != {(unit, unit): ONE}:
+            continue
+        expected = []
+        for n in (1, 2):
+            for term in iter_product(s.space.labels, repeat=n):
+                once = boundary_apply(s, name, unit, {term: ONE}, form)
+                twice = boundary_apply(s, name, unit, once, form) if once else {}
+                if twice:
+                    expected.append(("(" + ",".join(term) + ")", f"dd_degree_{n}", twice, {}))
+        assert check_complex(s, name, unit, max_degree=2, form=form).witnesses == expected
+
+
+# d(d(t)) for each basis tensor t of degree 1 and 2 of NON_COASSOCIATIVE_DOC
+# with unit e, as (term, coefficient); all three forms give the same.
+NON_COASSOCIATIVE_DD = [
+    ("(x)", "dd_degree_1", [
+        (("x", "e", "x"), "q + 1/2"), (("x", "e", "e"), "q^2 - q"),
+        (("e", "e", "x"), "-3/4"),
+    ]),
+    ("(e,x)", "dd_degree_2", [
+        (("e", "x", "e", "x"), "q + 1/2"), (("e", "x", "e", "e"), "q^2 - q"),
+        (("e", "e", "e", "x"), "-3/4"),
+    ]),
+    ("(x,e)", "dd_degree_2", [
+        (("x", "e", "x", "e"), "q + 1/2"), (("x", "e", "e", "e"), "q^2 - q"),
+        (("e", "e", "x", "e"), "-3/4"),
+    ]),
+    ("(x,x)", "dd_degree_2", [
+        (("x", "x", "e", "x"), "q + 1/2"), (("x", "e", "e", "x"), "q^2 - q - 3/4"),
+        (("e", "e", "x", "x"), "-3/4"), (("x", "x", "e", "e"), "q^2 - q"),
+        (("x", "e", "x", "x"), "q + 1/2"),
+    ]),
+]
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_non_coassociative_coproduct_fails_dd(boundary_structures, form):
+    s = boundary_structures["noncoassoc"]
+    report = check_complex(s, "Delta", "e", max_degree=2, form=form)
+    assert report.witnesses == [
+        (label, eq, {term: parse_scalar(c) for term, c in tensor}, {})
+        for label, eq, tensor in NON_COASSOCIATIVE_DD
+    ]
+    assert not report.notes
+    assert check_boundary_forms_agree(s, "Delta", "e", max_degree=2).passed

@@ -184,6 +184,7 @@ shaped_scalars = st.one_of(
         small_polys, st.integers(min_value=0, max_value=4),
     ),
     st.builds(Scalar, small_polys, nonzero_polys),
+    st.sampled_from([ONE, MINUS_ONE]),
 )
 
 
@@ -202,8 +203,14 @@ def test_fast_paths_match_general_constructor(a, b):
     _same(a + b, Scalar(_padd(*cross), den))
     _same(a - b, Scalar(_padd(cross[0], _pneg(cross[1])), den))
     _same(a * b, Scalar(_pmul(a.num, b.num), den))
+    _same(-a, Scalar(_pneg(a.num), a.den))
     if not b.is_zero():
         _same(a / b, Scalar(_pmul(a.num, b.den), _pmul(a.den, b.num)))
+    # The shared signs: a product with ONE is the other operand itself,
+    # and negation swaps ONE and MINUS_ONE.
+    assert ONE * a is a and a * ONE is a
+    assert -ONE is MINUS_ONE and -MINUS_ONE is ONE
+    assert MINUS_ONE * MINUS_ONE is ONE
 
 
 def test_fast_paths_skip_the_gcd(monkeypatch):
