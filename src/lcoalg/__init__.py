@@ -20,7 +20,6 @@ from .coalgebra import (
     LStructure,
     check_axiom,
     cocommutator_space,
-    dichotomy_sum,
     solve_left_counit,
     solve_right_counit,
 )

@@ -2,15 +2,17 @@
 predicate over multi-linear maps, evaluated exhaustively on basis labels.
 
 Axioms are data, not code: each axiom is a list of equations whose sides
-are composition chains of role-bound coproducts.  A single evaluator
-expands both sides of every equation on every basis label and compares the
-canonical tensors; finite bases make this complete.
+are signed sums of composition chains of role-bound coproducts.  A single
+evaluator expands both sides of every equation on every basis label and
+compares the canonical tensors; finite bases make this complete.  The
+convolution law suites are equations of the same kind, read through the
+transpose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .linalg import (
     BasisSpace,
@@ -18,18 +20,22 @@ from .linalg import (
     MultiLinearMap,
     Tensor,
     Vector,
+    add_scaled,
     kernel_basis,
     solve_linear,
-    tensor_sub,
 )
 from .scalars import ONE, Scalar
 
 # A role is a coproduct slot in an axiom schema: either a plain role name,
 # a sum of two roles, or a transposed role.
 Role = Union[str, Tuple[str, "Role", "Role"], Tuple[str, "Role"]]
-# One side of an equation: the first coproduct applied to the input label,
-# then a chain of (role, slot) applications.
-Side = Tuple[Role, Tuple[Tuple[Role, int], ...]]
+# One term of a side: coeff times a chain (the first coproduct applied to
+# the input label, then (role, slot) applications) whose output legs carry
+# the equation variables given by the output order (order[p] is the
+# variable of leg p; the identity for every catalogue entry).
+SideTerm = Tuple[Scalar, Role, Tuple[Tuple[Role, int], ...], Tuple[int, ...]]
+# One side of an equation: a signed sum of chains.
+Side = Tuple[SideTerm, ...]
 Equation = Tuple[str, Side, Side]
 
 
@@ -97,7 +103,7 @@ class AxiomReport:
 
 
 def _side(first: Role, *steps: Tuple[Role, int]) -> Side:
-    return (first, tuple(steps))
+    return ((ONE, first, tuple(steps), tuple(range(len(steps) + 2))),)
 
 
 # Equation shorthand: _side(B, (A, i)) encodes (A at slot i) after B, i.e.
@@ -274,42 +280,65 @@ AXIOMS: Dict[str, Dict] = {
 }
 
 
-def _resolve(role: Role, maps: Dict[str, MultiLinearMap]) -> MultiLinearMap:
+def _resolve(role: Role, memo: Dict[Role, MultiLinearMap]) -> MultiLinearMap:
+    """The map of a role.  ``memo`` starts as the role bindings and keeps
+    every sum or tau role it builds, so each is built once per check."""
+    got = memo.get(role)
+    if got is not None:
+        return got
     if isinstance(role, str):
-        if role not in maps:
-            raise KeyError(f"missing binding for role {role!r}")
-        return maps[role]
+        raise KeyError(f"missing binding for role {role!r}")
     if role[0] == "sum":
-        return _resolve(role[1], maps).add(_resolve(role[2], maps))
-    if role[0] == "tau":
-        return _resolve(role[1], maps).tau()
-    raise ValueError(f"bad role {role!r}")
+        got = _resolve(role[1], memo).add(_resolve(role[2], memo))
+    elif role[0] == "tau":
+        got = _resolve(role[1], memo).tau()
+    else:
+        raise ValueError(f"bad role {role!r}")
+    memo[role] = got
+    return got
 
 
-def _eval_side(side: Side, label: str, maps: Dict[str, MultiLinearMap]) -> Tensor:
-    first, steps = side
-    tensor = _resolve(first, maps).of_label(label)
-    degree = 2
-    for role, slot in steps:
-        tensor = _resolve(role, maps).at_slot(tensor, slot, degree)
-        degree += 1
-    return tensor
+def _expand(
+    equation: Equation, memo: Dict[Role, MultiLinearMap], labels: Sequence[str]
+) -> Iterator[Tuple[str, Tensor, Tensor]]:
+    """(label, lhs, rhs) for every basis label, in basis order: the one
+    evaluator behind the axiom catalogue and the convolution law suites.
+    Roles are resolved once; an output order becomes the leg to read for
+    each variable, or None for the identity."""
+    def bind(side: Side):
+        bound = []
+        for coeff, first, steps, order in side:
+            chain = [(_resolve(role, memo), slot) for role, slot in steps]
+            pick = tuple(map(order.index, range(len(order))))
+            identity = pick == tuple(range(len(pick)))
+            bound.append((coeff, _resolve(first, memo), chain, None if identity else pick))
+        return bound
+
+    lhs, rhs = bind(equation[1]), bind(equation[2])
+    for label in labels:
+        yield label, _eval_side(lhs, label), _eval_side(rhs, label)
+
+
+def _eval_side(side, label: str) -> Tensor:
+    out: Tensor = {}
+    for coeff, first, chain, pick in side:
+        tensor = first.of_label(label)
+        for degree, (cp, slot) in enumerate(chain, 2):
+            tensor = cp.at_slot(tensor, slot, degree)
+        if len(side) == 1 and coeff is ONE and pick is None:
+            return tensor  # one plain chain is its own value: no copy
+        if pick is not None:  # a permutation of legs, so no terms collide
+            tensor = {tuple(term[p] for p in pick): c for term, c in tensor.items()}
+        add_scaled(out, tensor.items(), coeff)
+    return out
 
 
 def _apply_counit(eps: Vector, tensor: Tensor, slot: int) -> Tensor:
     out: Tensor = {}
     for term, coeff in tensor.items():
         weight = eps.get(term[slot - 1])
-        if weight is None or weight.is_zero():
-            continue
-        rest = term[: slot - 1] + term[slot:]
-        c = coeff * weight
-        s = out.get(rest, None)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(rest, None)
-        else:
-            out[rest] = s
+        if weight is not None:
+            add_scaled(out, [(term[: slot - 1] + term[slot:], coeff)], weight)
     return out
 
 
@@ -344,23 +373,16 @@ def check_axiom(
                 report.witnesses.append((label, eq, lhs, rhs))
         return report
 
-    maps: Dict[str, MultiLinearMap] = {}
+    memo: Dict[Role, MultiLinearMap] = {}
     for role in schema["roles"]:
         if role not in bindings:
             raise KeyError(f"missing binding for role {role!r}")
-        maps[role] = s.coproduct(bindings[role])
-    for eq_label, lhs_side, rhs_side in schema["equations"]:
-        for label in s.space.labels:
-            lhs = _eval_side(lhs_side, label, maps)
-            rhs = _eval_side(rhs_side, label, maps)
+        memo[role] = s.coproduct(bindings[role])
+    for equation in schema["equations"]:
+        for label, lhs, rhs in _expand(equation, memo, s.space.labels):
             if lhs != rhs:
-                report.witnesses.append((label, eq_label, lhs, rhs))
+                report.witnesses.append((label, equation[0], lhs, rhs))
     return report
-
-
-def dichotomy_sum(s: LStructure, a: str, b: str) -> MultiLinearMap:
-    """Termwise sum of two coproducts with a merged canonical table."""
-    return s.coproduct(a).add(s.coproduct(b))
 
 
 def cocommutator_space(s: LStructure, right: str, left: str) -> List[Vector]:

@@ -44,15 +44,8 @@ def subst_leg(tensor: Tensor, slot: int, table: Dict[str, Vector]) -> Tensor:
         image = table.get(term[slot - 1])
         if not image:
             continue
-        for lab, c in image.items():
-            new_term = term[: slot - 1] + (lab,) + term[slot:]
-            s = out.get(new_term, None)
-            add = coeff * c
-            s = add if s is None else s + add
-            if s.is_zero():
-                out.pop(new_term, None)
-            else:
-                out[new_term] = s
+        head, tail = term[: slot - 1], term[slot:]
+        add_scaled(out, ((head + (lab,) + tail, c) for lab, c in image.items()), coeff)
     return out
 
 

@@ -5,15 +5,20 @@ labels give zero).  Each coproduct of a structure induces a convolution
 product on functionals, and the bracket of the left/right bridge products
 yields Leibniz and Poisson structures whose laws are checked exhaustively
 over the dual basis.
+
+Each law is a degree-3 equation of the axiom catalogue's kind, read
+through the transpose: ((e_i *_B e_j) *_A e_k)(v) is the coefficient of
+(i, j, k) in (B x id)A(v), so one evaluation per label settles every
+dual-basis triple.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from .coalgebra import AxiomReport, LStructure
-from .linalg import BasisSpace, Vector, add_scaled, vec_add, vec_sub
-from .scalars import Scalar, ONE
+from .coalgebra import AxiomReport, Equation, LStructure, Side, _expand
+from .linalg import BasisSpace, Vector, add_scaled, vec_sub
+from .scalars import MINUS_ONE, ONE, Scalar
 
 Functional = Vector  # label -> value; the coefficient vector in the dual basis
 
@@ -83,34 +88,89 @@ def structure_constants(
     return out
 
 
-Product = Callable[[Functional, Functional], Functional]
+# A binary product of functionals as a signed sum of convolutions:
+# (c, role, False) is c (x *_role y) and (c, role, True) is c (y *_role x).
+_LEFT = ((ONE, "left", False),)
+_RIGHT = ((ONE, "right", False),)
+_PERP = ((ONE, "perp", False),)
+_SUCC = _RIGHT + ((MINUS_ONE, "left", False),)  # succ = right - left
+_BRACKET = _LEFT + ((MINUS_ONE, "right", True),)  # [x, y] = x left y - y right x
+# The law variables x, y, z, and the pairs of them that an inner product takes.
+X, Y, Z, XY, XZ, YZ = 0, 1, 2, (0, 1), (0, 2), (1, 2)
 
 
-def _law_check(
-    report: AxiomReport,
-    tag: str,
-    functionals: Sequence[Tuple[str, Functional]],
-    lhs: Callable[[Functional, Functional, Functional], Functional],
-    rhs: Callable[[Functional, Functional, Functional], Functional],
-):
-    for nx, x in functionals:
-        for ny, y in functionals:
-            for nz, z in functionals:
-                left = lhs(x, y, z)
-                right = rhs(x, y, z)
-                if left != right:
-                    report.witnesses.append(
-                        (
-                            f"{nx},{ny},{nz}",
-                            tag,
-                            {(k,): c for k, c in left.items()},
-                            {(k,): c for k, c in right.items()},
-                        )
-                    )
+def _nest(a, b, first, second) -> Side:
+    """The side a(first, second), where one argument is a variable and the
+    other a pair of variables under b: _nest(A, B, XY, Z) is (x b y) a z.
+
+    ((x *_B y) *_A z)(v) is the coefficient of x (x) y (x) z in
+    (B x id)A(v), so each pair of convolutions is one chain; its output
+    order records the variable each leg carries.  Equal chains merge, so
+    prec + succ reads as right."""
+    merged: Dict[Tuple, Scalar] = {}
+    for ca, ra, swap_a in a:
+        for cb, rb, swap_b in b:
+            args = (second, first) if swap_a else (first, second)
+            legs = [(arg[::-1] if swap_b else arg) if isinstance(arg, tuple) else (arg,)
+                    for arg in args]
+            slot = 1 if isinstance(args[0], tuple) else 2
+            add_scaled(merged, [((ra, ((rb, slot),), legs[0] + legs[1]), ca * cb)], ONE)
+    return tuple((c,) + chain for chain, c in merged.items())
 
 
-def _named_duals(s: LStructure) -> List[Tuple[str, Functional]]:
-    return [(lab, {lab: ONE}) for lab in s.space.labels]
+_DIALGEBRA = [
+    ("left_assoc", _nest(_LEFT, _LEFT, XY, Z), _nest(_LEFT, _LEFT, X, YZ)),
+    ("right_assoc", _nest(_RIGHT, _RIGHT, XY, Z), _nest(_RIGHT, _RIGHT, X, YZ)),
+    ("inner_left", _nest(_LEFT, _LEFT, X, YZ), _nest(_LEFT, _RIGHT, X, YZ)),
+    ("middle", _nest(_LEFT, _RIGHT, XY, Z), _nest(_RIGHT, _LEFT, X, YZ)),
+    ("inner_right", _nest(_RIGHT, _LEFT, XY, Z), _nest(_RIGHT, _RIGHT, XY, Z)),
+]
+_TRIALGEBRA = _DIALGEBRA + [
+    ("perp_assoc", _nest(_PERP, _PERP, XY, Z), _nest(_PERP, _PERP, X, YZ)),
+    ("left_of_perp", _nest(_LEFT, _LEFT, XY, Z), _nest(_LEFT, _PERP, X, YZ)),
+    ("perp_left", _nest(_LEFT, _PERP, XY, Z), _nest(_PERP, _LEFT, X, YZ)),
+    ("middle_perp", _nest(_PERP, _LEFT, XY, Z), _nest(_PERP, _RIGHT, X, YZ)),
+    ("right_perp", _nest(_PERP, _RIGHT, XY, Z), _nest(_RIGHT, _PERP, X, YZ)),
+    ("right_of_perp", _nest(_RIGHT, _PERP, XY, Z), _nest(_RIGHT, _RIGHT, X, YZ)),
+]
+# [[x,y],z] = [[x,z],y] + [x,[y,z]]
+_LEIBNIZ = [("leibniz", _nest(_BRACKET, _BRACKET, XY, Z),
+             _nest(_BRACKET, _BRACKET, XZ, Y) + _nest(_BRACKET, _BRACKET, X, YZ))]
+# [x * y, z] = x * [y, z] + [x, z] * y
+_POISSON = [("poisson", _nest(_BRACKET, _PERP, XY, Z),
+             _nest(_PERP, _BRACKET, X, YZ) + _nest(_PERP, _BRACKET, XZ, Y))]
+_DENDRIFORM = [
+    ("dendriform1", _nest(_LEFT, _LEFT, XY, Z), _nest(_LEFT, _LEFT + _SUCC, X, YZ)),
+    ("dendriform2", _nest(_LEFT, _SUCC, XY, Z), _nest(_SUCC, _LEFT, X, YZ)),
+    ("dendriform3", _nest(_SUCC, _SUCC, X, YZ), _nest(_SUCC, _LEFT + _SUCC, XY, Z)),
+]
+
+
+def _check_laws(
+    s: LStructure, axiom: str, equations: List[Equation], names: Dict[str, str]
+) -> AxiomReport:
+    """Evaluate each law on every label, then read it per dual-basis triple:
+    the witness for (i, j, k) is the functional v -> coefficient of
+    (i, j, k), and triples come in basis order."""
+    memo = {role: s.coproduct(name) for role, name in names.items()}
+    rank = s.space.index.__getitem__
+    report = AxiomReport(axiom=axiom)
+    for equation in equations:
+        rows = list(_expand(equation, memo, s.space.labels))
+        failing = set()
+        for _, lhs, rhs in rows:
+            if lhs != rhs:
+                failing.update(
+                    t for t in lhs.keys() | rhs.keys() if lhs.get(t) != rhs.get(t)
+                )
+        for t in sorted(failing, key=lambda t: tuple(map(rank, t))):
+            report.witnesses.append((
+                ",".join(t),
+                equation[0],
+                {(v,): left[t] for v, left, _ in rows if t in left},
+                {(v,): right[t] for v, _, right in rows if t in right},
+            ))
+    return report
 
 
 def check_dialgebra_laws(
@@ -121,21 +181,8 @@ def check_dialgebra_laws(
     """Associative-dialgebra laws of the two bridge convolutions, checked
     on all dual-basis triples.  These dualize the codialgebra coproduct
     axioms equation by equation."""
-    duals = _named_duals(s)
-    lt: Product = lambda f, g: conv_product(s, left_name, f, g)
-    rt: Product = lambda f, g: conv_product(s, right_name, f, g)
-    report = AxiomReport(axiom="dialgebra")
-    _law_check(report, "left_assoc", duals,
-               lambda x, y, z: lt(lt(x, y), z), lambda x, y, z: lt(x, lt(y, z)))
-    _law_check(report, "right_assoc", duals,
-               lambda x, y, z: rt(rt(x, y), z), lambda x, y, z: rt(x, rt(y, z)))
-    _law_check(report, "inner_left", duals,
-               lambda x, y, z: lt(x, lt(y, z)), lambda x, y, z: lt(x, rt(y, z)))
-    _law_check(report, "middle", duals,
-               lambda x, y, z: lt(rt(x, y), z), lambda x, y, z: rt(x, lt(y, z)))
-    _law_check(report, "inner_right", duals,
-               lambda x, y, z: rt(lt(x, y), z), lambda x, y, z: rt(rt(x, y), z))
-    return report
+    return _check_laws(s, "dialgebra", _DIALGEBRA,
+                       {"left": left_name, "right": right_name})
 
 
 def check_trialgebra_laws(
@@ -146,25 +193,8 @@ def check_trialgebra_laws(
 ) -> AxiomReport:
     """Associative-trialgebra laws: the dialgebra laws plus the exchange
     laws binding the middle product, dual to the cotrialgebra axioms."""
-    report = check_dialgebra_laws(s, left_name, right_name)
-    report.axiom = "trialgebra"
-    duals = _named_duals(s)
-    lt: Product = lambda f, g: conv_product(s, left_name, f, g)
-    rt: Product = lambda f, g: conv_product(s, right_name, f, g)
-    pp: Product = lambda f, g: conv_product(s, perp_name, f, g)
-    _law_check(report, "perp_assoc", duals,
-               lambda x, y, z: pp(pp(x, y), z), lambda x, y, z: pp(x, pp(y, z)))
-    _law_check(report, "left_of_perp", duals,
-               lambda x, y, z: lt(lt(x, y), z), lambda x, y, z: lt(x, pp(y, z)))
-    _law_check(report, "perp_left", duals,
-               lambda x, y, z: lt(pp(x, y), z), lambda x, y, z: pp(x, lt(y, z)))
-    _law_check(report, "middle_perp", duals,
-               lambda x, y, z: pp(lt(x, y), z), lambda x, y, z: pp(x, rt(y, z)))
-    _law_check(report, "right_perp", duals,
-               lambda x, y, z: pp(rt(x, y), z), lambda x, y, z: rt(x, pp(y, z)))
-    _law_check(report, "right_of_perp", duals,
-               lambda x, y, z: rt(pp(x, y), z), lambda x, y, z: rt(x, rt(y, z)))
-    return report
+    return _check_laws(s, "trialgebra", _TRIALGEBRA,
+                       {"left": left_name, "right": right_name, "perp": perp_name})
 
 
 def check_leibniz(
@@ -173,17 +203,8 @@ def check_leibniz(
     right_name: str = "delta1",
 ) -> AxiomReport:
     """[[x,y],z] = [[x,z],y] + [x,[y,z]] on all dual-basis triples."""
-    duals = _named_duals(s)
-    br: Product = lambda f, g: bracket(s, f, g, left_name, right_name)
-    report = AxiomReport(axiom="leibniz")
-    _law_check(
-        report,
-        "leibniz",
-        duals,
-        lambda x, y, z: br(br(x, y), z),
-        lambda x, y, z: vec_add(br(br(x, z), y), br(x, br(y, z))),
-    )
-    return report
+    return _check_laws(s, "leibniz", _LEIBNIZ,
+                       {"left": left_name, "right": right_name})
 
 
 def check_poisson(
@@ -196,18 +217,8 @@ def check_poisson(
 
     The bracket is Leibniz, not Lie, so the derivation rule acts through
     the first bracket slot."""
-    duals = _named_duals(s)
-    br: Product = lambda f, g: bracket(s, f, g, left_name, right_name)
-    pp: Product = lambda f, g: conv_product(s, perp_name, f, g)
-    report = AxiomReport(axiom="poisson")
-    _law_check(
-        report,
-        "poisson",
-        duals,
-        lambda x, y, z: br(pp(x, y), z),
-        lambda x, y, z: vec_add(pp(x, br(y, z)), pp(br(x, z), y)),
-    )
-    return report
+    return _check_laws(s, "poisson", _POISSON,
+                       {"left": left_name, "right": right_name, "perp": perp_name})
 
 
 def check_dendriform_algebra(
@@ -216,34 +227,8 @@ def check_dendriform_algebra(
     right_name: str = "delta1",
 ) -> AxiomReport:
     """Dendriform laws for prec = left and succ = right - left."""
-    duals = _named_duals(s)
-    prec: Product = lambda f, g: conv_product(s, left_name, f, g)
-    succ: Product = lambda f, g: vec_sub(
-        conv_product(s, right_name, f, g), conv_product(s, left_name, f, g)
-    )
-    report = AxiomReport(axiom="dendriform_algebra")
-    _law_check(
-        report,
-        "dendriform1",
-        duals,
-        lambda x, y, z: prec(prec(x, y), z),
-        lambda x, y, z: prec(x, vec_add(prec(y, z), succ(y, z))),
-    )
-    _law_check(
-        report,
-        "dendriform2",
-        duals,
-        lambda x, y, z: prec(succ(x, y), z),
-        lambda x, y, z: succ(x, prec(y, z)),
-    )
-    _law_check(
-        report,
-        "dendriform3",
-        duals,
-        lambda x, y, z: succ(x, succ(y, z)),
-        lambda x, y, z: succ(vec_add(prec(x, y), succ(x, y)), z),
-    )
-    return report
+    return _check_laws(s, "dendriform_algebra", _DENDRIFORM,
+                       {"left": left_name, "right": right_name})
 
 
 def check_bar_unit(
@@ -254,9 +239,8 @@ def check_bar_unit(
 ) -> AxiomReport:
     """eps_star is a bar-unit: f left e = f = e right f for every dual
     functional f (e absorbed on the inner side of each bridge product)."""
-    duals = _named_duals(s)
     report = AxiomReport(axiom="bar_unit")
-    for name, f in duals:
+    for name, f in dual_basis(s.space).items():
         left = conv_product(s, left_name, f, eps_star)
         right = conv_product(s, right_name, eps_star, f)
         if left != f:

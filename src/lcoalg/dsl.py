@@ -32,7 +32,14 @@ from typing import Dict, List, Optional, Tuple
 
 from .coalgebra import LStructure
 from .constructions import ChannelMap
-from .linalg import BasisSpace, FiniteAlgebra, MultiLinearMap, Tensor, Vector
+from .linalg import (
+    BasisSpace,
+    FiniteAlgebra,
+    MultiLinearMap,
+    Tensor,
+    Vector,
+    add_scaled,
+)
 from .scalars import ONE, Scalar, ScalarSyntaxError, parse_scalar
 
 
@@ -105,6 +112,7 @@ _ALGEBRA_RE = re.compile(rf"^algebra\s+({_NAME})\s+on\s+({_NAME})\s*:\s*$")
 _CHANNEL_RE = re.compile(
     rf"^channel\s+({_NAME})\s*:\s*({_NAME})\s*->\s*({_NAME})\s*:\s*$"
 )
+_PAIR_RE = re.compile(rf"<\s*{_NAME}\s*,\s*{_NAME}\s*>")
 _PAIR_TERM_RE = re.compile(rf"^(?:(.*)\*)?\s*<\s*({_NAME})\s*,\s*({_NAME})\s*>\s*$")
 _VEC_TERM_RE = re.compile(rf"^(?:(.*)\*)?\s*({_NAME})\s*$")
 _KEYWORDS = ("space", "coproduct", "counit", "algebra", "channel")
@@ -145,6 +153,12 @@ def _parse_pair_terms(rhs: str, line: int) -> Tensor:
     tensor: Tensor = {}
     for chunk in _split_top_plus(rhs, line):
         chunk = chunk.strip()
+        pairs = len(_PAIR_RE.findall(chunk))
+        if pairs > 1:
+            raise DslError(
+                f"tensor term {chunk!r} holds {pairs} pairs; terms are joined"
+                " with '+', as in '+ -1/2 * <e, x>'", line,
+            )
         m = _PAIR_TERM_RE.match(chunk)
         if not m:
             raise DslError(
@@ -152,13 +166,7 @@ def _parse_pair_terms(rhs: str, line: int) -> Tensor:
                 expected=["[scalar *] <label, label>"],
             )
         coeff = _parse_scalar_prefix(m.group(1), line)
-        key = (m.group(2), m.group(3))
-        prior = tensor.get(key)
-        total = coeff if prior is None else prior + coeff
-        if total.is_zero():
-            tensor.pop(key, None)
-        else:
-            tensor[key] = total
+        add_scaled(tensor, [((m.group(2), m.group(3)), coeff)], ONE)
     return tensor
 
 
@@ -173,13 +181,7 @@ def _parse_vec_terms(rhs: str, line: int) -> Vector:
                 expected=["[scalar *] label"],
             )
         coeff = _parse_scalar_prefix(m.group(1), line)
-        key = m.group(2)
-        prior = vec.get(key)
-        total = coeff if prior is None else prior + coeff
-        if total.is_zero():
-            vec.pop(key, None)
-        else:
-            vec[key] = total
+        add_scaled(vec, [(m.group(2), coeff)], ONE)
     return vec
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .coalgebra import AxiomReport, LStructure, check_axiom
-from .linalg import BasisSpace, MultiLinearMap, Tensor
+from .linalg import BasisSpace, MultiLinearMap, Tensor, add_scaled
 from .scalars import ONE, Scalar, parse_scalar
 
 Arrow = Tuple[str, str]
@@ -33,13 +33,7 @@ class WeightedDigraph:
         for source, target, weight in arrows:
             if source not in vertex_set or target not in vertex_set:
                 raise ValueError(f"arrow {source}->{target} has undeclared endpoint")
-            key = (source, target)
-            prior = merged.get(key)
-            total = weight if prior is None else prior + weight
-            if total.is_zero():
-                merged.pop(key, None)
-            else:
-                merged[key] = total
+            add_scaled(merged, [((source, target), weight)], ONE)
         self.arrows = merged
 
     def weight(self, source: str, target: str) -> Scalar:

@@ -62,13 +62,7 @@ class BasisSpace:
 
 def vec_add(a: Vector, b: Vector) -> Vector:
     out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, None)
-        s = v if s is None else s + v
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
+    add_scaled(out, b.items(), ONE)
     return out
 
 
@@ -78,7 +72,7 @@ def add_scaled(
     """``out += c * terms``, in place.  A key whose sum cancels is dropped,
     so the surviving keys keep the order in which they first arrived."""
     for key, v in terms:
-        add = v * c
+        add = v if c is ONE else v * c
         s = out.get(key, None)
         s = add if s is None else s + add
         if s.is_zero():
@@ -103,13 +97,7 @@ def unit_vector(label: Label) -> Vector:
 
 def tensor_add(a: Tensor, b: Tensor) -> Tensor:
     out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, None)
-        s = v if s is None else s + v
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
+    add_scaled(out, b.items(), ONE)
     return out
 
 
@@ -126,15 +114,7 @@ def tensor_sub(a: Tensor, b: Tensor) -> Tensor:
 def tensor_product(a: Tensor, b: Tensor) -> Tensor:
     out: Tensor = {}
     for ta, ca in a.items():
-        for tb, cb in b.items():
-            term = ta + tb
-            c = ca * cb
-            s = out.get(term, None)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(term, None)
-            else:
-                out[term] = s
+        add_scaled(out, ((ta + tb, cb) for tb, cb in b.items()), ca)
     return out
 
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coalgebra import AxiomReport
+from .linalg import add_scaled
 from .scalars import MINUS_ONE, ONE, Scalar
 
 Word = Tuple[str, ...]
@@ -19,15 +20,7 @@ NCTensor = Dict[Tuple[Word, Word], Scalar]
 
 def poly_of(terms: Iterable[Tuple[Scalar, Word]]) -> NCPoly:
     out: NCPoly = {}
-    for coeff, word in terms:
-        if coeff.is_zero():
-            continue
-        prior = out.get(word)
-        total = coeff if prior is None else prior + coeff
-        if total.is_zero():
-            out.pop(word, None)
-        else:
-            out[word] = total
+    add_scaled(out, ((word, coeff) for coeff, word in terms), ONE)
     return out
 
 
@@ -41,13 +34,7 @@ def poly_letter(letter: str, coeff: Scalar = ONE) -> NCPoly:
 
 def poly_add(a: NCPoly, b: NCPoly) -> NCPoly:
     out = dict(a)
-    for word, coeff in b.items():
-        prior = out.get(word)
-        total = coeff if prior is None else prior + coeff
-        if total.is_zero():
-            out.pop(word, None)
-        else:
-            out[word] = total
+    add_scaled(out, b.items(), ONE)
     return out
 
 
@@ -64,15 +51,7 @@ def poly_sub(a: NCPoly, b: NCPoly) -> NCPoly:
 def poly_mul(a: NCPoly, b: NCPoly) -> NCPoly:
     out: NCPoly = {}
     for wa, ca in a.items():
-        for wb, cb in b.items():
-            word = wa + wb
-            c = ca * cb
-            prior = out.get(word)
-            total = c if prior is None else prior + c
-            if total.is_zero():
-                out.pop(word, None)
-            else:
-                out[word] = total
+        add_scaled(out, ((wa + wb, cb) for wb, cb in b.items()), ca)
     return out
 
 
@@ -192,13 +171,7 @@ def relation_set(name: str, n: int = 0) -> RewriteSystem:
 
 def tensor_poly_add(a: NCTensor, b: NCTensor) -> NCTensor:
     out = dict(a)
-    for key, coeff in b.items():
-        prior = out.get(key)
-        total = coeff if prior is None else prior + coeff
-        if total.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = total
+    add_scaled(out, b.items(), ONE)
     return out
 
 
@@ -218,15 +191,8 @@ def tensor_poly_mul(
             left = left_rs.normalize({la + lb: ONE})
             right = right_rs.normalize({ra + rb: ONE})
             for lw, lc in left.items():
-                for rw, rc in right.items():
-                    key = (lw, rw)
-                    add = ca * cb * lc * rc
-                    prior = out.get(key)
-                    total = add if prior is None else prior + add
-                    if total.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = total
+                terms = (((lw, rw), rc) for rw, rc in right.items())
+                add_scaled(out, terms, ca * cb * lc)
     return out
 
 
@@ -238,15 +204,7 @@ def tensor_poly_normalize(
         left = left_rs.normalize({lw0: ONE})
         right = right_rs.normalize({rw0: ONE})
         for lw, lc in left.items():
-            for rw, rc in right.items():
-                key = (lw, rw)
-                add = c0 * lc * rc
-                prior = out.get(key)
-                total = add if prior is None else prior + add
-                if total.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = total
+            add_scaled(out, (((lw, rw), rc) for rw, rc in right.items()), c0 * lc)
     return out
 
 

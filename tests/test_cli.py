@@ -373,3 +373,20 @@ def test_complex_on_non_coassociative_coproduct_fails(tmp_path, capsys):
         + [f"witness\tboundary_complex[primary]\tdd_degree_3\t({t})" for t in degree_3]
         + ["check\tboundary_forms_agree\tpass\t0"]
     )
+
+
+def test_minus_between_tensor_terms_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "V.doc"
+    path.write_text(
+        "space V = { e, x }\n\n"
+        "coproduct Delta on V:\n"
+        "  e -> <e, e>\n"
+        "  x -> <x, x> + q * <x, e> - 1/2 * <e, x>\n"
+    )
+    code, out, err = run(capsys, "complex", str(path), "--unit", "e")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: line 5, column 1: tensor term 'q * <x, e> - 1/2 * <e, x>' holds "
+        "2 pairs; terms are joined with '+', as in '+ -1/2 * <e, x>'\n"
+    )

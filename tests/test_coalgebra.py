@@ -8,12 +8,12 @@ from lcoalg.coalgebra import (
     LStructure,
     check_axiom,
     cocommutator_space,
-    dichotomy_sum,
     solve_left_counit,
     solve_right_counit,
 )
 from lcoalg.graphs import markov_coalgebra, parse_digraph_edges
 from lcoalg.fixtures import fixture_cibils
+from lcoalg.linalg import MultiLinearMap
 from lcoalg.scalars import ONE
 
 
@@ -108,7 +108,7 @@ def test_pre_dendriform_with_split_total_implies_dendriform():
     # the pre-dendriform equations become the dendriform ones.
     data = fixture_cibils(3)
     s = data["structure"]
-    bar = dichotomy_sum(s, "delta", "deltahat_d")
+    bar = s.coproduct("delta").add(s.coproduct("deltahat_d"))
     probe = LStructure(s.space, {**s.coproducts, "Delta_bar": bar})
     assert check_axiom(
         probe, "pre_dendriform",
@@ -118,6 +118,32 @@ def test_pre_dendriform_with_split_total_implies_dendriform():
         probe, "dendriform_coalgebra",
         {"delta": "delta", "deltahat": "deltahat_d"},
     ).passed
+
+
+@pytest.mark.parametrize("axiom, bindings, built", [
+    ("dendriform_coalgebra", {"delta": "delta", "deltahat": "deltahat_d"},
+     {"add": 2, "tau": 0}),
+    ("L_cocommutative", {"Delta": "delta", "Deltatilde": "deltahat"},
+     {"add": 0, "tau": 1}),
+])
+def test_sum_and_tau_roles_are_built_once_per_check(
+    monkeypatch, axiom, bindings, built
+):
+    # dendriform_coalgebra has two sum roles, L_cocommutative one tau role;
+    # each is built once however many labels and sides use it.
+    s = fixture_cibils(4)["structure"]
+    calls = dict.fromkeys(built, 0)
+    for name in calls:
+        original = getattr(MultiLinearMap, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(MultiLinearMap, name, counted)
+    check_axiom(s, axiom, bindings)
+    assert s.space.dim == 8
+    assert calls == built
 
 
 SYMMETRIC = "u v\nv u\nu u\nv v\nv w\nw v\nw w"

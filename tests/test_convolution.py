@@ -17,8 +17,10 @@ from lcoalg.convolution import (
     functional_value,
     structure_constants,
 )
+from lcoalg.coalgebra import LStructure
 from lcoalg.fixtures import fixture_cibils
-from lcoalg.scalars import ONE, Scalar, parse_scalar
+from lcoalg.linalg import BasisSpace, MultiLinearMap, vec_add, vec_sub
+from lcoalg.scalars import ONE, ZERO, Scalar, parse_scalar
 
 C1 = ["a", "b", "c", "d"]
 C2 = ["x", "y", "z", "u"]
@@ -242,3 +244,145 @@ def test_dendriform_with_delta_as_right_product_fails_on_cibils(conv_structures)
         for eq in ("dendriform2", "dendriform3")
         for triple, lab, value in CIBILS3_DENDRIFORM_FAILURES
     ]
+
+
+# -- the law suites against the dual-basis triple loop ----------------------
+
+
+def oracle_laws(s, suite, left="deltahat1", right="delta1", perp="Delta_star"):
+    """(axiom, witnesses) of a law suite by the direct definition: every
+    law evaluated on every triple of dual-basis functionals, triples in
+    basis order, one law after another."""
+    lt = lambda f, g: conv_product(s, left, f, g)
+    rt = lambda f, g: conv_product(s, right, f, g)
+    pp = lambda f, g: conv_product(s, perp, f, g)
+    br = lambda f, g: vec_sub(lt(f, g), rt(g, f))
+    succ = lambda f, g: vec_sub(rt(f, g), lt(f, g))
+    dialgebra = [
+        ("left_assoc",
+         lambda x, y, z: lt(lt(x, y), z), lambda x, y, z: lt(x, lt(y, z))),
+        ("right_assoc",
+         lambda x, y, z: rt(rt(x, y), z), lambda x, y, z: rt(x, rt(y, z))),
+        ("inner_left",
+         lambda x, y, z: lt(x, lt(y, z)), lambda x, y, z: lt(x, rt(y, z))),
+        ("middle", lambda x, y, z: lt(rt(x, y), z), lambda x, y, z: rt(x, lt(y, z))),
+        ("inner_right",
+         lambda x, y, z: rt(lt(x, y), z), lambda x, y, z: rt(rt(x, y), z)),
+    ]
+    laws = {
+        "dialgebra": dialgebra,
+        "trialgebra": dialgebra + [
+            ("perp_assoc",
+             lambda x, y, z: pp(pp(x, y), z), lambda x, y, z: pp(x, pp(y, z))),
+            ("left_of_perp",
+             lambda x, y, z: lt(lt(x, y), z), lambda x, y, z: lt(x, pp(y, z))),
+            ("perp_left",
+             lambda x, y, z: lt(pp(x, y), z), lambda x, y, z: pp(x, lt(y, z))),
+            ("middle_perp",
+             lambda x, y, z: pp(lt(x, y), z), lambda x, y, z: pp(x, rt(y, z))),
+            ("right_perp",
+             lambda x, y, z: pp(rt(x, y), z), lambda x, y, z: rt(x, pp(y, z))),
+            ("right_of_perp",
+             lambda x, y, z: rt(pp(x, y), z), lambda x, y, z: rt(x, rt(y, z))),
+        ],
+        "leibniz": [(
+            "leibniz",
+            lambda x, y, z: br(br(x, y), z),
+            lambda x, y, z: vec_add(br(br(x, z), y), br(x, br(y, z))),
+        )],
+        "poisson": [(
+            "poisson",
+            lambda x, y, z: br(pp(x, y), z),
+            lambda x, y, z: vec_add(pp(x, br(y, z)), pp(br(x, z), y)),
+        )],
+        "dendriform_algebra": [
+            ("dendriform1", lambda x, y, z: lt(lt(x, y), z),
+             lambda x, y, z: lt(x, vec_add(lt(y, z), succ(y, z)))),
+            ("dendriform2", lambda x, y, z: lt(succ(x, y), z),
+             lambda x, y, z: succ(x, lt(y, z))),
+            ("dendriform3", lambda x, y, z: succ(x, succ(y, z)),
+             lambda x, y, z: succ(vec_add(lt(x, y), succ(x, y)), z)),
+        ],
+    }[suite]
+    duals = dual_basis(s.space)
+    witnesses = []
+    for tag, lhs, rhs in laws:
+        for nx, x in duals.items():
+            for ny, y in duals.items():
+                for nz, z in duals.items():
+                    a, b = lhs(x, y, z), rhs(x, y, z)
+                    if a != b:
+                        witnesses.append((
+                            f"{nx},{ny},{nz}", tag,
+                            {(k,): c for k, c in a.items()},
+                            {(k,): c for k, c in b.items()},
+                        ))
+    return suite, witnesses
+
+
+SUITES = {
+    "dialgebra": lambda s, left, right, perp: check_dialgebra_laws(s, left, right),
+    "trialgebra":
+        lambda s, left, right, perp: check_trialgebra_laws(s, perp, left, right),
+    "leibniz": lambda s, left, right, perp: check_leibniz(s, left, right),
+    "poisson": lambda s, left, right, perp: check_poisson(s, perp, left, right),
+    "dendriform_algebra":
+        lambda s, left, right, perp: check_dendriform_algebra(s, left, right),
+}
+
+
+def assert_matches_oracle(s, suite, left, right, perp):
+    report = SUITES[suite](s, left, right, perp)
+    assert (report.axiom, report.witnesses) == oracle_laws(s, suite, left, right, perp)
+    return report
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+@pytest.mark.parametrize("left, right, perp", [
+    ("deltahat1", "delta1", "Delta_star"),
+    ("delta1", "deltahat1", "Delta_star"),
+    ("Delta_star", "delta1", "deltahat1"),
+])
+def test_law_suites_match_triple_loop_on_f(f_entangled, suite, left, right, perp):
+    report = assert_matches_oracle(f_entangled.structure, suite, left, right, perp)
+    assert report.passed == (left == "deltahat1")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("suite, left, right", [
+    ("dialgebra", "deltahat", "delta"),
+    ("leibniz", "deltahat", "delta"),
+    ("poisson", "deltahat", "delta"),
+    ("trialgebra", "deltahat", "delta"),
+    ("dendriform_algebra", "deltahat_d", "delta"),
+])
+def test_law_suites_match_triple_loop_on_cibils(n, suite, left, right):
+    s = fixture_cibils(n)["structure"]
+    assert_matches_oracle(s, suite, left, right, "Delta_star")
+
+
+LABELS = ["a", "b", "c"]
+NAMES = ["P", "Q", "R"]
+
+
+@st.composite
+def random_structures(draw):
+    labels = LABELS[:draw(st.integers(2, 3))]
+    pairs = [(a, b) for a in labels for b in labels]
+    coproducts = {}
+    for name in NAMES:
+        table = {
+            lab: draw(st.dictionaries(st.sampled_from(pairs),
+                                      st.sampled_from(VALUES + [ZERO]), max_size=3))
+            for lab in labels
+        }
+        coproducts[name] = MultiLinearMap(BasisSpace(labels), 2, table)
+    return LStructure(BasisSpace(labels), coproducts)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+@settings(max_examples=40, deadline=None)
+@given(s=random_structures(), roles=st.lists(st.sampled_from(NAMES), min_size=3,
+                                             max_size=3))
+def test_law_suites_match_triple_loop(suite, s, roles):
+    assert_matches_oracle(s, suite, *roles)

@@ -104,6 +104,27 @@ def test_bad_tensor_term_reports_line():
     assert "[scalar *] <label, label>" in err.value.expected
 
 
+def test_minus_between_tensor_terms_names_the_term():
+    # Terms are joined only with '+'; a '-' leaves two pairs in one term.
+    with pytest.raises(DslError) as err:
+        parse_document(
+            "space V = { e, x }\n"
+            "coproduct D on V:\n"
+            "  x -> <x, x> + q * <x, e> - 1/2 * <e, x>\n"
+        )
+    assert err.value.line == 3
+    assert str(err.value) == (
+        "line 3, column 1: tensor term 'q * <x, e> - 1/2 * <e, x>' holds 2 "
+        "pairs; terms are joined with '+', as in '+ -1/2 * <e, x>'"
+    )
+    doc = parse_document(
+        "space V = { e, x }\n"
+        "coproduct D on V:\n"
+        "  x -> <x, x> + q * <x, e> + -1/2 * <e, x> + 1/2 * <e, x>\n"
+    )
+    assert doc.coproducts["D"][1]["x"] == {("x", "x"): ONE, ("x", "e"): Q}
+
+
 def test_undeclared_label_rejected():
     with pytest.raises(DslError) as err:
         parse_document(
