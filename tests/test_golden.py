@@ -1,0 +1,192 @@
+"""Golden transcript: the exit code and the sha256 of stdout and of stderr
+of every command-line invocation below, and the sha256 of the emitted
+document of each library-only construction, compared with
+``golden_cli.tsv``.
+
+Everything runs in process.  Regenerate the file with
+``PYTHONPATH=src python tests/regenerate_golden.py``, and only when an
+output change is intended.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+from pathlib import Path
+
+from lcoalg.cli import main
+from lcoalg.constructions import (
+    ChannelMap,
+    de_bruijn_codialgebra,
+    markov_entangle_de_bruijn,
+    markov_entangle_flower,
+    self_tiling_dendriform,
+    sum_codipterous,
+)
+from lcoalg.dsl import document_from_structure, unparse_document
+from lcoalg.fixtures import (
+    fixture_f,
+    fixture_f_entangled,
+    fixture_group,
+    fixture_group_split,
+)
+from lcoalg.linalg import BasisSpace
+from lcoalg.scalars import ONE
+
+GOLDEN = Path(__file__).with_name("golden_cli.tsv")
+
+# (document, space, coproduct, cotilde, channel) for each entangle input
+ENTANGLE_INPUTS = (
+    ("F.doc", "F", "Delta", "Deltatilde", "Phi"),
+    ("slq2.doc", "C1", "Delta", "Deltatilde", "M"),
+    ("su2q.doc", "C1", "Delta1", "Deltatilde1", "M"),
+)
+SELF_BRIDGES = "Delta_star,delta1,deltahat1,delta2,deltahat2"
+ACHIRAL_BRIDGES = "Delta_star,delta1,deltatilde2,deltatildehat2"
+
+# (document, space or None, axiom, binding): every catalogue axiom
+CHECKS = (
+    ("F.doc", "F", "coassoc", "Delta=Delta"),
+    ("F.doc", "F", "right_counit", "Delta=Delta,eps=eps"),
+    ("F.doc", "F", "left_counit", "Deltatilde=Deltatilde,epstilde=eps"),
+    ("F.doc", "F", "achiral", "Delta=Delta,Deltatilde=Deltatilde"),
+    ("F.doc", "F", "L_cocommutative", "Delta=Delta,Deltatilde=Deltatilde"),
+    ("F.doc", "F", "bidirected", "Delta=Delta,Deltatilde=Deltatilde"),
+    ("E0.doc", None, "entanglement", "Deltatilde=delta1,Delta=delta2"),
+    ("E0.doc", None, "codipterous", "Delta=Delta_star,delta=delta1"),
+    ("E0.doc", None, "anti_codipterous", "Delta=Delta_star,deltahat=deltahat1"),
+    ("E0.doc", None, "pre_dendriform",
+     "Delta=Delta_star,delta=delta1,deltahat=deltahat1"),
+    ("cibils2.doc", None, "codialgebra", "delta=delta,deltahat=deltahat"),
+    ("cibils2.doc", None, "dendriform_coalgebra", "delta=delta,deltahat=deltahat_d"),
+    ("cibils2.doc", None, "cotrialgebra",
+     "Delta=Delta_star,delta=delta,deltahat=deltahat"),
+    ("cibils2.doc", None, "right_counit", "Delta=Delta_star,eps=eps"),
+    ("debruijn3.doc", None, "codialgebra", "delta=DeltatildeM,deltahat=DeltaM"),
+    ("debruijn3.doc", None, "L_cocommutative", "Delta=DeltaM,Deltatilde=DeltatildeM"),
+    ("su2q.doc", "C1", "achiral", "Delta=Delta1,Deltatilde=Deltatilde1"),
+    ("group3.doc", None, "coassoc", "Delta=Delta"),
+)
+
+# (document, space or None, coproduct, unit) for each complex, in all forms
+COMPLEXES = (
+    ("group3.doc", None, "Delta", "g0"),
+    ("cibils2.doc", None, "Delta_star", "a0"),
+    ("F.doc", "F", "Delta", "b"),
+)
+
+FIXED_POINT_CHANNEL = "\nchannel Bad : F -> F:\n  a -> a\n  b -> b\n  c -> c\n  d -> d\n"
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _library_documents():
+    """(name, structure) of each construction the command line cannot run."""
+    left = de_bruijn_codialgebra(2, prefix="x")
+    right = de_bruijn_codialgebra(2, prefix="y")
+    channel = ChannelMap(left.space, right.space, {"x1": {"y1": ONE}, "x2": {"y2": ONE}})
+    yield "markov_entangle_de_bruijn n=2", markov_entangle_de_bruijn(
+        left, right, "DeltaM", channel).structure
+    group3 = fixture_group(3)
+    a_space = BasisSpace(["h0", "h1", "h2"])
+    channel = ChannelMap(a_space, group3.space, {f"h{i}": {f"g{i}": ONE} for i in range(3)})
+    yield "markov_entangle_flower group 3", markov_entangle_flower(
+        a_space, "h0", group3, "Delta", channel).structure
+    yield "sum_codipterous F+group 3", sum_codipterous(
+        fixture_f_entangled().structure, ("Delta_star", "delta1"),
+        group3, ("Delta", "Delta"))
+    f_data = fixture_f()
+    yield "self_tiling_dendriform F", self_tiling_dendriform(
+        f_data["structure"], "Delta", f_data["channel"])[0]
+    yield "fixture_group_split", fixture_group_split().structure
+
+
+def transcript(workdir: str):
+    """(invocation, exit code, stdout digest, stderr digest) rows in order.
+    An argument ``@name`` stands for the file ``name`` in ``workdir``."""
+    rows = []
+
+    def path(name):
+        return os.path.join(workdir, name)
+
+    def run(*argv, save=None):
+        real = [path(a[1:]) if a.startswith("@") else a for a in argv]
+        code, out, err = _run(real)
+        rows.append((" ".join(argv), str(code), _digest(out), _digest(err)))
+        if save is not None:
+            Path(path(save)).write_text(out, encoding="utf-8")
+        return code
+
+    run("fixtures")
+    for name, save in (("F", "F.doc"), ("slq2", "slq2.doc"), ("su2q-coalg", "su2q.doc"),
+                       ("cibils", None), ("debruijn", None),
+                       ("petersen", "petersen.edges"), ("group", None)):
+        run("fixtures", name, save=save)
+    fixed = Path(path("F.doc")).read_text(encoding="utf-8") + FIXED_POINT_CHANNEL
+    Path(path("F_fixed.doc")).write_text(fixed, encoding="utf-8")
+    for n in ("2", "3"):
+        run("fixtures", "cibils", "--n", n, save=f"cibils{n}.doc")
+        run("fixtures", "cibils", "--n", n, "--q=-3/2")
+    run("fixtures", "debruijn", "--n", "3", save="debruijn3.doc")
+    run("fixtures", "group", "--n", "3", save="group3.doc")
+    run("fixtures", "group", "--n", "4")
+
+    outputs = []
+    for doc, space, cp, cotilde, channel in ENTANGLE_INPUTS:
+        base = ("entangle", "@" + doc, "--space", space, "--coproduct", cp,
+                "--channel", channel, "--out-space", "E")
+        for extra in ((), ("--counit", "eps")):
+            outputs.append((base + ("--kind", "self") + extra, SELF_BRIDGES, ()))
+        for transported in ("Delta", "Deltatilde"):
+            outputs.append((base + ("--kind", "achiral", "--cotilde", cotilde,
+                                    "--transport", transported),
+                            ACHIRAL_BRIDGES, ("--left", "deltatildehat2")))
+    run("entangle", "@F_fixed.doc", "--space", "F", "--kind", "self",
+        "--coproduct", "Delta", "--channel", "Bad")
+    for i, (argv, bridges, bracket) in enumerate(outputs):
+        if run(*argv, save=f"E{i}.doc") == 0:
+            run("bracket", f"@E{i}.doc", *bracket)
+            for coproducts in ("Delta_star", bridges):
+                run("support", f"@E{i}.doc", "--coproducts", coproducts, "--dot")
+
+    for doc, space, axiom, binding in CHECKS:
+        where = ("--space", space) if space else ()
+        run("check", "@" + doc, *where, "--axiom", axiom, "--bind", binding)
+    for doc, space, cp, unit in COMPLEXES:
+        where = ("--space", space) if space else ()
+        for form in ("primary", "prime", "alternative"):
+            run("complex", "@" + doc, *where, "--coproduct", cp, "--unit", unit,
+                "--form", form)
+    run("embed", "--edges", "@petersen.edges")
+
+    for name, structure in _library_documents():
+        text = unparse_document(document_from_structure("E", structure))
+        rows.append((f"library {name}", "0", _digest(text), _digest("")))
+    return rows
+
+
+def format_rows(rows) -> str:
+    return "".join(f"{code}\t{out}\t{err}\t{inv}\n" for inv, code, out, err in rows)
+
+
+def test_golden_transcript(tmp_path):
+    expected = {}
+    for line in GOLDEN.read_text(encoding="utf-8").splitlines():
+        code, out, err, invocation = line.split("\t")
+        expected[invocation] = (code, out, err)
+    rows = transcript(str(tmp_path))
+    assert [row[0] for row in rows] == list(expected), "invocation list changed"
+    changed = [
+        f"{inv}: exit {code}, stdout {out[:12]}, stderr {err[:12]}"
+        for inv, code, out, err in rows if expected[inv] != (code, out, err)
+    ]
+    assert not changed, "output changed for:\n" + "\n".join(changed)
