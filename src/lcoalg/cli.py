@@ -8,6 +8,7 @@ Exit codes: 0 all checks pass, 1 a check failed (witnesses printed),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -285,11 +286,20 @@ def _fixture_document(name: str, n: int, q_text: str) -> str:
     raise ValueError(f"unknown fixture {name!r}")
 
 
+# The largest --n of each parametric fixture: each document is built in
+# about a second at its limit, and the cost grows as n^2 (debruijn, cibils)
+# or n^3 (group).
+MAX_FIXTURE_N = {"cibils": 150, "debruijn": 300, "group": 50}
+
+
 def cmd_fixtures(args) -> int:
     if args.name is None:
         for name in FIXTURE_NAMES:
             print(name)
         return 0
+    limit = MAX_FIXTURE_N.get(args.name)
+    if limit is not None and args.n > limit:
+        raise ValueError(f"fixtures {args.name} --n {args.n} exceeds the limit of {limit}")
     sys.stdout.write(_fixture_document(args.name, args.n, args.q))
     return 0
 
@@ -361,10 +371,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: every parse makes a fresh namespace,
+    so calls of ``main`` share no state through it."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

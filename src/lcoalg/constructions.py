@@ -13,13 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .coalgebra import (
-    AxiomReport,
-    LStructure,
-    check_axiom,
-    solve_left_counit,
-    solve_right_counit,
-)
+from .coalgebra import AxiomReport, LStructure, check_axiom, solve_right_counit
+from .complexes import flower_coproducts
 from .linalg import (
     BasisSpace,
     FiniteAlgebra,
@@ -29,7 +24,6 @@ from .linalg import (
     add_scaled,
     rref,
     tensor_add,
-    tensor_sub,
     unit_vector,
     vec_add,
     vec_sub,
@@ -47,6 +41,13 @@ def subst_leg(tensor: Tensor, slot: int, table: Dict[str, Vector]) -> Tensor:
         head, tail = term[: slot - 1], term[slot:]
         add_scaled(out, ((head + (lab,) + tail, c) for lab, c in image.items()), coeff)
     return out
+
+
+def _on_legs(tensor: Tensor, legs: Sequence[int], table: Dict[str, Vector]) -> Tensor:
+    """Apply a label -> vector substitution to each leg in ``legs``."""
+    for leg in legs:
+        tensor = subst_leg(tensor, leg, table)
+    return tensor
 
 
 class ChannelMap:
@@ -123,17 +124,11 @@ class ChannelMap:
         self, delta1: MultiLinearMap, delta2: MultiLinearMap
     ) -> List[str]:
         """Labels of C1 where Delta2 Phi != (Phi x Phi) Delta1."""
-        bad = []
-        for lab in self.c1.labels:
-            lhs: Tensor = {}
-            for w, c in self.forward[lab].items():
-                add_scaled(lhs, delta2.of_label(w).items(), c)
-            rhs = subst_leg(
-                subst_leg(delta1.of_label(lab), 1, self.forward), 2, self.forward
-            )
-            if lhs != rhs:
-                bad.append(lab)
-        return bad
+        return [
+            lab for lab in self.c1.labels
+            if delta2.of_vector(self.forward[lab])
+            != _on_legs(delta1.of_label(lab), (1, 2), self.forward)
+        ]
 
     def check_counit(self, eps1: Vector, eps2: Vector) -> List[str]:
         """Labels of C1 where eps2 Phi != eps1."""
@@ -171,16 +166,27 @@ def _require_disjoint(c1: BasisSpace, c2: BasisSpace):
         raise ValueError(f"boundaries overlap: {sorted(overlap)}")
 
 
+# One boundary's part of a glued coproduct: (cp, None) is cp itself;
+# (cp, legs) is cp read across the channel with the channel on each leg.
+Part = Tuple[MultiLinearMap, Optional[Tuple[int, ...]]]
+
+
 def _glue(
-    ambient: BasisSpace,
-    part1: MultiLinearMap,
-    part1_labels: Sequence[str],
-    part2_table: Dict[str, Tensor],
+    ambient: BasisSpace, channel: ChannelMap, on_c1: Part, on_c2: Part
 ) -> MultiLinearMap:
-    table: Dict[str, Tensor] = {
-        lab: part1.of_label(lab) for lab in part1_labels
-    }
-    table.update(part2_table)
+    """The coproduct that is ``on_c1`` over C1 and ``on_c2`` over C2.  A part
+    read across the channel is (Phi^-1 on legs) cp Phi over C1 and
+    (Phi on legs) cp Phi^-1 over C2."""
+    table: Dict[str, Tensor] = {}
+    for labels, (cp, legs), there, back in (
+        (channel.c1.labels, on_c1, channel.forward, channel.inverse),
+        (channel.c2.labels, on_c2, channel.inverse, channel.forward),
+    ):
+        for lab in labels:
+            if legs is None:
+                table[lab] = cp.of_label(lab)
+            else:
+                table[lab] = _on_legs(cp.of_vector(there[lab]), legs, back)
     return MultiLinearMap(ambient, 2, table)
 
 
@@ -213,41 +219,16 @@ def self_entangle(
     if ambient is None:
         ambient = c1.union(c2)
     delta1_c1 = c1_structure.coproduct(delta_name)
-
-    fwd, inv = channel.forward, channel.inverse
-
-    def on_c2(leg1_fwd: bool, leg2_fwd: bool) -> Dict[str, Tensor]:
-        table: Dict[str, Tensor] = {}
-        for w in c2.labels:
-            t = delta1_c1.of_vector(inv[w])
-            if leg1_fwd:
-                t = subst_leg(t, 1, fwd)
-            if leg2_fwd:
-                t = subst_leg(t, 2, fwd)
-            table[w] = t
-        return table
-
-    delta2_table = on_c2(True, True)  # Delta2 = (Phi x Phi) Delta1 Phi^-1
-    delta_star = _glue(ambient, delta1_c1, c1.labels, delta2_table)
-    delta1 = _glue(ambient, delta1_c1, c1.labels, on_c2(False, True))
-    deltahat1 = _glue(ambient, delta1_c1, c1.labels, on_c2(True, False))
-
-    delta2_map = MultiLinearMap(ambient, 2, delta2_table)
-
-    def on_c1(leg: int) -> Dict[str, Tensor]:
-        return {v: subst_leg(delta2_map.of_vector(fwd[v]), leg, inv) for v in c1.labels}
-
-    delta2 = _glue(ambient, delta2_map, c2.labels, on_c1(2))
-    deltahat2 = _glue(ambient, delta2_map, c2.labels, on_c1(1))
-
+    # Delta_star is Delta1 over C1 and Delta2 = (Phi x Phi) Delta1 Phi^-1 over C2.
+    delta_star = _glue(ambient, channel, (delta1_c1, None), (delta1_c1, (1, 2)))
     structure = LStructure(
         ambient,
         {
             "Delta_star": delta_star,
-            "delta1": delta1,
-            "deltahat1": deltahat1,
-            "delta2": delta2,
-            "deltahat2": deltahat2,
+            "delta1": _glue(ambient, channel, (delta1_c1, None), (delta1_c1, (2,))),
+            "deltahat1": _glue(ambient, channel, (delta1_c1, None), (delta1_c1, (1,))),
+            "delta2": _glue(ambient, channel, (delta_star, (2,)), (delta_star, None)),
+            "deltahat2": _glue(ambient, channel, (delta_star, (1,)), (delta_star, None)),
         },
         algebra=algebra,
     )
@@ -292,22 +273,14 @@ def _restrict_counit(eps: Optional[Vector], c1: BasisSpace) -> Optional[Vector]:
 
 def _bridge_counits_hold(structure: LStructure, eps1: Vector) -> bool:
     """(eps1 x id) delta1 = id and (id x eps1) deltahat1 = id."""
-    delta1 = structure.coproduct("delta1")
-    deltahat1 = structure.coproduct("deltahat1")
-    for lab in structure.space.labels:
-        left: Vector = {}
-        for (a, b), c in delta1.of_label(lab).items():
-            weight = eps1.get(a, Scalar.zero())
-            if not weight.is_zero():
-                left = vec_add(left, {b: c * weight})
-        right: Vector = {}
-        for (a, b), c in deltahat1.of_label(lab).items():
-            weight = eps1.get(b, Scalar.zero())
-            if not weight.is_zero():
-                right = vec_add(right, {a: c * weight})
-        if left != unit_vector(lab) or right != unit_vector(lab):
-            return False
-    return True
+    counits = {"eps1": _restrict_counit(eps1, structure.space)}
+    probe = LStructure(structure.space, structure.coproducts, counits)
+    left = {"Deltatilde": "delta1", "epstilde": "eps1"}
+    right = {"Delta": "deltahat1", "eps": "eps1"}
+    return (
+        check_axiom(probe, "left_counit", left).passed
+        and check_axiom(probe, "right_counit", right).passed
+    )
 
 
 def achiral_entangle(
@@ -341,50 +314,28 @@ def achiral_entangle(
 
     delta = g.coproduct(delta_name)
     deltatilde = g.coproduct(deltatilde_name)
-    fwd, inv = channel.forward, channel.inverse
-
-    def transport(cp: MultiLinearMap) -> Dict[str, Tensor]:
-        return {
-            w: subst_leg(subst_leg(cp.of_vector(inv[w]), 1, fwd), 2, fwd)
-            for w in c2.labels
-        }
-
     source = delta if transported == "Delta" else deltatilde
-    deltatilde2_table = transport(source)
-    deltatilde2_map = MultiLinearMap(ambient, 2, deltatilde2_table)
-
-    delta_star = _glue(ambient, delta, c1.labels, deltatilde2_table)
-
-    # delta1 := Delta1 over C1, delta1 Phi = (id x Phi) Delta1 over C2.
-    delta1_c2 = {w: subst_leg(delta.of_vector(inv[w]), 2, fwd) for w in c2.labels}
-    delta1 = _glue(ambient, delta, c1.labels, delta1_c2)
-
-    # deltatilde2 := Deltatilde2 over C2; over C1 the resolved orientation
-    # (id x Phi^-1) Deltatilde2 Phi (the printed one contradicts the
-    # worked example and breaks the asserted entanglement).
-    def pull(leg: int) -> Dict[str, Tensor]:
-        return {
-            v: subst_leg(deltatilde2_map.of_vector(fwd[v]), leg, inv)
-            for v in c1.labels
-        }
-
-    deltatilde2 = _glue(ambient, deltatilde2_map, c2.labels, pull(2))
-    deltatildehat2 = _glue(ambient, deltatilde2_map, c2.labels, pull(1))
-
-    # Auxiliary glued pairs for the Ito variant: transports of Delta1 and
-    # Deltatilde1 respectively.
-    delta_star_plain = _glue(ambient, delta, c1.labels, transport(delta))
-    deltatilde_star = _glue(ambient, deltatilde, c1.labels, transport(deltatilde))
-
+    # Delta_star is Delta1 over C1 and the transported Deltatilde2 over C2.
+    delta_star = _glue(ambient, channel, (delta, None), (source, (1, 2)))
     structure = LStructure(
         ambient,
         {
             "Delta_star": delta_star,
-            "delta1": delta1,
-            "deltatilde2": deltatilde2,
-            "deltatildehat2": deltatildehat2,
-            "Delta_star_plain": delta_star_plain,
-            "Deltatilde_star": deltatilde_star,
+            # Delta1 over C1, delta1 Phi = (id x Phi) Delta1 over C2.
+            "delta1": _glue(ambient, channel, (delta, None), (delta, (2,))),
+            # Deltatilde2 over C2; over C1 the resolved orientation
+            # (id x Phi^-1) Deltatilde2 Phi (the printed one contradicts the
+            # worked example and breaks the asserted entanglement).
+            "deltatilde2": _glue(ambient, channel, (delta_star, (2,)), (delta_star, None)),
+            "deltatildehat2": _glue(
+                ambient, channel, (delta_star, (1,)), (delta_star, None)
+            ),
+            # Auxiliary glued pairs for the Ito variant: transports of Delta1
+            # and Deltatilde1 respectively.
+            "Delta_star_plain": _glue(ambient, channel, (delta, None), (delta, (1, 2))),
+            "Deltatilde_star": _glue(
+                ambient, channel, (deltatilde, None), (deltatilde, (1, 2))
+            ),
         },
     )
     # (deltatilde2 x id) delta1 = (id x delta1) deltatilde2.
@@ -419,18 +370,12 @@ def sum_codipterous(
             )
     ambient = d1.space.union(d2.space)
 
-    def glue(a: MultiLinearMap, b: MultiLinearMap) -> MultiLinearMap:
-        table = {lab: a.of_label(lab) for lab in d1.space.labels}
-        table.update({lab: b.of_label(lab) for lab in d2.space.labels})
-        return MultiLinearMap(ambient, 2, table)
+    def glue(i: int) -> MultiLinearMap:
+        return MultiLinearMap(
+            ambient, 2, {**d1.coproduct(names1[i]).table, **d2.coproduct(names2[i]).table}
+        )
 
-    out = LStructure(
-        ambient,
-        {
-            "Delta_star": glue(d1.coproduct(names1[0]), d2.coproduct(names2[0])),
-            "delta_star": glue(d1.coproduct(names1[1]), d2.coproduct(names2[1])),
-        },
-    )
+    out = LStructure(ambient, {"Delta_star": glue(0), "delta_star": glue(1)})
     report = check_axiom(out, "codipterous", {"Delta": "Delta_star", "delta": "delta_star"})
     if not report.passed:
         raise ValueError("glued structure lost codipterousness")
@@ -473,36 +418,19 @@ def markov_entangle_de_bruijn(
     delta_m_g = g.coproduct("DeltaM")
     deltatilde_m_g = g.coproduct("DeltatildeM")
     delta_c = c.coproduct(delta_name)
-    fwd, inv = channel.forward, channel.inverse
-
-    def push(cp: MultiLinearMap) -> Dict[str, Tensor]:
-        # bridge Phi-image: bridge(Phi v) = (id x Phi) cp(v)
-        return {w: subst_leg(cp.of_vector(inv[w]), 2, fwd) for w in c2.labels}
-
-    delta_m = _glue(ambient, delta_m_g, c1.labels, push(delta_m_g))
-    deltatilde_m = _glue(ambient, deltatilde_m_g, c1.labels, push(deltatilde_m_g))
-
-    delta_c1 = {v: subst_leg(delta_c.of_vector(fwd[v]), 2, inv) for v in c1.labels}
-    delta = _glue(ambient, delta_c, c2.labels, delta_c1)
-
-    delta_star = _glue(
-        ambient, delta_m_g, c1.labels, {w: delta_c.of_label(w) for w in c2.labels}
-    )
-    delta_star_tilde = _glue(
-        ambient,
-        deltatilde_m_g,
-        c1.labels,
-        {w: delta_c.of_label(w) for w in c2.labels},
-    )
-
     structure = LStructure(
         ambient,
         {
-            "Delta_star": delta_star,
-            "Delta_star_tilde": delta_star_tilde,
-            "delta_M": delta_m,
-            "deltatilde_M": deltatilde_m,
-            "delta": delta,
+            "Delta_star": _glue(ambient, channel, (delta_m_g, None), (delta_c, None)),
+            "Delta_star_tilde": _glue(
+                ambient, channel, (deltatilde_m_g, None), (delta_c, None)
+            ),
+            # bridge Phi-image: bridge(Phi v) = (id x Phi) cp(v)
+            "delta_M": _glue(ambient, channel, (delta_m_g, None), (delta_m_g, (2,))),
+            "deltatilde_M": _glue(
+                ambient, channel, (deltatilde_m_g, None), (deltatilde_m_g, (2,))
+            ),
+            "delta": _glue(ambient, channel, (delta_c, (2,)), (delta_c, None)),
         },
     )
     # (delta x id) delta_M = (id x delta_M) delta.
@@ -537,28 +465,16 @@ def markov_entangle_flower(
         raise ValueError("unit label must belong to the algebra side")
     ambient = c1.union(c2)
     delta_c = c.coproduct(delta_name)
-    fwd, inv = channel.forward, channel.inverse
-
-    delta_f_table = {lab: {(lab, unit_label): ONE} for lab in ambient.labels}
-    deltatilde_f_table = {lab: {(unit_label, lab): ONE} for lab in ambient.labels}
-    delta_f = MultiLinearMap(ambient, 2, delta_f_table)
-    deltatilde_f = MultiLinearMap(ambient, 2, deltatilde_f_table)
-
-    delta_c1 = {v: subst_leg(delta_c.of_vector(fwd[v]), 2, inv) for v in c1.labels}
-    delta = _glue(ambient, delta_c, c2.labels, delta_c1)
-
-    delta_fl = delta_f.add(deltatilde_f)
-    delta_star_table = {lab: delta_fl.of_label(lab) for lab in c1.labels}
-    delta_star_table.update({w: delta_c.of_label(w) for w in c2.labels})
-    delta_star = MultiLinearMap(ambient, 2, delta_star_table)
-
+    flowers = flower_coproducts(ambient, unit_label)
     structure = LStructure(
         ambient,
         {
-            "Delta_star": delta_star,
-            "delta_f": delta_f,
-            "deltatilde_f": deltatilde_f,
-            "delta": delta,
+            "Delta_star": _glue(
+                ambient, channel, (flowers["Delta_f"], None), (delta_c, None)
+            ),
+            "delta_f": flowers["delta_f"],
+            "deltatilde_f": flowers["deltatilde_f"],
+            "delta": _glue(ambient, channel, (delta_c, (2,)), (delta_c, None)),
         },
     )
     # (deltatilde_f x id) delta = (id x delta) deltatilde_f.

@@ -398,6 +398,24 @@ class ScalarSyntaxError(ValueError):
         self.pos = pos
 
 
+# The largest power the parser computes, as exponent times base size, where
+# the size of a base counts the degrees of its numerator and denominator
+# plus the bits of its largest coefficient.  A monomial c*q^k is raised in
+# time linear in that product, any other base in quadratic time.  At either
+# limit, a one-label coassociativity check on the power takes about a second.
+MAX_MONOMIAL_POWER = 50_000
+MAX_POWER = 250
+
+
+def _power_limit(base: Scalar) -> Tuple[int, int]:
+    """(size of base, limit on exponent x size) for a parsed power."""
+    coeffs = [c for c in base.num + base.den if c]
+    bits = max(max(abs(c.numerator), c.denominator).bit_length() - 1 for c in coeffs)
+    size = max(len(base.num) - 1, 0) + len(base.den) - 1 + bits
+    monomial = len(coeffs) == 2
+    return size, MAX_MONOMIAL_POWER if monomial else MAX_POWER
+
+
 class _ScalarParser:
     """expr := term (('+'|'-') term)* ;  term := factor (('*'|'/') factor)* ;
     factor := ['-'] atom ['^' ['-'] int] ;  atom := 'q' | int | '(' expr ')'
@@ -450,12 +468,22 @@ class _ScalarParser:
             return -self.factor()
         value = self.atom()
         if self._peek() == "^":
+            at = self.pos
             self.pos += 1
             sign = 1
             if self._peek() == "-":
                 sign = -1
                 self.pos += 1
-            value = value ** (sign * self._int())
+            n = self._int()
+            if value.is_zero() and sign < 0 and n:
+                raise ScalarSyntaxError("division by zero", at)
+            size, limit = _power_limit(value)
+            if n * size > limit:
+                raise ScalarSyntaxError(
+                    f"power too large: exponent {n} times base size {size}"
+                    f" exceeds {limit}", at,
+                )
+            value = value ** (sign * n)
         return value
 
     def atom(self) -> Scalar:

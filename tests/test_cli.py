@@ -3,7 +3,7 @@ exit codes, report lines, document emission, and error handling."""
 
 import pytest
 
-from lcoalg.cli import FIXTURE_NAMES, main
+from lcoalg.cli import FIXTURE_NAMES, MAX_FIXTURE_N, main
 from lcoalg.dsl import parse_document
 
 
@@ -389,4 +389,50 @@ def test_minus_between_tensor_terms_is_usage_error(tmp_path, capsys):
     assert err == (
         "error: line 5, column 1: tensor term 'q * <x, e> - 1/2 * <e, x>' holds "
         "2 pairs; terms are joined with '+', as in '+ -1/2 * <e, x>'\n"
+    )
+
+
+def test_two_main_calls_share_no_state(f_doc, capsys):
+    # One parser serves every call; the --bind list of the first call must
+    # not reach the second, which binds nothing and so is a usage error.
+    code, out, _ = run(
+        capsys, "check", str(f_doc), "--space", "F", "--axiom", "coassoc",
+        "--bind", "Delta=Delta",
+    )
+    assert (code, out) == (0, "check\tcoassoc\tpass\t0\n")
+    code, out, err = run(capsys, "check", str(f_doc), "--space", "F", "--axiom", "coassoc")
+    assert (code, out) == (2, "")
+    assert err == "error: \"missing binding for role 'Delta'\"\n"
+
+
+@pytest.mark.parametrize("name, limit", [("cibils", 150), ("debruijn", 300), ("group", 50)])
+def test_fixture_n_above_its_limit_is_usage_error(name, limit, capsys):
+    assert MAX_FIXTURE_N[name] == limit
+    code, out, err = run(capsys, "fixtures", name, "--n", str(limit + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: fixtures {name} --n {limit + 1} exceeds the limit of {limit}\n"
+
+
+def test_fixture_q_with_too_large_power_is_usage_error(capsys):
+    code, out, err = run(capsys, "fixtures", "cibils", "--n", "2", "--q", "q^50001")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: power too large: exponent 50001 times base size 1 exceeds 50000"
+        " (at offset 1)\n"
+    )
+
+
+def test_document_with_too_large_power_is_positioned_usage_error(tmp_path, capsys):
+    path = tmp_path / "V.doc"
+    path.write_text(
+        "space V = { e }\n\n"
+        "coproduct Delta on V:\n"
+        "  e -> q^300000 * <e, e>\n"
+    )
+    code, out, err = run(capsys, "check", str(path), "--axiom", "coassoc",
+                         "--bind", "Delta=Delta")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: line 4, column 1: bad scalar 'q^300000': power too large: exponent"
+        " 300000 times base size 1 exceeds 50000 (at offset 1)\n"
     )

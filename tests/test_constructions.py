@@ -3,8 +3,9 @@ De Bruijn and flower gluings, the two-channel composition structure,
 self-tilings, derivative pairs, and coderivatives."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lcoalg.coalgebra import LStructure, check_axiom
+from lcoalg.coalgebra import LStructure, check_axiom, solve_right_counit
 from lcoalg.constructions import (
     ChannelMap,
     achiral_entangle,
@@ -18,13 +19,15 @@ from lcoalg.constructions import (
     markov_entangle_flower,
     self_entangle,
     self_tiling_dendriform,
+    subst_leg,
     sum_codipterous,
 )
 from lcoalg.complexes import flower_coproducts
 from lcoalg.fixtures import fixture_group
 from lcoalg.graphs import de_bruijn_graph, geometric_support
-from lcoalg.linalg import BasisSpace, MultiLinearMap
-from lcoalg.scalars import ONE, Q, Scalar, parse_scalar
+from lcoalg.linalg import BasisSpace, MultiLinearMap, vec_add
+from lcoalg.scalars import ONE, Q, ZERO, Scalar, parse_scalar
+from test_convolution import VALUES
 
 TWO = Scalar.from_rational(2)
 
@@ -363,3 +366,280 @@ def test_generated_subcoalgebra(f_entangled):
         "a", "b", "c", "d", "x", "z",
     ]
     assert generated_subcoalgebra(s, "Delta_star", "a") == ["a", "b", "c", "d"]
+
+
+# -- the glued bridges against the hand-written transports ------------------
+#
+# The oracle below is the bridge-building code the constructions used before
+# every bridge became one gluing of two parts read across the channel: each
+# pull-back and push-forward is written out by hand.
+
+
+def _hand_glue(ambient, part1, part1_labels, part2_table):
+    table = {lab: part1.of_label(lab) for lab in part1_labels}
+    table.update(part2_table)
+    return MultiLinearMap(ambient, 2, table)
+
+
+def _hand_entangles(s, first, second, tag):
+    report = check_axiom(s, "entanglement", {"Deltatilde": first, "Delta": second})
+    if not report.passed:
+        raise ValueError(f"{tag} fails at {', '.join(report.witness_labels())}")
+
+
+def _hand_counits_hold(s, eps1):
+    delta1, deltahat1 = s.coproduct("delta1"), s.coproduct("deltahat1")
+    for lab in s.space.labels:
+        left, right = {}, {}
+        for (a, b), c in delta1.of_label(lab).items():
+            if not eps1.get(a, ZERO).is_zero():
+                left = vec_add(left, {b: c * eps1[a]})
+        for (a, b), c in deltahat1.of_label(lab).items():
+            if not eps1.get(b, ZERO).is_zero():
+                right = vec_add(right, {a: c * eps1[b]})
+        if left != {lab: ONE} or right != {lab: ONE}:
+            return False
+    return True
+
+
+def hand_self_entangle(c1_structure, delta_name, channel, eps_name=None):
+    c1, c2 = channel.c1, channel.c2
+    ambient = c1.union(c2)
+    delta1_c1 = c1_structure.coproduct(delta_name)
+    fwd, inv = channel.forward, channel.inverse
+
+    def on_c2(leg1_fwd, leg2_fwd):
+        table = {}
+        for w in c2.labels:
+            t = delta1_c1.of_vector(inv[w])
+            if leg1_fwd:
+                t = subst_leg(t, 1, fwd)
+            if leg2_fwd:
+                t = subst_leg(t, 2, fwd)
+            table[w] = t
+        return table
+
+    delta2_table = on_c2(True, True)
+    delta2_map = MultiLinearMap(ambient, 2, delta2_table)
+
+    def on_c1(leg):
+        return {v: subst_leg(delta2_map.of_vector(fwd[v]), leg, inv) for v in c1.labels}
+
+    s = LStructure(ambient, {
+        "Delta_star": _hand_glue(ambient, delta1_c1, c1.labels, delta2_table),
+        "delta1": _hand_glue(ambient, delta1_c1, c1.labels, on_c2(False, True)),
+        "deltahat1": _hand_glue(ambient, delta1_c1, c1.labels, on_c2(True, False)),
+        "delta2": _hand_glue(ambient, delta2_map, c2.labels, on_c1(2)),
+        "deltahat2": _hand_glue(ambient, delta2_map, c2.labels, on_c1(1)),
+    })
+    _hand_entangles(s, "delta1", "delta2", "self-entanglement")
+    eps1 = c1_structure.counits.get(eps_name)
+    if eps1 is None:
+        eps1 = solve_right_counit(LStructure(ambient, {"d": s.coproduct("Delta_star")}), "d")
+        if eps1 is not None:
+            eps1 = {lab: c for lab, c in eps1.items() if lab in c1}
+    if eps1 is None or not _hand_counits_hold(s, eps1):
+        return s
+    eps_star = dict(eps1)
+    for w in c2.labels:
+        value = ZERO
+        for v, c in inv[w].items():
+            value = value + c * eps1.get(v, ZERO)
+        if not value.is_zero():
+            eps_star[w] = value
+    return LStructure(ambient, s.coproducts, {"eps_star": eps_star})
+
+
+def hand_achiral_entangle(g, delta_name, deltatilde_name, channel, transported):
+    c1, c2 = channel.c1, channel.c2
+    ambient = c1.union(c2)
+    achiral = check_axiom(g, "achiral", {"Delta": delta_name, "Deltatilde": deltatilde_name})
+    if not achiral.passed:
+        raise ValueError("input pair is not achiral: " + ", ".join(achiral.witness_labels()))
+    delta, deltatilde = g.coproduct(delta_name), g.coproduct(deltatilde_name)
+    fwd, inv = channel.forward, channel.inverse
+
+    def transport(cp):
+        return {
+            w: subst_leg(subst_leg(cp.of_vector(inv[w]), 1, fwd), 2, fwd)
+            for w in c2.labels
+        }
+
+    deltatilde2_table = transport(delta if transported == "Delta" else deltatilde)
+    deltatilde2_map = MultiLinearMap(ambient, 2, deltatilde2_table)
+    delta1_c2 = {w: subst_leg(delta.of_vector(inv[w]), 2, fwd) for w in c2.labels}
+
+    def pull(leg):
+        return {v: subst_leg(deltatilde2_map.of_vector(fwd[v]), leg, inv) for v in c1.labels}
+
+    s = LStructure(ambient, {
+        "Delta_star": _hand_glue(ambient, delta, c1.labels, deltatilde2_table),
+        "delta1": _hand_glue(ambient, delta, c1.labels, delta1_c2),
+        "deltatilde2": _hand_glue(ambient, deltatilde2_map, c2.labels, pull(2)),
+        "deltatildehat2": _hand_glue(ambient, deltatilde2_map, c2.labels, pull(1)),
+        "Delta_star_plain": _hand_glue(ambient, delta, c1.labels, transport(delta)),
+        "Deltatilde_star": _hand_glue(ambient, deltatilde, c1.labels, transport(deltatilde)),
+    })
+    _hand_entangles(s, "deltatilde2", "delta1", "achiral entanglement")
+    _hand_entangles(s, "delta1", "deltatildehat2", "hat entanglement")
+    return s
+
+
+def hand_markov_entangle_de_bruijn(g, c, delta_name, channel):
+    c1, c2 = channel.c1, channel.c2
+    ambient = c1.union(c2)
+    delta_m_g, deltatilde_m_g = g.coproduct("DeltaM"), g.coproduct("DeltatildeM")
+    delta_c = c.coproduct(delta_name)
+    fwd, inv = channel.forward, channel.inverse
+
+    def push(cp):
+        return {w: subst_leg(cp.of_vector(inv[w]), 2, fwd) for w in c2.labels}
+
+    delta_c1 = {v: subst_leg(delta_c.of_vector(fwd[v]), 2, inv) for v in c1.labels}
+    on_c2 = {w: delta_c.of_label(w) for w in c2.labels}
+    s = LStructure(ambient, {
+        "Delta_star": _hand_glue(ambient, delta_m_g, c1.labels, on_c2),
+        "Delta_star_tilde": _hand_glue(ambient, deltatilde_m_g, c1.labels, on_c2),
+        "delta_M": _hand_glue(ambient, delta_m_g, c1.labels, push(delta_m_g)),
+        "deltatilde_M": _hand_glue(ambient, deltatilde_m_g, c1.labels, push(deltatilde_m_g)),
+        "delta": _hand_glue(ambient, delta_c, c2.labels, delta_c1),
+    })
+    _hand_entangles(s, "delta", "delta_M", "De Bruijn entanglement")
+    _hand_entangles(s, "deltatilde_M", "delta", "De Bruijn tilde entanglement")
+    return s
+
+
+def hand_markov_entangle_flower(a_space, unit_label, c, delta_name, channel):
+    c1, c2 = channel.c1, channel.c2
+    ambient = c1.union(c2)
+    delta_c = c.coproduct(delta_name)
+    fwd, inv = channel.forward, channel.inverse
+    delta_f = MultiLinearMap(
+        ambient, 2, {lab: {(lab, unit_label): ONE} for lab in ambient.labels})
+    deltatilde_f = MultiLinearMap(
+        ambient, 2, {lab: {(unit_label, lab): ONE} for lab in ambient.labels})
+    delta_c1 = {v: subst_leg(delta_c.of_vector(fwd[v]), 2, inv) for v in c1.labels}
+    delta_fl = delta_f.add(deltatilde_f)
+    delta_star_table = {lab: delta_fl.of_label(lab) for lab in c1.labels}
+    delta_star_table.update({w: delta_c.of_label(w) for w in c2.labels})
+    s = LStructure(ambient, {
+        "Delta_star": MultiLinearMap(ambient, 2, delta_star_table),
+        "delta_f": delta_f,
+        "deltatilde_f": deltatilde_f,
+        "delta": _hand_glue(ambient, delta_c, c2.labels, delta_c1),
+    })
+    _hand_entangles(s, "deltatilde_f", "delta", "flower tilde entanglement")
+    _hand_entangles(s, "delta", "delta_f", "flower entanglement")
+    return s
+
+
+def _same_outcome(build, hand):
+    """The glued and the hand-built structure agree, or both refuse with the
+    same message.  True when the construction succeeded."""
+    try:
+        got = build().structure
+    except ValueError as exc:
+        with pytest.raises(ValueError) as want:
+            hand()
+        assert str(want.value) == str(exc)
+        return False
+    want = hand()
+    assert list(got.coproducts) == list(want.coproducts)
+    for name, cp in want.coproducts.items():
+        assert got.coproduct(name).table == cp.table, name
+    assert got.counits == want.counits
+    return True
+
+
+@st.composite
+def _channel_inputs(draw, f_structure):
+    """A coproduct Delta on C1 and an invertible channel onto a disjoint C2.
+
+    Delta is F's, or a random group-like one g -> c_g g@g with the counit
+    g -> 1/c_g; both are coassociative, so self-entangled for any
+    invertible channel.  Sometimes g1 -> c_g0 g0@g1 or g1 -> c_g0 g1@g0
+    instead, which keeps coassociativity but leaves that counit a left or a
+    right counit only; sometimes a term c<g1, g0> in the image of g0 breaks
+    coassociativity, so that the constructions refuse.  The channel is a permutation times nonzero
+    scalars, optionally plus one off-diagonal term.  Returns (structure,
+    channel, broken)."""
+    broken = False
+    if draw(st.booleans()):
+        s1 = f_structure
+    else:
+        labels = [f"g{i}" for i in range(draw(st.integers(1, 3)))]
+        coeff = {g: draw(st.sampled_from(VALUES)) for g in labels}
+        table = {g: {(g, g): coeff[g]} for g in labels}
+        one_sided = len(labels) > 1 and draw(st.sampled_from([None, "left", "right"]))
+        if one_sided:
+            legs = ("g0", "g1") if one_sided == "left" else ("g1", "g0")
+            table["g1"] = {legs: coeff["g0"]}
+        broken = len(labels) > 1 and draw(st.booleans())
+        if broken:
+            table["g0"][("g1", "g0")] = draw(st.sampled_from(VALUES))
+        cp = MultiLinearMap(BasisSpace(labels), 2, table)
+        s1 = LStructure(cp.domain, {"Delta": cp, "Deltatilde": cp},
+                        {"eps": {g: ONE / coeff[g] for g in labels}})
+    c1 = s1.space
+    c2 = BasisSpace([f"{lab}2" for lab in c1.labels])
+    image = draw(st.permutations(c2.labels))
+    unit_scalars = draw(st.booleans())
+    forward = {
+        v: {w: ONE if unit_scalars else draw(st.sampled_from(VALUES))}
+        for v, w in zip(c1.labels, image)
+    }
+    if c1.dim > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, c1.dim - 1), min_size=2, max_size=2,
+                             unique=True))
+        forward[c1.labels[i]][image[j]] = draw(st.sampled_from(VALUES))
+    return s1, ChannelMap(c1, c2, forward), broken
+
+
+def _relabelled(cp, space):
+    """cp moved onto ``space`` label by label, in basis order."""
+    name = dict(zip(cp.domain.labels, space.labels))
+    return MultiLinearMap(space, 2, {
+        name[x]: {(name[a], name[b]): c for (a, b), c in cp.of_label(x).items()}
+        for x in cp.domain.labels
+    })
+
+
+def _de_bruijn_on(space):
+    labels = space.labels
+    return LStructure(space, {
+        "DeltaM": MultiLinearMap(space, 2, {x: {(x, y): ONE for y in labels}
+                                            for x in labels}),
+        "DeltatildeM": MultiLinearMap(space, 2, {x: {(y, x): ONE for y in labels}
+                                                 for x in labels}),
+    })
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_glued_bridges_match_hand_transports(f_data, data):
+    s1, channel, broken = data.draw(_channel_inputs(f_data["structure"]))
+    c1, c2 = channel.c1, channel.c2
+    eps_name = data.draw(st.sampled_from([None, "eps"]))
+    built = _same_outcome(
+        lambda: self_entangle(s1, "Delta", channel, eps_name=eps_name),
+        lambda: hand_self_entangle(s1, "Delta", channel, eps_name),
+    )
+    assert built or broken  # a coassociative coproduct always self-entangles
+    for transported in ("Delta", "Deltatilde"):
+        _same_outcome(
+            lambda: achiral_entangle(s1, "Delta", "Deltatilde", channel, transported),
+            lambda: hand_achiral_entangle(s1, "Delta", "Deltatilde", channel, transported),
+        )
+    delta_c1 = s1.coproduct("Delta")
+    c = (_de_bruijn_on(c2) if data.draw(st.booleans())
+         else LStructure(c2, {"DeltaM": _relabelled(delta_c1, c2)}))
+    _same_outcome(
+        lambda: markov_entangle_de_bruijn(_de_bruijn_on(c1), c, "DeltaM", channel),
+        lambda: hand_markov_entangle_de_bruijn(_de_bruijn_on(c1), c, "DeltaM", channel),
+    )
+    unit = data.draw(st.sampled_from(c1.labels))
+    c = LStructure(c2, {"Delta": _relabelled(delta_c1, c2)})
+    _same_outcome(
+        lambda: markov_entangle_flower(c1, unit, c, "Delta", channel),
+        lambda: hand_markov_entangle_flower(c1, unit, c, "Delta", channel),
+    )

@@ -70,6 +70,30 @@ def test_large_monomial_power_is_direct():
     assert (Q ** 2) ** 10000 == Scalar.q_power(20000)
 
 
+def test_powers_are_bounded_at_the_caret():
+    assert parse_scalar("q^50000") == Scalar.q_power(50000)
+    assert parse_scalar("2^50000") == Scalar.from_rational(2 ** 50000)
+    assert parse_scalar("(1+q)^250") == (Q + ONE) ** 250
+    for text, offset in (("q^50001", 1), ("q^-50001", 1), ("(2*q)^25001", 5),
+                         ("(2^50000)^2", 9), ("(1+q)^251", 5), ("(1+q^2)^126", 7)):
+        with pytest.raises(ScalarSyntaxError) as exc:
+            parse_scalar(text)
+        assert exc.value.pos == offset, text
+        assert str(exc.value).startswith("power too large: exponent "), text
+    assert str(exc.value) == (
+        "power too large: exponent 126 times base size 2 exceeds 250 (at offset 7)"
+    )
+
+
+def test_negative_power_of_zero_is_a_syntax_error():
+    assert parse_scalar("0^0") == ONE
+    assert parse_scalar("0^-0") == ONE
+    assert parse_scalar("0^3") == ZERO
+    with pytest.raises(ScalarSyntaxError) as exc:
+        parse_scalar("1 + 0^-2")
+    assert str(exc.value) == "division by zero (at offset 5)"
+
+
 def test_constants_are_shared():
     assert Scalar.zero() is ZERO
     assert Scalar.one() is ONE
