@@ -12,6 +12,7 @@ import contextlib
 import hashlib
 import io
 import os
+from itertools import product
 from pathlib import Path
 
 from lcoalg.cli import main
@@ -23,7 +24,7 @@ from lcoalg.constructions import (
     self_tiling_dendriform,
     sum_codipterous,
 )
-from lcoalg.dsl import document_from_structure, unparse_document
+from lcoalg.dsl import document_from_structure, parse_document, unparse_document
 from lcoalg.fixtures import (
     fixture_f,
     fixture_f_entangled,
@@ -32,6 +33,7 @@ from lcoalg.fixtures import (
 )
 from lcoalg.linalg import BasisSpace
 from lcoalg.scalars import ONE
+from test_complexes import NON_COASSOCIATIVE_DOC
 
 GOLDEN = Path(__file__).with_name("golden_cli.tsv")
 
@@ -73,6 +75,17 @@ COMPLEXES = (
     ("group3.doc", None, "Delta", "g0"),
     ("cibils2.doc", None, "Delta_star", "a0"),
     ("F.doc", "F", "Delta", "b"),
+)
+
+# (document, coproducts) of the complex matrix: every label as --unit, every
+# --form and --max-degree 1..3 on each coproduct of each document
+COMPLEX_MATRIX = (
+    ("group2.doc", ("Delta", "Deltatilde")),
+    ("group3.doc", ("Delta", "Deltatilde")),
+    ("group4.doc", ("Delta", "Deltatilde")),
+    ("cibils2.doc", ("Delta_star", "delta", "deltahat", "deltahat_d")),
+    ("cibils3.doc", ("Delta_star", "delta", "deltahat", "deltahat_d")),
+    ("noncoassoc.doc", ("Delta",)),
 )
 
 FIXED_POINT_CHANNEL = "\nchannel Bad : F -> F:\n  a -> a\n  b -> b\n  c -> c\n  d -> d\n"
@@ -138,7 +151,10 @@ def transcript(workdir: str):
         run("fixtures", "cibils", "--n", n, "--q=-3/2")
     run("fixtures", "debruijn", "--n", "3", save="debruijn3.doc")
     run("fixtures", "group", "--n", "3", save="group3.doc")
-    run("fixtures", "group", "--n", "4")
+    run("fixtures", "group", "--n", "4", save="group4.doc")
+    Path(path("group2.doc")).write_text(
+        unparse_document(document_from_structure("G", fixture_group(2))), encoding="utf-8")
+    Path(path("noncoassoc.doc")).write_text(NON_COASSOCIATIVE_DOC, encoding="utf-8")
 
     outputs = []
     for doc, space, cp, cotilde, channel in ENTANGLE_INPUTS:
@@ -166,6 +182,12 @@ def transcript(workdir: str):
         for form in ("primary", "prime", "alternative"):
             run("complex", "@" + doc, *where, "--coproduct", cp, "--unit", unit,
                 "--form", form)
+    for doc, coproducts in COMPLEX_MATRIX:
+        (labels,) = parse_document(Path(path(doc)).read_text(encoding="utf-8")).spaces.values()
+        for cp, unit, form, degree in product(
+                coproducts, labels, ("primary", "prime", "alternative"), "123"):
+            run("complex", "@" + doc, "--coproduct", cp, "--unit", unit,
+                "--form", form, "--max-degree", degree)
     run("embed", "--edges", "@petersen.edges")
 
     for name, structure in _library_documents():
