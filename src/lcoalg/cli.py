@@ -39,7 +39,13 @@ from .graphs import (
     natural_lift,
     parse_undirected_edges,
 )
-from .scalars import ScalarSyntaxError, parse_scalar
+from .scalars import (
+    MAX_MONOMIAL_POWER,
+    Scalar,
+    ScalarSyntaxError,
+    _power_limit,
+    parse_scalar,
+)
 
 FIXTURE_NAMES = (
     "F",
@@ -187,8 +193,8 @@ def cmd_bracket(args) -> int:
     return 0
 
 
-# The complex check visits every basis tensor up to --max-degree and keeps
-# the boundary of each, so time and memory grow with their number.
+# A complex whose coproduct is not coassociative is witnessed on every basis
+# tensor up to --max-degree, so time and memory grow with their number.
 MAX_COMPLEX_TENSORS = 20_000
 
 
@@ -239,6 +245,22 @@ def cmd_embed(args) -> int:
     return 0 if report.passed else 1
 
 
+def _check_cibils_work(n: int, q_text: str, q: Scalar) -> None:
+    """Refuse a cibils document that would take well over a second.  It
+    holds about n^2 coefficients q^k with k < n, and q^k costs about k times
+    the size of q (the scalar reader's measure) when q is a monomial, the
+    square of that otherwise; each budget below is about a second."""
+    size, limit = _power_limit(q)
+    if limit == MAX_MONOMIAL_POWER:
+        work, budget = n * n * (n - 1) * size, 12_000_000
+    else:
+        work, budget = (n * (n - 1) * size) ** 2, 15_000_000
+    if n > 0 and work > budget:
+        raise ValueError(
+            f"fixtures cibils --n {n} --q={q_text} costs {work}, over the limit of {budget}"
+        )
+
+
 def _fixture_document(name: str, n: int, q_text: str) -> str:
     if name == "F":
         data = fixture_f()
@@ -266,6 +288,7 @@ def _fixture_document(name: str, n: int, q_text: str) -> str:
         return unparse_document(doc)
     if name == "cibils":
         q = parse_scalar(q_text)
+        _check_cibils_work(n, q_text, q)
         data = fixture_cibils(n, q)
         return unparse_document(
             document_from_structure("E", data["structure"])

@@ -513,6 +513,8 @@ def cibils_structures(n: int, q: Scalar) -> Dict[str, object]:
     def comp(i: int) -> List[Tuple[int, int]]:
         return [(j, i - j) for j in range(i + 1)]
 
+    powers = [q ** k for k in range(n)]
+
     delta_star_table: Dict[str, Tensor] = {}
     delta_table: Dict[str, Tensor] = {}
     deltahat_table: Dict[str, Tensor] = {}
@@ -527,7 +529,7 @@ def cibils_structures(n: int, q: Scalar) -> Dict[str, object]:
         delta_table[f"x{i}"] = {(f"a{j}", f"x{k}"): ONE for j, k in comp(i)}
         deltahat_table[f"a{i}"] = dict(delta_a)
         hat_x: Tensor = {
-            (f"x{j}", f"a{k}"): q ** k for j, k in comp(i)
+            (f"x{j}", f"a{k}"): powers[k] for j, k in comp(i)
         }
         deltahat_table[f"x{i}"] = dict(hat_x)
         deltahat_d_table[f"x{i}"] = dict(hat_x)

@@ -1,10 +1,18 @@
 """End-to-end runs of the command-line front end through main(argv):
 exit codes, report lines, document emission, and error handling."""
 
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcoalg.cli import FIXTURE_NAMES, MAX_FIXTURE_N, main
-from lcoalg.dsl import parse_document
+from lcoalg.dsl import document_from_structure, parse_document, unparse_document
+from lcoalg.scalars import ONE
+from test_complexes import random_structures
 
 
 def run(capsys, *argv):
@@ -436,3 +444,61 @@ def test_document_with_too_large_power_is_positioned_usage_error(tmp_path, capsy
         "error: line 4, column 1: bad scalar 'q^300000': power too large: exponent"
         " 300000 times base size 1 exceeds 50000 (at offset 1)\n"
     )
+
+
+# With each power of q computed once, these still take 1.4 to 15 s in process
+# (2-core Xeon, Python 3.11); the bound refuses them before any power.
+@pytest.mark.parametrize("n, q", [
+    ("150", "1+q"), ("80", "1+q"), ("60", "q^500"), ("40", "(1+q)^5"), ("150", "q^20"),
+])
+def test_fixture_cibils_beyond_its_work_bound_is_usage_error(n, q, capsys):
+    code, out, err = run(capsys, "fixtures", "cibils", "--n", n, f"--q={q}")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: fixtures cibils --n {n} --q={q} costs ")
+    assert err.count("\n") == 1 and "over the limit of" in err
+
+
+@pytest.mark.parametrize("n, q", [("150", "q"), ("150", "q^2"), ("150", "-9/7"), ("40", "1+q")])
+def test_fixture_cibils_within_its_work_bound_is_written(n, q, capsys):
+    code, out, err = run(capsys, "fixtures", "cibils", "--n", n, f"--q={q}")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0].endswith(f", x{int(n) - 1} }}")
+
+
+def _quiet_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_complex_keeps_the_exit_code_contract(data):
+    # Valid arguments are drawn more often than the unknown label "zz", the
+    # unknown coproduct "Gamma", the unknown form and the refused degrees.
+    structure, unit = data.draw(random_structures(grouplike_unit=data.draw(st.booleans())))
+    labels = structure.space.labels
+    unit = data.draw(st.sampled_from((unit,) * 3 + labels + ("zz",)), label="unit")
+    coproduct = data.draw(st.sampled_from(("Delta",) * 3 + ("Gamma",)), label="coproduct")
+    form = data.draw(st.sampled_from(("primary", "prime", "alternative") * 2 + ("bogus",)),
+                     label="form")
+    degree = data.draw(st.sampled_from(("1", "2", "3", "4") * 2 + ("-1", "0", "1000000")),
+                       label="degree")
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir, "V.doc")
+        path.write_text(unparse_document(document_from_structure("V", structure)))
+        code, out, err = _quiet_main(["complex", str(path), "--coproduct", coproduct,
+                                      "--unit", unit, "--form", form,
+                                      "--max-degree", degree])
+        coassoc, _, _ = _quiet_main(["check", str(path), "--axiom", "coassoc",
+                                     "--bind", f"Delta={coproduct}"])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        return
+    assert err == ""
+    grouplike = structure.coproduct("Delta").of_label(unit) == {(unit, unit): ONE}
+    if grouplike:
+        assert ("\tdd_degree_" in out) == (coassoc == 1)

@@ -1,12 +1,15 @@
 """Boundary operators built from a coproduct and a group-like unit: the
 differential property, the equality of the corrected forms, and the flower
-coproducts themselves."""
+coproducts themselves.  The enumerating checks the library replaced are
+kept here as oracles for the shortcut checks."""
 
 from itertools import product as iter_product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lcoalg import complexes
+from lcoalg.coalgebra import AxiomReport, LStructure
 from lcoalg.complexes import (
     boundary_apply,
     check_boundary_forms_agree,
@@ -16,7 +19,14 @@ from lcoalg.complexes import (
 )
 from lcoalg.dsl import parse_document
 from lcoalg.fixtures import fixture_cibils, fixture_group
-from lcoalg.linalg import add_scaled, tensor_add, tensor_scale, tensor_sub
+from lcoalg.linalg import (
+    BasisSpace,
+    MultiLinearMap,
+    add_scaled,
+    tensor_add,
+    tensor_scale,
+    tensor_sub,
+)
 from lcoalg.scalars import MINUS_ONE, ONE, parse_scalar
 
 
@@ -241,3 +251,141 @@ def test_non_coassociative_coproduct_fails_dd(boundary_structures, form):
     ]
     assert not report.notes
     assert check_boundary_forms_agree(s, "Delta", "e", max_degree=2).passed
+
+
+# -- the shortcut checks against the enumerating ones they replaced ---------
+
+
+def oracle_check_complex(s, name, unit_label, max_degree=3, form="primary"):
+    """d(d(t)) for every basis tensor t, each row d(u) built once."""
+    report = AxiomReport(axiom=f"boundary_complex[{form}]")
+    if unit_label not in s.space:
+        raise ValueError(f"unit label {unit_label!r} not in space")
+    unit_cp = s.coproduct(name).of_label(unit_label)
+    if unit_cp != {(unit_label, unit_label): ONE}:
+        report.notes.append("unit label is not group-like")
+        report.witnesses.append(
+            (unit_label, "unit_grouplike", unit_cp, {(unit_label, unit_label): ONE})
+        )
+        return report
+    rows = {}
+
+    def row(term):
+        if term not in rows:
+            rows[term] = complexes.boundary_apply(s, name, unit_label, {term: ONE}, form)
+        return rows[term]
+
+    for n in range(1, max_degree + 1):
+        for term in iter_product(s.space.labels, repeat=n):
+            twice = {}
+            for u, c in row(term).items():
+                add_scaled(twice, row(u).items(), c)
+            if twice:
+                report.witnesses.append(
+                    ("(" + ",".join(term) + ")", f"dd_degree_{n}", twice, {})
+                )
+    return report
+
+
+def oracle_forms_agree(s, name, unit_label, max_degree=3):
+    """Both corrected forms on every basis tensor."""
+    report = AxiomReport(axiom="boundary_forms_agree")
+    for n in range(1, max_degree + 1):
+        for term in iter_product(s.space.labels, repeat=n):
+            t = {term: ONE}
+            a = complexes.boundary_apply(s, name, unit_label, t, "primary")
+            b = complexes.boundary_apply(s, name, unit_label, t, "alternative")
+            if a != b:
+                report.witnesses.append(("(" + ",".join(term) + ")", f"degree_{n}", a, b))
+    return report
+
+
+@st.composite
+def random_structures(draw, grouplike_unit=True):
+    """(structure, unit): a coproduct Delta on 1-3 labels whose rows are each
+    group-like, primitive (x @ unit + unit @ x) or random, so coassociative
+    and non-coassociative coproducts both occur.  The unit's row is
+    unit @ unit when ``grouplike_unit``, and drawn like the others if not."""
+    labels = ("e", "x", "y")[: draw(st.integers(min_value=1, max_value=3))]
+    unit = draw(st.sampled_from(labels))
+    table = {}
+    for lab in labels:
+        kind = "grouplike" if grouplike_unit and lab == unit else draw(
+            st.sampled_from(("grouplike", "primitive", "random")))
+        row = {}
+        if kind == "grouplike":
+            add_scaled(row, [((lab, lab), ONE)], ONE)
+        elif kind == "primitive":
+            add_scaled(row, [((lab, unit), ONE), ((unit, lab), ONE)], ONE)
+        else:
+            pairs = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
+            for term in draw(st.lists(pairs, max_size=3)):
+                add_scaled(row, [(term, draw(st.sampled_from(COEFFS)))], ONE)
+        table[lab] = row
+    space = BasisSpace(labels)
+    return LStructure(space, {"Delta": MultiLinearMap(space, 2, table)}), unit
+
+
+def report_parts(report):
+    return report.axiom, report.notes, report.witnesses
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=random_structures(), form=st.sampled_from(FORMS),
+       degree=st.integers(min_value=1, max_value=3))
+def test_complex_check_matches_row_cache_oracle(case, form, degree):
+    s, unit = case
+    assert report_parts(check_complex(s, "Delta", unit, degree, form)) == report_parts(
+        oracle_check_complex(s, "Delta", unit, degree, form))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=random_structures(grouplike_unit=False),
+       degree=st.integers(min_value=1, max_value=3), data=st.data())
+def test_forms_agree_matches_enumerating_oracle(case, degree, data):
+    s, _ = case
+    unit = data.draw(st.sampled_from(s.space.labels))
+    assert report_parts(check_boundary_forms_agree(s, "Delta", unit, degree)) == (
+        report_parts(oracle_forms_agree(s, "Delta", unit, degree)))
+
+
+# Unit insertions, as (gap, coefficient), that a mutant adds to the
+# alternative form: slot 1 without its insertion at gap 0 or 1, slot 2
+# without gap 2, slot 3 without gap 3, and an insertion moved from gap 2 to
+# gap 1, which the probe (unit,...,unit) could not see.
+MUTANTS = [((0, ONE),), ((1, ONE),), ((2, MINUS_ONE),), ((3, ONE),),
+           ((1, ONE), (2, MINUS_ONE))]
+
+
+@pytest.mark.parametrize("extra", MUTANTS)
+def test_forms_agree_sees_a_misplaced_flower_insertion(boundary_structures, monkeypatch,
+                                                       extra):
+    real = complexes.boundary_apply
+
+    def mutant(s, name, unit_label, tensor, form="primary"):
+        out = real(s, name, unit_label, tensor, form)
+        if form == "alternative" and tensor and len(next(iter(tensor))) >= extra[-1][0]:
+            for gap, coeff in extra:
+                add_scaled(out, insert_unit(tensor, gap, unit_label).items(), coeff)
+        return out
+
+    monkeypatch.setattr(complexes, "boundary_apply", mutant)
+    for case, name in BOUNDARY_CASES:
+        s = boundary_structures[case]
+        for unit in s.space.labels:
+            assert not check_boundary_forms_agree(s, name, unit, max_degree=3).passed
+            assert not oracle_forms_agree(s, name, unit, max_degree=3).passed
+
+
+def test_check_complex_rejects_unknown_form_after_unit_checks(boundary_structures):
+    # A unit that is not group-like is reported before the form is read.
+    report = check_complex(boundary_structures["F"], "Delta", "b", form="bogus")
+    assert report.witnesses[0][1] == "unit_grouplike"
+    s = boundary_structures["group3"]
+    for degree in (0, 1, 3):
+        with pytest.raises(ValueError, match="unknown boundary form 'bogus'"):
+            check_complex(s, "Delta", "g0", max_degree=degree, form="bogus")
+    with pytest.raises(ValueError, match="unit label 'nope' not in space"):
+        check_complex(s, "Delta", "nope", form="bogus")
+    with pytest.raises(KeyError):
+        check_complex(s, "Nope", "g0", form="bogus")
