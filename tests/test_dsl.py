@@ -83,14 +83,17 @@ def test_bad_space_declaration_position():
     with pytest.raises(DslError) as err:
         parse_document("space V = a, b\n")
     assert err.value.line == 1
-    assert "space NAME = { label, ... }" in err.value.expected
+    assert err.value.expected == ["space NAME = { label, ... }"]
+    assert str(err.value) == (
+        "line 1, column 1: bad space declaration (expected space NAME = { label, ... })"
+    )
 
 
 def test_unknown_space_in_header():
     with pytest.raises(DslError) as err:
         parse_document("space V = { a }\ncoproduct D on W:\n")
     assert err.value.line == 2
-    assert "unknown space" in str(err.value)
+    assert str(err.value) == "line 2, column 1: unknown space 'W'"
 
 
 def test_bad_tensor_term_reports_line():
@@ -101,7 +104,10 @@ def test_bad_tensor_term_reports_line():
             "  a -> <a a>\n"
         )
     assert err.value.line == 3
-    assert "[scalar *] <label, label>" in err.value.expected
+    assert err.value.expected == ["[scalar *] <label, label>"]
+    assert str(err.value) == (
+        "line 3, column 1: bad tensor term '<a a>' (expected [scalar *] <label, label>)"
+    )
 
 
 def test_minus_between_tensor_terms_names_the_term():
@@ -133,14 +139,16 @@ def test_undeclared_label_rejected():
             "  a -> <a, z>\n"
         )
     assert err.value.line == 3
-    assert "'z'" in str(err.value)
+    assert str(err.value) == "line 3, column 1: label 'z' is not declared in space 'V'"
 
 
 def test_duplicate_labels_and_spaces():
-    with pytest.raises(DslError):
+    with pytest.raises(DslError) as err:
         parse_document("space V = { a, a }\n")
-    with pytest.raises(DslError):
+    assert str(err.value) == "line 1, column 1: duplicate labels in space"
+    with pytest.raises(DslError) as err:
         parse_document("space V = { a }\nspace V = { b }\n")
+    assert str(err.value) == "line 2, column 1: space 'V' declared twice"
     with pytest.raises(DslError) as err:
         parse_document(
             "space V = { a }\n"
@@ -149,6 +157,7 @@ def test_duplicate_labels_and_spaces():
             "  a -> <a, a>\n"
         )
     assert err.value.line == 4
+    assert str(err.value) == "line 4, column 1: label 'a' defined twice"
 
 
 def test_bad_scalar_reports_line():
@@ -159,24 +168,30 @@ def test_bad_scalar_reports_line():
             "  a -> q^\n"
         )
     assert err.value.line == 3
-    assert "bad scalar" in str(err.value)
+    assert str(err.value) == (
+        "line 3, column 1: bad scalar 'q^': expected an integer (at offset 2)"
+    )
 
 
 def test_line_outside_any_block():
     with pytest.raises(DslError) as err:
         parse_document("a -> <a, a>\n")
     assert err.value.line == 1
-    assert "space" in err.value.expected
-    assert "channel" in err.value.expected
+    assert err.value.expected == ["space", "coproduct", "counit", "algebra", "channel"]
+    assert str(err.value) == (
+        "line 1, column 1: unexpected line 'a -> <a, a>'"
+        " (expected space | coproduct | counit | algebra | channel)"
+    )
 
 
 def test_unbalanced_bracket():
-    with pytest.raises(DslError):
+    with pytest.raises(DslError) as err:
         parse_document(
             "space V = { a }\n"
             "coproduct D on V:\n"
             "  a -> (q * <a, a>\n"
         )
+    assert str(err.value) == "line 3, column 11: unbalanced bracket"
 
 
 def test_multi_term_scalar_needs_parentheses():
@@ -188,12 +203,15 @@ def test_multi_term_scalar_needs_parentheses():
         "  a -> (1 + q) * <a, a>\n"
     )
     assert doc.coproducts["D"][1]["a"] == {("a", "a"): ONE + Q}
-    with pytest.raises(DslError):
+    with pytest.raises(DslError) as err:
         parse_document(
             "space V = { a }\n"
             "coproduct D on V:\n"
             "  a -> 1 + q * <a, a>\n"
         )
+    assert str(err.value) == (
+        "line 3, column 1: bad tensor term '1' (expected [scalar *] <label, label>)"
+    )
 
 
 def test_algebra_block():
@@ -208,12 +226,15 @@ def test_algebra_block():
     )
     s = doc.structure("V")
     assert s.algebra.mul_labels("g", "g") == {"e": ONE}
-    with pytest.raises(DslError):
+    with pytest.raises(DslError) as err:
         parse_document(
             "space V = { e }\n"
             "algebra A on V:\n"
             "  e * e * e -> e\n"
         )
+    assert str(err.value) == (
+        "line 3, column 1: expected 'label * label -> ...' or 'unit -> ...'"
+    )
 
 
 def test_channel_block_between_spaces():

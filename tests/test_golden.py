@@ -88,6 +88,57 @@ COMPLEX_MATRIX = (
     ("noncoassoc.doc", ("Delta",)),
 )
 
+# (name, document) of each way the document reader refuses a line, the
+# scalar reader's refusals included; each runs as ``check @bad_NAME.doc``
+_V = "space V = { a, b }\n"
+_CP = _V + "coproduct D on V:\n"
+_ALG = _V + "algebra A on V:\n"
+_CH = _V + "space W = { x }\nchannel P : V -> W:\n"
+READER_ERRORS = (
+    ("unbalanced_closer", _CP + "  a -> q) * <a, a>\n"),
+    ("unbalanced_angle_closer", _CP + "  a -> <a, a>> + <b, b>\n"),
+    ("unclosed_paren", _CP + "  a -> (q * <a, a>\n"),
+    ("unclosed_angle", _CP + "  a ->  q * <a, a  # comment\n"),
+    ("unclosed_outer_paren", _CP + "\ta -> <a, a> + ((1 + q) * <b, b>\n"),
+    ("unbalanced_vector", _ALG + "  unit -> a)\n"),
+    ("term_bad_scalar", _CP + "  a -> q^ * <a, a>\n"),
+    ("term_power_too_large", _CP + "  a -> (1 + q)^300 * <a, a>\n"),
+    ("term_zero_inverse", _CP + "  a -> 0^-1 * <a, a>\n"),
+    ("two_pairs", _CP + "  a -> <a, a> - <b, b>\n"),
+    ("bad_tensor_term", _CP + "  a -> <a a>\n"),
+    ("bad_vector_term", _ALG + "  unit -> a b\n"),
+    ("bad_channel_term", _CH + "  a -> 2 x\n"),
+    ("coproduct_unknown_lhs", _CP + "  z -> <a, a>\n"),
+    ("coproduct_unknown_label", _CP + "  a -> <a, z>\n"),
+    ("counit_unknown_label", _V + "counit e on V:\n  z -> 1\n"),
+    ("algebra_unknown_label", _ALG + "  unit -> z\n"),
+    ("algebra_unknown_factor", _ALG + "  a * z -> a\n"),
+    ("channel_unknown_source_label", _CH + "  z -> x\n"),
+    ("channel_unknown_target_label", _CH + "  a -> y\n"),
+    ("bad_space", "space V = a, b\n"),
+    ("empty_space", "space V = { , }\n"),
+    ("space_twice", _V + "space V = { c }\n"),
+    ("duplicate_labels", "space V = { a, b, a }\n"),
+    ("bad_coproduct_header", _V + "coproduct D V:\n"),
+    ("coproduct_unknown_space", _V + "coproduct D on W:\n"),
+    ("bad_counit_header", _V + "counit e on V\n"),
+    ("counit_unknown_space", _V + "counit e on W:\n"),
+    ("bad_algebra_header", _V + "algebra A on V: a\n"),
+    ("algebra_unknown_space", _V + "algebra A on W:\n"),
+    ("bad_channel_header", _V + "channel P : V W:\n"),
+    ("channel_unknown_source", _V + "channel P : W -> V:\n"),
+    ("channel_unknown_target", _V + "channel P : V -> W:\n"),
+    ("line_outside_block", "a -> <a, a>\n"),
+    ("line_after_space", _CP + "  a -> <a, a>\nspace W = { x }\n  b -> <b, b>\n"),
+    ("missing_arrow", _CP + "  a <a, a>\n"),
+    ("defined_twice", _CP + "  a -> <a, a>\n  b -> <b, b>\n  a -> <a, b>\n"),
+    ("counit_bad_scalar", _V + "counit e on V:\n  a -> 1/\n"),
+    ("counit_empty", _V + "counit e on V:\n  a ->\n"),
+    ("counit_power_too_large", _V + "counit e on V:\n  a -> q^100000\n"),
+    ("counit_zero_inverse", _V + "counit e on V:\n  a -> 0^-1\n"),
+    ("three_factors", _ALG + "  a * b * a -> a\n"),
+)
+
 FIXED_POINT_CHANNEL = "\nchannel Bad : F -> F:\n  a -> a\n  b -> b\n  c -> c\n  d -> d\n"
 
 
@@ -189,6 +240,9 @@ def transcript(workdir: str):
             run("complex", "@" + doc, "--coproduct", cp, "--unit", unit,
                 "--form", form, "--max-degree", degree)
     run("embed", "--edges", "@petersen.edges")
+    for name, text in READER_ERRORS:
+        Path(path(f"bad_{name}.doc")).write_text(text, encoding="utf-8")
+        run("check", f"@bad_{name}.doc", "--axiom", "coassoc")
 
     for name, structure in _library_documents():
         text = unparse_document(document_from_structure("E", structure))
