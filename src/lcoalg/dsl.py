@@ -21,7 +21,10 @@ Grammar (one declaration per block; '#' starts a comment):
 
 Scalars are rational-function expressions in q (see the scalar parser);
 multi-term scalars must be parenthesized so '+' splits terms only at the
-top level.
+top level.  The reader reads each line once, through one table of block
+headers and one term reader, and parses each distinct scalar text (term
+coefficient or counit value) once per document; scalars are immutable, so
+repeats share one object.
 """
 
 from __future__ import annotations
@@ -105,113 +108,101 @@ class SpecDocument:
 
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_SPACE_RE = re.compile(rf"^space\s+({_NAME})\s*=\s*\{{(.*)\}}\s*$")
-_COPRODUCT_RE = re.compile(rf"^coproduct\s+({_NAME})\s+on\s+({_NAME})\s*:\s*$")
-_COUNIT_RE = re.compile(rf"^counit\s+({_NAME})\s+on\s+({_NAME})\s*:\s*$")
-_ALGEBRA_RE = re.compile(rf"^algebra\s+({_NAME})\s+on\s+({_NAME})\s*:\s*$")
-_CHANNEL_RE = re.compile(
-    rf"^channel\s+({_NAME})\s*:\s*({_NAME})\s*->\s*({_NAME})\s*:\s*$"
-)
+_ON = rf"\s+({_NAME})\s+on\s+({_NAME})\s*:\s*$"
+# keyword -> (header pattern, error message, expected form); the groups are
+# the name and the spaces of the block, or the name and labels of a space
+_HEADERS = {
+    "space": (re.compile(rf"^space\s+({_NAME})\s*=\s*\{{(.*)\}}\s*$"),
+              "bad space declaration", "space NAME = { label, ... }"),
+    "coproduct": (re.compile("^coproduct" + _ON), "bad coproduct header",
+                  "coproduct NAME on SPACE:"),
+    "counit": (re.compile("^counit" + _ON), "bad counit header",
+               "counit NAME on SPACE:"),
+    "algebra": (re.compile("^algebra" + _ON), "bad algebra header",
+                "algebra NAME on SPACE:"),
+    "channel": (
+        re.compile(rf"^channel\s+({_NAME})\s*:\s*({_NAME})\s*->\s*({_NAME})\s*:\s*$"),
+        "bad channel header", "channel NAME : SPACE -> SPACE:",
+    ),
+}
+# kind -> (term pattern, error message, expected form); the first group is
+# the coefficient, up to the last '*' before the labels
+_TERMS = {
+    "tensor": (re.compile(rf"^(?:(.*)\*)?\s*<\s*({_NAME})\s*,\s*({_NAME})\s*>\s*$"),
+               "bad tensor term", "[scalar *] <label, label>"),
+    "vector": (re.compile(rf"^(?:(.*)\*)?\s*({_NAME})\s*$"),
+               "bad vector term", "[scalar *] label"),
+}
 _PAIR_RE = re.compile(rf"<\s*{_NAME}\s*,\s*{_NAME}\s*>")
-_PAIR_TERM_RE = re.compile(rf"^(?:(.*)\*)?\s*<\s*({_NAME})\s*,\s*({_NAME})\s*>\s*$")
-_VEC_TERM_RE = re.compile(rf"^(?:(.*)\*)?\s*({_NAME})\s*$")
-_KEYWORDS = ("space", "coproduct", "counit", "algebra", "channel")
+_BRACKET_OR_PLUS = re.compile(r"[()<>+]")
 
 
 def _split_top_plus(text: str, line: int) -> List[str]:
+    """``text`` cut at each '+' outside brackets; only brackets and '+' are
+    visited."""
     parts: List[str] = []
-    depth = 0
-    current: List[str] = []
-    for i, ch in enumerate(text):
-        if ch == "(" or ch == "<":
+    start = depth = 0
+    for m in _BRACKET_OR_PLUS.finditer(text):
+        ch = m.group()
+        if ch == "+":
+            if depth == 0:
+                parts.append(text[start:m.start()])
+                start = m.end()
+        elif ch in "(<":
             depth += 1
-        elif ch == ")" or ch == ">":
+        else:
             depth -= 1
             if depth < 0:
-                raise DslError("unbalanced bracket", line, i + 1)
-        if ch == "+" and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
+                raise DslError("unbalanced bracket", line, m.start() + 1)
     if depth != 0:
         raise DslError("unbalanced bracket", line, len(text))
-    parts.append("".join(current))
+    parts.append(text[start:])
     return parts
 
 
-def _parse_scalar_prefix(raw: Optional[str], line: int) -> Scalar:
-    if raw is None or not raw.strip():
-        return ONE
-    try:
-        return parse_scalar(raw.strip())
-    except ScalarSyntaxError as exc:
-        raise DslError(f"bad scalar {raw.strip()!r}: {exc}", line) from exc
+def _scalar(text: str, line: int, seen: Dict[str, Scalar]) -> Scalar:
+    """The scalar written ``text``, parsed once per document."""
+    value = seen.get(text)
+    if value is None:
+        try:
+            value = seen[text] = parse_scalar(text)
+        except ScalarSyntaxError as exc:
+            raise DslError(f"bad scalar {text!r}: {exc}", line) from exc
+    return value
 
 
-def _parse_pair_terms(rhs: str, line: int) -> Tensor:
-    tensor: Tensor = {}
+def _parse_terms(rhs: str, line: int, kind: str, seen: Dict[str, Scalar]) -> Dict:
+    """A '+'-joined sum of tensor terms ``[scalar *] <label, label>`` or of
+    vector terms ``[scalar *] label``."""
+    pattern, message, expected = _TERMS[kind]
+    out: Dict = {}
     for chunk in _split_top_plus(rhs, line):
         chunk = chunk.strip()
-        pairs = len(_PAIR_RE.findall(chunk))
-        if pairs > 1:
-            raise DslError(
-                f"tensor term {chunk!r} holds {pairs} pairs; terms are joined"
-                " with '+', as in '+ -1/2 * <e, x>'", line,
-            )
-        m = _PAIR_TERM_RE.match(chunk)
+        if kind == "tensor":
+            pairs = len(_PAIR_RE.findall(chunk))
+            if pairs > 1:
+                raise DslError(
+                    f"tensor term {chunk!r} holds {pairs} pairs; terms are joined"
+                    " with '+', as in '+ -1/2 * <e, x>'", line,
+                )
+        m = pattern.match(chunk)
         if not m:
-            raise DslError(
-                f"bad tensor term {chunk!r}", line,
-                expected=["[scalar *] <label, label>"],
-            )
-        coeff = _parse_scalar_prefix(m.group(1), line)
-        add_scaled(tensor, [((m.group(2), m.group(3)), coeff)], ONE)
-    return tensor
-
-
-def _parse_vec_terms(rhs: str, line: int) -> Vector:
-    vec: Vector = {}
-    for chunk in _split_top_plus(rhs, line):
-        chunk = chunk.strip()
-        m = _VEC_TERM_RE.match(chunk)
-        if not m:
-            raise DslError(
-                f"bad vector term {chunk!r}", line,
-                expected=["[scalar *] label"],
-            )
-        coeff = _parse_scalar_prefix(m.group(1), line)
-        add_scaled(vec, [(m.group(2), coeff)], ONE)
-    return vec
+            raise DslError(f"{message} {chunk!r}", line, expected=[expected])
+        raw, *labels = m.groups()
+        key = tuple(labels) if kind == "tensor" else labels[0]
+        coeff = _scalar(raw.strip(), line, seen) if raw and raw.strip() else ONE
+        add_scaled(out, [(key, coeff)], ONE)
+    return out
 
 
 def parse_document(text: str) -> SpecDocument:
     doc = SpecDocument()
-    # block: (kind, name, space or (src, dst), accumulating table)
-    block: Optional[Tuple[str, ...]] = None
-    block_data: Dict = {}
+    seen: Dict[str, Scalar] = {}
+    kind: Optional[str] = None  # of the open block, with its name, spaces and table
+    name, spaces, table = "", [], {}
 
-    def close_block():
-        nonlocal block, block_data
-        if block is None:
-            return
-        kind = block[0]
-        if kind == "coproduct":
-            doc.coproducts[block[1]] = (block[2], block_data)
-        elif kind == "counit":
-            doc.counits[block[1]] = (block[2], block_data)
-        elif kind == "algebra":
-            unit = block_data.pop("__unit__", {})
-            doc.algebras[block[1]] = (block[2], unit, block_data)
-        elif kind == "channel":
-            doc.channels[block[1]] = (block[2], block[3], block_data)
-        block = None
-        block_data = {}
-
-    def check_labels(space_name: str, labels: List[str], lineno: int):
-        declared = doc.spaces.get(space_name)
-        if declared is None:
-            raise DslError(f"unknown space {space_name!r}", lineno)
+    def check_labels(space_name: str, labels, lineno: int):
+        declared = doc.spaces[space_name]
         for lab in labels:
             if lab not in declared:
                 raise DslError(
@@ -219,121 +210,73 @@ def parse_document(text: str) -> SpecDocument:
                 )
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        stripped = raw.split("#", 1)[0].strip()
+        if not stripped:
             continue
-        stripped = line.strip()
         word = stripped.split(None, 1)[0]
-        if word in _KEYWORDS:
-            close_block()
+        if word in _HEADERS:
+            pattern, message, expected = _HEADERS[word]
+            m = pattern.match(stripped)
+            if not m:
+                raise DslError(message, lineno, expected=[expected])
+            kind = None
             if word == "space":
-                m = _SPACE_RE.match(stripped)
-                if not m:
-                    raise DslError(
-                        "bad space declaration", lineno,
-                        expected=["space NAME = { label, ... }"],
-                    )
-                name, body = m.group(1), m.group(2)
-                labels = [p.strip() for p in body.split(",") if p.strip()]
+                labels = [p.strip() for p in m.group(2).split(",") if p.strip()]
                 if not labels:
                     raise DslError("space needs at least one label", lineno)
-                if name in doc.spaces:
-                    raise DslError(f"space {name!r} declared twice", lineno)
+                if m.group(1) in doc.spaces:
+                    raise DslError(f"space {m.group(1)!r} declared twice", lineno)
                 if len(set(labels)) != len(labels):
                     raise DslError("duplicate labels in space", lineno)
-                doc.spaces[name] = tuple(labels)
-            elif word == "coproduct":
-                m = _COPRODUCT_RE.match(stripped)
-                if not m:
-                    raise DslError(
-                        "bad coproduct header", lineno,
-                        expected=["coproduct NAME on SPACE:"],
-                    )
-                if m.group(2) not in doc.spaces:
-                    raise DslError(f"unknown space {m.group(2)!r}", lineno)
-                block = ("coproduct", m.group(1), m.group(2))
-            elif word == "counit":
-                m = _COUNIT_RE.match(stripped)
-                if not m:
-                    raise DslError(
-                        "bad counit header", lineno,
-                        expected=["counit NAME on SPACE:"],
-                    )
-                if m.group(2) not in doc.spaces:
-                    raise DslError(f"unknown space {m.group(2)!r}", lineno)
-                block = ("counit", m.group(1), m.group(2))
-            elif word == "algebra":
-                m = _ALGEBRA_RE.match(stripped)
-                if not m:
-                    raise DslError(
-                        "bad algebra header", lineno,
-                        expected=["algebra NAME on SPACE:"],
-                    )
-                if m.group(2) not in doc.spaces:
-                    raise DslError(f"unknown space {m.group(2)!r}", lineno)
-                block = ("algebra", m.group(1), m.group(2))
-            else:
-                m = _CHANNEL_RE.match(stripped)
-                if not m:
-                    raise DslError(
-                        "bad channel header", lineno,
-                        expected=["channel NAME : SPACE -> SPACE:"],
-                    )
-                for sp in (m.group(2), m.group(3)):
-                    if sp not in doc.spaces:
-                        raise DslError(f"unknown space {sp!r}", lineno)
-                block = ("channel", m.group(1), m.group(2), m.group(3))
+                doc.spaces[m.group(1)] = tuple(labels)
+                continue
+            kind, (name, *spaces), table = word, m.groups(), {}
+            for sp in spaces:
+                if sp not in doc.spaces:
+                    raise DslError(f"unknown space {sp!r}", lineno)
+            if kind == "algebra":
+                doc.algebras[name] = (spaces[0], {}, table)
+            else:  # (space, table), or (source, target, table) for a channel
+                getattr(doc, kind + "s")[name] = (*spaces, table)
             continue
 
-        if block is None:
+        if kind is None:
             raise DslError(
-                f"unexpected line {stripped!r}", lineno, expected=list(_KEYWORDS)
+                f"unexpected line {stripped!r}", lineno, expected=list(_HEADERS)
             )
         if "->" not in stripped:
             raise DslError("expected 'lhs -> rhs'", lineno)
-        lhs, rhs = stripped.split("->", 1)
-        lhs = lhs.strip()
-        rhs = rhs.strip()
-        kind = block[0]
+        lhs, rhs = (side.strip() for side in stripped.split("->", 1))
         if kind == "coproduct":
-            space_name = block[2]
-            check_labels(space_name, [lhs], lineno)
-            tensor = _parse_pair_terms(rhs, lineno)
-            check_labels(
-                space_name, [lab for term in tensor for lab in term], lineno
-            )
-            if lhs in block_data:
+            check_labels(spaces[0], [lhs], lineno)
+            tensor = _parse_terms(rhs, lineno, "tensor", seen)
+            check_labels(spaces[0], [lab for term in tensor for lab in term], lineno)
+            if lhs in table:
                 raise DslError(f"label {lhs!r} defined twice", lineno)
-            block_data[lhs] = tensor
+            table[lhs] = tensor
         elif kind == "counit":
-            check_labels(block[2], [lhs], lineno)
-            try:
-                value = parse_scalar(rhs)
-            except ScalarSyntaxError as exc:
-                raise DslError(f"bad scalar {rhs!r}: {exc}", lineno) from exc
+            check_labels(spaces[0], [lhs], lineno)
+            value = _scalar(rhs, lineno, seen)
             if not value.is_zero():
-                block_data[lhs] = value
+                table[lhs] = value
         elif kind == "algebra":
-            space_name = block[2]
-            vec = _parse_vec_terms(rhs, lineno)
-            check_labels(space_name, list(vec), lineno)
+            vec = _parse_terms(rhs, lineno, "vector", seen)
+            check_labels(spaces[0], vec, lineno)
             if lhs == "unit":
-                block_data["__unit__"] = vec
+                doc.algebras[name] = (spaces[0], vec, table)
             else:
                 factors = [p.strip() for p in lhs.split("*")]
                 if len(factors) != 2:
                     raise DslError(
                         "expected 'label * label -> ...' or 'unit -> ...'", lineno
                     )
-                check_labels(space_name, factors, lineno)
-                block_data[(factors[0], factors[1])] = vec
+                check_labels(spaces[0], factors, lineno)
+                table[(factors[0], factors[1])] = vec
         else:  # channel
-            src, dst = block[2], block[3]
-            check_labels(src, [lhs], lineno)
-            vec = _parse_vec_terms(rhs, lineno)
-            check_labels(dst, list(vec), lineno)
-            block_data[lhs] = vec
-    close_block()
+            check_labels(spaces[0], [lhs], lineno)
+            vec = _parse_terms(rhs, lineno, "vector", seen)
+            check_labels(spaces[1], vec, lineno)
+            table[lhs] = vec
     return doc
 
 

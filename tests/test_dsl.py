@@ -1,11 +1,24 @@
 """Text format for spaces, coproducts, counits, algebras, and channels:
-round-trips through the canonical unparser and positioned diagnostics."""
+round-trips through the canonical unparser and positioned diagnostics.
+The reader as it was before its one-pass rewrite is kept here as the
+oracle of a hypothesis property over mutated documents."""
+
+import operator
+import re
+from fractions import Fraction
+from functools import reduce
+from typing import Dict, List, Optional, Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lcoalg import dsl
+from lcoalg.cli import main
 from lcoalg.coalgebra import check_axiom
 from lcoalg.dsl import (
     DslError,
+    SpecDocument,
     document_from_structure,
     parse_document,
     unparse_document,
@@ -15,7 +28,246 @@ from lcoalg.fixtures import (
     fixture_group,
     fixture_quantum_sphere,
 )
-from lcoalg.scalars import ONE, Q
+from lcoalg.linalg import Tensor, Vector, add_scaled
+from lcoalg.scalars import ONE, Q, Scalar, ScalarSyntaxError, parse_scalar
+
+
+# -- the reader before the one-pass rewrite, kept as the oracle ------------
+
+
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_SPACE_RE = re.compile(rf"^space\s+({_NAME})\s*=\s*\{{(.*)\}}\s*$")
+_COPRODUCT_RE = re.compile(rf"^coproduct\s+({_NAME})\s+on\s+({_NAME})\s*:\s*$")
+_COUNIT_RE = re.compile(rf"^counit\s+({_NAME})\s+on\s+({_NAME})\s*:\s*$")
+_ALGEBRA_RE = re.compile(rf"^algebra\s+({_NAME})\s+on\s+({_NAME})\s*:\s*$")
+_CHANNEL_RE = re.compile(
+    rf"^channel\s+({_NAME})\s*:\s*({_NAME})\s*->\s*({_NAME})\s*:\s*$"
+)
+_PAIR_RE = re.compile(rf"<\s*{_NAME}\s*,\s*{_NAME}\s*>")
+_PAIR_TERM_RE = re.compile(rf"^(?:(.*)\*)?\s*<\s*({_NAME})\s*,\s*({_NAME})\s*>\s*$")
+_VEC_TERM_RE = re.compile(rf"^(?:(.*)\*)?\s*({_NAME})\s*$")
+_KEYWORDS = ("space", "coproduct", "counit", "algebra", "channel")
+
+
+def _split_top_plus(text: str, line: int) -> List[str]:
+    parts: List[str] = []
+    depth = 0
+    current: List[str] = []
+    for i, ch in enumerate(text):
+        if ch == "(" or ch == "<":
+            depth += 1
+        elif ch == ")" or ch == ">":
+            depth -= 1
+            if depth < 0:
+                raise DslError("unbalanced bracket", line, i + 1)
+        if ch == "+" and depth == 0:
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    if depth != 0:
+        raise DslError("unbalanced bracket", line, len(text))
+    parts.append("".join(current))
+    return parts
+
+
+def _parse_scalar_prefix(raw: Optional[str], line: int) -> Scalar:
+    if raw is None or not raw.strip():
+        return ONE
+    try:
+        return parse_scalar(raw.strip())
+    except ScalarSyntaxError as exc:
+        raise DslError(f"bad scalar {raw.strip()!r}: {exc}", line) from exc
+
+
+def _parse_pair_terms(rhs: str, line: int) -> Tensor:
+    tensor: Tensor = {}
+    for chunk in _split_top_plus(rhs, line):
+        chunk = chunk.strip()
+        pairs = len(_PAIR_RE.findall(chunk))
+        if pairs > 1:
+            raise DslError(
+                f"tensor term {chunk!r} holds {pairs} pairs; terms are joined"
+                " with '+', as in '+ -1/2 * <e, x>'", line,
+            )
+        m = _PAIR_TERM_RE.match(chunk)
+        if not m:
+            raise DslError(
+                f"bad tensor term {chunk!r}", line,
+                expected=["[scalar *] <label, label>"],
+            )
+        coeff = _parse_scalar_prefix(m.group(1), line)
+        add_scaled(tensor, [((m.group(2), m.group(3)), coeff)], ONE)
+    return tensor
+
+
+def _parse_vec_terms(rhs: str, line: int) -> Vector:
+    vec: Vector = {}
+    for chunk in _split_top_plus(rhs, line):
+        chunk = chunk.strip()
+        m = _VEC_TERM_RE.match(chunk)
+        if not m:
+            raise DslError(
+                f"bad vector term {chunk!r}", line,
+                expected=["[scalar *] label"],
+            )
+        coeff = _parse_scalar_prefix(m.group(1), line)
+        add_scaled(vec, [(m.group(2), coeff)], ONE)
+    return vec
+
+
+def oracle_parse_document(text: str) -> SpecDocument:
+    doc = SpecDocument()
+    # block: (kind, name, space or (src, dst), accumulating table)
+    block: Optional[Tuple[str, ...]] = None
+    block_data: Dict = {}
+
+    def close_block():
+        nonlocal block, block_data
+        if block is None:
+            return
+        kind = block[0]
+        if kind == "coproduct":
+            doc.coproducts[block[1]] = (block[2], block_data)
+        elif kind == "counit":
+            doc.counits[block[1]] = (block[2], block_data)
+        elif kind == "algebra":
+            unit = block_data.pop("__unit__", {})
+            doc.algebras[block[1]] = (block[2], unit, block_data)
+        elif kind == "channel":
+            doc.channels[block[1]] = (block[2], block[3], block_data)
+        block = None
+        block_data = {}
+
+    def check_labels(space_name: str, labels: List[str], lineno: int):
+        declared = doc.spaces.get(space_name)
+        if declared is None:
+            raise DslError(f"unknown space {space_name!r}", lineno)
+        for lab in labels:
+            if lab not in declared:
+                raise DslError(
+                    f"label {lab!r} is not declared in space {space_name!r}", lineno
+                )
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if not line.strip():
+            continue
+        stripped = line.strip()
+        word = stripped.split(None, 1)[0]
+        if word in _KEYWORDS:
+            close_block()
+            if word == "space":
+                m = _SPACE_RE.match(stripped)
+                if not m:
+                    raise DslError(
+                        "bad space declaration", lineno,
+                        expected=["space NAME = { label, ... }"],
+                    )
+                name, body = m.group(1), m.group(2)
+                labels = [p.strip() for p in body.split(",") if p.strip()]
+                if not labels:
+                    raise DslError("space needs at least one label", lineno)
+                if name in doc.spaces:
+                    raise DslError(f"space {name!r} declared twice", lineno)
+                if len(set(labels)) != len(labels):
+                    raise DslError("duplicate labels in space", lineno)
+                doc.spaces[name] = tuple(labels)
+            elif word == "coproduct":
+                m = _COPRODUCT_RE.match(stripped)
+                if not m:
+                    raise DslError(
+                        "bad coproduct header", lineno,
+                        expected=["coproduct NAME on SPACE:"],
+                    )
+                if m.group(2) not in doc.spaces:
+                    raise DslError(f"unknown space {m.group(2)!r}", lineno)
+                block = ("coproduct", m.group(1), m.group(2))
+            elif word == "counit":
+                m = _COUNIT_RE.match(stripped)
+                if not m:
+                    raise DslError(
+                        "bad counit header", lineno,
+                        expected=["counit NAME on SPACE:"],
+                    )
+                if m.group(2) not in doc.spaces:
+                    raise DslError(f"unknown space {m.group(2)!r}", lineno)
+                block = ("counit", m.group(1), m.group(2))
+            elif word == "algebra":
+                m = _ALGEBRA_RE.match(stripped)
+                if not m:
+                    raise DslError(
+                        "bad algebra header", lineno,
+                        expected=["algebra NAME on SPACE:"],
+                    )
+                if m.group(2) not in doc.spaces:
+                    raise DslError(f"unknown space {m.group(2)!r}", lineno)
+                block = ("algebra", m.group(1), m.group(2))
+            else:
+                m = _CHANNEL_RE.match(stripped)
+                if not m:
+                    raise DslError(
+                        "bad channel header", lineno,
+                        expected=["channel NAME : SPACE -> SPACE:"],
+                    )
+                for sp in (m.group(2), m.group(3)):
+                    if sp not in doc.spaces:
+                        raise DslError(f"unknown space {sp!r}", lineno)
+                block = ("channel", m.group(1), m.group(2), m.group(3))
+            continue
+
+        if block is None:
+            raise DslError(
+                f"unexpected line {stripped!r}", lineno, expected=list(_KEYWORDS)
+            )
+        if "->" not in stripped:
+            raise DslError("expected 'lhs -> rhs'", lineno)
+        lhs, rhs = stripped.split("->", 1)
+        lhs = lhs.strip()
+        rhs = rhs.strip()
+        kind = block[0]
+        if kind == "coproduct":
+            space_name = block[2]
+            check_labels(space_name, [lhs], lineno)
+            tensor = _parse_pair_terms(rhs, lineno)
+            check_labels(
+                space_name, [lab for term in tensor for lab in term], lineno
+            )
+            if lhs in block_data:
+                raise DslError(f"label {lhs!r} defined twice", lineno)
+            block_data[lhs] = tensor
+        elif kind == "counit":
+            check_labels(block[2], [lhs], lineno)
+            try:
+                value = parse_scalar(rhs)
+            except ScalarSyntaxError as exc:
+                raise DslError(f"bad scalar {rhs!r}: {exc}", lineno) from exc
+            if not value.is_zero():
+                block_data[lhs] = value
+        elif kind == "algebra":
+            space_name = block[2]
+            vec = _parse_vec_terms(rhs, lineno)
+            check_labels(space_name, list(vec), lineno)
+            if lhs == "unit":
+                block_data["__unit__"] = vec
+            else:
+                factors = [p.strip() for p in lhs.split("*")]
+                if len(factors) != 2:
+                    raise DslError(
+                        "expected 'label * label -> ...' or 'unit -> ...'", lineno
+                    )
+                check_labels(space_name, factors, lineno)
+                block_data[(factors[0], factors[1])] = vec
+        else:  # channel
+            src, dst = block[2], block[3]
+            check_labels(src, [lhs], lineno)
+            vec = _parse_vec_terms(rhs, lineno)
+            check_labels(dst, list(vec), lineno)
+            block_data[lhs] = vec
+    close_block()
+    return doc
+
+
 
 
 def round_trip(doc):
@@ -254,3 +506,182 @@ def test_structure_requires_known_space():
     doc = parse_document("space V = { a }\n")
     with pytest.raises(KeyError):
         doc.structure("W")
+
+
+# -- the one-pass reader against the oracle --------------------------------
+
+# Documents are drawn from the grammar, with spaces between all tokens: both
+# spaces, then blocks whose lines join terms with '+' (now and then '-'),
+# some labels undeclared and some coefficients malformed.  Then tokens are
+# inserted, deleted and glued together at random.
+SPACES = "space V = { a , b } \n space W = { x }"
+HEADERS = {
+    "coproduct": "coproduct D on V :",
+    "counit": "counit e on V :",
+    "algebra": "algebra A on V :",
+    "channel": "channel P : V -> W :",
+}
+LABEL = st.sampled_from(("a", "b", "b", "z"))
+TARGET = st.sampled_from(("x", "x", "y"))
+COEFF = st.sampled_from(("", "", "1", "2", "q", "-3/7", "( 1 + q )", "(q)", "q^2", "0",
+                         "-1", "1/", "0^-1", "q^100000", "(1+q)^300"))
+JOIN = st.sampled_from(("+", "+", "+", "-"))
+TOKENS = (
+    "space", "coproduct", "counit", "algebra", "channel", "on", "=", "{", "}",
+    ",", "a", "b", "x", "z", "unit", "D", "V", "W", "< a , b >", "<b,a>",
+    "+", "-", "*", "/", "^", "(", ")", "<", ">", "->", "#", ":", "\n", "\t",
+    "2", "q", "-3/7", "(1 + q)", "q^2", "0", "0^-1", "q^100000", "(1+q)^300",
+)
+
+
+def _terms(draw, target):
+    parts = []
+    for i in range(draw(st.integers(1, 3))):
+        coeff = draw(COEFF)
+        parts += [draw(JOIN)] if i else []
+        parts += [coeff, "*"] if coeff else []
+        parts += [draw(target)]
+    return " ".join(parts)
+
+
+def _line(draw, kind):
+    if kind == "coproduct":
+        return f"{draw(LABEL)} -> " + _terms(draw, st.builds(
+            lambda a, b: f"< {a} , {b} >", LABEL, LABEL))
+    if kind == "counit":
+        return f"{draw(LABEL)} -> {draw(COEFF)}"
+    if kind == "algebra":
+        lhs = draw(st.sampled_from(("unit", f"{draw(LABEL)} * {draw(LABEL)}")))
+        return f"{lhs} -> " + _terms(draw, LABEL)
+    return f"{draw(LABEL)} -> " + _terms(draw, TARGET)
+
+
+@st.composite
+def mutated_documents(draw):
+    lines = [SPACES]
+    for kind in draw(st.lists(st.sampled_from(sorted(HEADERS)), max_size=4)):
+        lines.append(HEADERS[kind])
+        lines += [_line(draw, kind) for _ in range(draw(st.integers(0, 3)))]
+    tokens = " \n ".join(lines).split(" ")
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(tokens)))
+        edit = draw(st.sampled_from(("insert", "delete", "glue")))
+        if edit == "insert":
+            tokens.insert(i, draw(st.sampled_from(TOKENS)))
+        elif edit == "delete" and i < len(tokens):
+            del tokens[i]
+        elif edit == "glue" and i + 1 < len(tokens):
+            tokens[i:i + 2] = [tokens[i] + tokens[i + 1]]
+    return " ".join(tokens)
+
+
+def _ordered(value):
+    """``value`` with the key order of every dict in it made explicit."""
+    if isinstance(value, dict):
+        return [(key, _ordered(v)) for key, v in value.items()]
+    if isinstance(value, tuple):
+        return tuple(_ordered(v) for v in value)
+    return value
+
+
+def _outcome(reader, text):
+    try:
+        doc = reader(text)
+    except DslError as exc:
+        return ("error", str(exc), exc.line, exc.column, exc.expected)
+    kinds = ("spaces", "coproducts", "counits", "algebras", "channels")
+    return ("document",) + tuple(_ordered(getattr(doc, kind)) for kind in kinds)
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_documents())
+def test_reader_matches_the_oracle_on_mutated_documents(text):
+    assert _outcome(parse_document, text) == _outcome(oracle_parse_document, text)
+
+
+def test_reader_matches_the_oracle_on_the_fixtures(capsys):
+    for argv in (["F"], ["slq2"], ["su2q-coalg"], ["cibils", "--n", "4", "--q=(1+q)/2"],
+                 ["debruijn"], ["group", "--n", "4"]):
+        assert main(["fixtures", *argv]) == 0
+        text = capsys.readouterr().out
+        assert _outcome(parse_document, text)[0] == "document"
+        assert _outcome(parse_document, text) == _outcome(oracle_parse_document, text)
+
+
+def test_each_scalar_text_is_parsed_once(capsys, monkeypatch):
+    assert main(["fixtures", "cibils", "--n", "6", "--q=-3/7"]) == 0
+    text = capsys.readouterr().out
+    texts: List[str] = []
+    real = parse_scalar
+
+    def recording(scalar_text):
+        texts.append(scalar_text)
+        return real(scalar_text)
+
+    monkeypatch.setitem(globals(), "parse_scalar", recording)
+    oracle_parse_document(text)
+    monkeypatch.undo()
+    distinct = set(texts)
+    assert len(texts) > len(distinct) >= 6
+    texts.clear()
+    monkeypatch.setattr(dsl, "parse_scalar", recording)
+    parse_document(text)
+    assert len(texts) == len(distinct) and set(texts) == distinct
+
+
+# -- unparse, parse, unparse over random structures ------------------------
+
+LABELS = ("a", "b", "e", "x1", "g_2", "Lab")
+RATIONALS = st.builds(Fraction, st.integers(1, 20) | st.integers(-20, -1), st.integers(1, 9))
+POWERS = st.integers(-4, 6).map(Scalar.q_power)
+MONOMIALS = st.builds(lambda r, p: Scalar.from_rational(r) * p, RATIONALS, POWERS)
+SUMS = st.lists(MONOMIALS, min_size=2, max_size=3).map(lambda ts: reduce(operator.add, ts))
+COEFFS = st.one_of(
+    RATIONALS.map(Scalar.from_rational), POWERS, SUMS,
+    st.builds(operator.truediv, SUMS, SUMS.filter(lambda c: not c.is_zero())),
+).filter(lambda c: not c.is_zero())
+
+
+def _labels(draw):
+    return tuple(draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=4,
+                               unique=True)))
+
+
+def _combination(draw, keys):
+    """A nonzero sparse combination of ``keys``."""
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=4, unique=True))
+    return {key: draw(COEFFS) for key in chosen}
+
+
+@st.composite
+def random_documents(draw):
+    doc = SpecDocument()
+    doc.spaces["V"] = labels = _labels(draw)
+    doc.spaces["W"] = targets = _labels(draw)
+    pairs = [(a, b) for a in labels for b in labels]
+    for name in draw(st.lists(st.sampled_from(("Delta", "delta", "D2")), min_size=1,
+                              max_size=2, unique=True)):
+        rows = draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
+        doc.coproducts[name] = ("V", {lab: _combination(draw, pairs) for lab in rows})
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.sampled_from(labels), unique=True))
+        doc.counits["eps"] = ("V", {lab: draw(COEFFS) for lab in rows})
+    if draw(st.booleans()):
+        n = len(labels)
+        doc.algebras["A"] = ("V", {labels[0]: ONE}, {
+            (labels[i], labels[j]): {labels[(i + j) % n]: ONE}
+            for i in range(n) for j in range(n)
+        })
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
+        doc.channels["phi"] = ("V", "W", {lab: _combination(draw, targets) for lab in rows})
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_documents())
+def test_unparse_parse_unparse_over_random_structures(doc):
+    text = unparse_document(doc)
+    reparsed = parse_document(text)
+    assert unparse_document(reparsed) == text
+    assert reparsed == doc
