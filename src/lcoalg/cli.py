@@ -12,7 +12,7 @@ import functools
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .coalgebra import AXIOMS, AxiomReport, LStructure, check_axiom
+from .coalgebra import AXIOMS, AxiomReport, check_axiom
 from .complexes import check_boundary_forms_agree, check_complex
 from .constructions import achiral_entangle, self_entangle
 from .convolution import structure_constants
@@ -261,30 +261,25 @@ def _check_cibils_work(n: int, q_text: str, q: Scalar) -> None:
         )
 
 
+# name -> (fixture, space, channel target space, channel): each of these
+# documents is the fixture's structure, the target space and the channel
+_CHANNEL_FIXTURES = {
+    "F": (fixture_f, "F", "F2", "Phi"),
+    "slq2": (fixture_quantum_matrix, "C1", "C2", "M"),
+    "su2q-coalg": (fixture_quantum_sphere, "C1", "C2", "M"),
+}
+
+
 def _fixture_document(name: str, n: int, q_text: str) -> str:
-    if name == "F":
-        data = fixture_f()
-        structure: LStructure = data["structure"]  # type: ignore[assignment]
-        doc = document_from_structure("F", structure)
+    if name in _CHANNEL_FIXTURES:
+        make, space, target, channel_name = _CHANNEL_FIXTURES[name]
+        data = make()
+        # slq2 sits on the structure of its base fixture, F
+        structure = data.get("base", data)["structure"]
         channel = data["channel"]
-        doc.spaces["F2"] = channel.c2.labels
-        doc.channels["Phi"] = ("F", "F2", dict(channel.forward))
-        return unparse_document(doc)
-    if name == "slq2":
-        data = fixture_quantum_matrix()
-        base: LStructure = data["base"]["structure"]  # type: ignore[index]
-        doc = document_from_structure("C1", base)
-        channel = data["channel"]
-        doc.spaces["C2"] = channel.c2.labels
-        doc.channels["M"] = ("C1", "C2", dict(channel.forward))
-        return unparse_document(doc)
-    if name == "su2q-coalg":
-        data = fixture_quantum_sphere()
-        structure = data["structure"]
-        doc = document_from_structure("C1", structure)
-        channel = data["channel"]
-        doc.spaces["C2"] = channel.c2.labels
-        doc.channels["M"] = ("C1", "C2", dict(channel.forward))
+        doc = document_from_structure(space, structure)
+        doc.spaces[target] = channel.c2.labels
+        doc.channels[channel_name] = (space, target, dict(channel.forward))
         return unparse_document(doc)
     if name == "cibils":
         q = parse_scalar(q_text)
