@@ -396,17 +396,10 @@ class FiniteAlgebra:
                 for vec in factors:
                     nxt: Tensor = {}
                     for term, coeff in partial.items():
-                        for lab, c in vec.items():
-                            key = term + (lab,)
-                            val = nxt.get(key, None)
-                            add = coeff * c
-                            val = add if val is None else val + add
-                            if val.is_zero():
-                                nxt.pop(key, None)
-                            else:
-                                nxt[key] = val
+                        add_scaled(nxt, ((term + (lab,), c) for lab, c in vec.items()),
+                                   coeff)
                     partial = nxt
-                out = tensor_add(out, partial)
+                add_scaled(out, partial.items(), ONE)
         return out
 
     def _check_unit(self):

@@ -98,27 +98,15 @@ class RewriteSystem:
             word, coeff = pending.popitem()
             hit = self._find(word)
             if hit is None:
-                prior = done.get(word)
-                total = coeff if prior is None else prior + coeff
-                if total.is_zero():
-                    done.pop(word, None)
-                else:
-                    done[word] = total
+                add_scaled(done, [(word, coeff)], ONE)
                 continue
             steps += 1
             if steps > self.max_steps:
                 raise RewriteError("normalization exceeded its step bound")
             start, pattern, replacement = hit
             head, tail = word[:start], word[start + len(pattern):]
-            for rep_word, rep_coeff in replacement.items():
-                new_word = head + rep_word + tail
-                prior = pending.get(new_word)
-                add = coeff * rep_coeff
-                total = add if prior is None else prior + add
-                if total.is_zero():
-                    pending.pop(new_word, None)
-                else:
-                    pending[new_word] = total
+            add_scaled(pending, ((head + rep + tail, c) for rep, c in replacement.items()),
+                       coeff)
         return done
 
     def equal(self, a: NCPoly, b: NCPoly) -> bool:
