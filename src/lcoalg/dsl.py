@@ -24,7 +24,9 @@ multi-term scalars must be parenthesized so '+' splits terms only at the
 top level.  The reader reads each line once, through one table of block
 headers and one term reader, and parses each distinct scalar text (term
 coefficient or counit value) once per document; scalars are immutable, so
-repeats share one object.
+repeats share one object.  A DslError names its line and a column of that
+source line: the unbalanced bracket itself, and column 1 for an error of
+the whole line.
 """
 
 from __future__ import annotations
@@ -137,25 +139,28 @@ _PAIR_RE = re.compile(rf"<\s*{_NAME}\s*,\s*{_NAME}\s*>")
 _BRACKET_OR_PLUS = re.compile(r"[()<>+]")
 
 
-def _split_top_plus(text: str, line: int) -> List[str]:
-    """``text`` cut at each '+' outside brackets; only brackets and '+' are
-    visited."""
+def _split_top_plus(text: str, line: int, column: int) -> List[str]:
+    """``text``, which starts at ``column`` of its line, cut at each '+'
+    outside brackets; only brackets and '+' are visited.  An unbalanced
+    bracket is reported at the unmatched closer, or else at the last
+    unclosed opener."""
     parts: List[str] = []
-    start = depth = 0
+    openers: List[int] = []
+    start = 0
     for m in _BRACKET_OR_PLUS.finditer(text):
         ch = m.group()
         if ch == "+":
-            if depth == 0:
+            if not openers:
                 parts.append(text[start:m.start()])
                 start = m.end()
         elif ch in "(<":
-            depth += 1
+            openers.append(m.start())
+        elif openers:
+            openers.pop()
         else:
-            depth -= 1
-            if depth < 0:
-                raise DslError("unbalanced bracket", line, m.start() + 1)
-    if depth != 0:
-        raise DslError("unbalanced bracket", line, len(text))
+            raise DslError("unbalanced bracket", line, column + m.start())
+    if openers:
+        raise DslError("unbalanced bracket", line, column + openers[-1])
     parts.append(text[start:])
     return parts
 
@@ -171,12 +176,13 @@ def _scalar(text: str, line: int, seen: Dict[str, Scalar]) -> Scalar:
     return value
 
 
-def _parse_terms(rhs: str, line: int, kind: str, seen: Dict[str, Scalar]) -> Dict:
+def _parse_terms(rhs: str, line: int, column: int, kind: str,
+                 seen: Dict[str, Scalar]) -> Dict:
     """A '+'-joined sum of tensor terms ``[scalar *] <label, label>`` or of
-    vector terms ``[scalar *] label``."""
+    vector terms ``[scalar *] label``, starting at ``column``."""
     pattern, message, expected = _TERMS[kind]
     out: Dict = {}
-    for chunk in _split_top_plus(rhs, line):
+    for chunk in _split_top_plus(rhs, line, column):
         chunk = chunk.strip()
         if kind == "tensor":
             pairs = len(_PAIR_RE.findall(chunk))
@@ -210,7 +216,8 @@ def parse_document(text: str) -> SpecDocument:
                 )
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        stripped = code.strip()
         if not stripped:
             continue
         word = stripped.split(None, 1)[0]
@@ -244,12 +251,14 @@ def parse_document(text: str) -> SpecDocument:
             raise DslError(
                 f"unexpected line {stripped!r}", lineno, expected=list(_HEADERS)
             )
-        if "->" not in stripped:
+        lhs, arrow, after = code.partition("->")
+        if not arrow:
             raise DslError("expected 'lhs -> rhs'", lineno)
-        lhs, rhs = (side.strip() for side in stripped.split("->", 1))
+        lhs, rhs = lhs.strip(), after.strip()
+        column = len(code) - len(after.lstrip()) + 1  # of rhs in the source line
         if kind == "coproduct":
             check_labels(spaces[0], [lhs], lineno)
-            tensor = _parse_terms(rhs, lineno, "tensor", seen)
+            tensor = _parse_terms(rhs, lineno, column, "tensor", seen)
             check_labels(spaces[0], [lab for term in tensor for lab in term], lineno)
             if lhs in table:
                 raise DslError(f"label {lhs!r} defined twice", lineno)
@@ -260,7 +269,7 @@ def parse_document(text: str) -> SpecDocument:
             if not value.is_zero():
                 table[lhs] = value
         elif kind == "algebra":
-            vec = _parse_terms(rhs, lineno, "vector", seen)
+            vec = _parse_terms(rhs, lineno, column, "vector", seen)
             check_labels(spaces[0], vec, lineno)
             if lhs == "unit":
                 doc.algebras[name] = (spaces[0], vec, table)
@@ -274,7 +283,7 @@ def parse_document(text: str) -> SpecDocument:
                 table[(factors[0], factors[1])] = vec
         else:  # channel
             check_labels(spaces[0], [lhs], lineno)
-            vec = _parse_terms(rhs, lineno, "vector", seen)
+            vec = _parse_terms(rhs, lineno, column, "vector", seen)
             check_labels(spaces[1], vec, lineno)
             table[lhs] = vec
     return doc

@@ -49,24 +49,28 @@ _VEC_TERM_RE = re.compile(rf"^(?:(.*)\*)?\s*({_NAME})\s*$")
 _KEYWORDS = ("space", "coproduct", "counit", "algebra", "channel")
 
 
-def _split_top_plus(text: str, line: int) -> List[str]:
+# The one change since: an unbalanced bracket is reported at its column in
+# the source line (``column`` is that of ``text[0]``), at the unmatched
+# closer or the last unclosed opener, where it was reported at an offset
+# into the right-hand side.
+def _split_top_plus(text: str, line: int, column: int) -> List[str]:
     parts: List[str] = []
-    depth = 0
+    openers: List[int] = []
     current: List[str] = []
     for i, ch in enumerate(text):
         if ch == "(" or ch == "<":
-            depth += 1
+            openers.append(i)
         elif ch == ")" or ch == ">":
-            depth -= 1
-            if depth < 0:
-                raise DslError("unbalanced bracket", line, i + 1)
-        if ch == "+" and depth == 0:
+            if not openers:
+                raise DslError("unbalanced bracket", line, column + i)
+            openers.pop()
+        if ch == "+" and not openers:
             parts.append("".join(current))
             current = []
         else:
             current.append(ch)
-    if depth != 0:
-        raise DslError("unbalanced bracket", line, len(text))
+    if openers:
+        raise DslError("unbalanced bracket", line, column + openers[-1])
     parts.append("".join(current))
     return parts
 
@@ -80,9 +84,9 @@ def _parse_scalar_prefix(raw: Optional[str], line: int) -> Scalar:
         raise DslError(f"bad scalar {raw.strip()!r}: {exc}", line) from exc
 
 
-def _parse_pair_terms(rhs: str, line: int) -> Tensor:
+def _parse_pair_terms(rhs: str, line: int, column: int) -> Tensor:
     tensor: Tensor = {}
-    for chunk in _split_top_plus(rhs, line):
+    for chunk in _split_top_plus(rhs, line, column):
         chunk = chunk.strip()
         pairs = len(_PAIR_RE.findall(chunk))
         if pairs > 1:
@@ -101,9 +105,9 @@ def _parse_pair_terms(rhs: str, line: int) -> Tensor:
     return tensor
 
 
-def _parse_vec_terms(rhs: str, line: int) -> Vector:
+def _parse_vec_terms(rhs: str, line: int, column: int) -> Vector:
     vec: Vector = {}
-    for chunk in _split_top_plus(rhs, line):
+    for chunk in _split_top_plus(rhs, line, column):
         chunk = chunk.strip()
         m = _VEC_TERM_RE.match(chunk)
         if not m:
@@ -225,11 +229,13 @@ def oracle_parse_document(text: str) -> SpecDocument:
         lhs, rhs = stripped.split("->", 1)
         lhs = lhs.strip()
         rhs = rhs.strip()
+        after = raw.split("#", 1)[0].split("->", 1)[1]
+        column = len(raw.split("#", 1)[0]) - len(after.lstrip()) + 1
         kind = block[0]
         if kind == "coproduct":
             space_name = block[2]
             check_labels(space_name, [lhs], lineno)
-            tensor = _parse_pair_terms(rhs, lineno)
+            tensor = _parse_pair_terms(rhs, lineno, column)
             check_labels(
                 space_name, [lab for term in tensor for lab in term], lineno
             )
@@ -246,7 +252,7 @@ def oracle_parse_document(text: str) -> SpecDocument:
                 block_data[lhs] = value
         elif kind == "algebra":
             space_name = block[2]
-            vec = _parse_vec_terms(rhs, lineno)
+            vec = _parse_vec_terms(rhs, lineno, column)
             check_labels(space_name, list(vec), lineno)
             if lhs == "unit":
                 block_data["__unit__"] = vec
@@ -261,7 +267,7 @@ def oracle_parse_document(text: str) -> SpecDocument:
         else:  # channel
             src, dst = block[2], block[3]
             check_labels(src, [lhs], lineno)
-            vec = _parse_vec_terms(rhs, lineno)
+            vec = _parse_vec_terms(rhs, lineno, column)
             check_labels(dst, list(vec), lineno)
             block_data[lhs] = vec
     close_block()
@@ -443,7 +449,25 @@ def test_unbalanced_bracket():
             "coproduct D on V:\n"
             "  a -> (q * <a, a>\n"
         )
-    assert str(err.value) == "line 3, column 11: unbalanced bracket"
+    assert str(err.value) == "line 3, column 8: unbalanced bracket"
+
+
+@pytest.mark.parametrize("block, line, column", [
+    # an unmatched closer
+    ("coproduct D on V:", "  a -> q) * <a, a>", 9),
+    ("coproduct D on V:", "  a -> <a, a>> + <a, a>", 14),
+    ("algebra A on V:", "  unit -> a)", 12),
+    ("channel P : V -> V:", "  a -> a -> a", 11),
+    # the last unclosed opener
+    ("coproduct D on V:", "  a -> (q * <a, a>", 8),
+    ("coproduct D on V:", "\ta -> <a, a> + ((1 + q) * <a, a>", 16),
+    ("coproduct D on V:", "  a ->  q * <a, a  # note", 13),
+])
+def test_unbalanced_bracket_column_is_in_the_source_line(block, line, column):
+    with pytest.raises(DslError) as err:
+        parse_document(f"space V = {{ a }}\n{block}\n{line}\n")
+    assert str(err.value) == f"line 3, column {column}: unbalanced bracket"
+    assert line[column - 1] in "()<>"
 
 
 def test_multi_term_scalar_needs_parentheses():
