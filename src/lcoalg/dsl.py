@@ -228,14 +228,15 @@ def parse_document(text: str) -> SpecDocument:
                 raise DslError(message, lineno, expected=[expected])
             kind = None
             if word == "space":
-                labels = [p.strip() for p in m.group(2).split(",") if p.strip()]
+                name, body = m.groups()
+                labels = [p.strip() for p in body.split(",") if p.strip()]
                 if not labels:
                     raise DslError("space needs at least one label", lineno)
-                if m.group(1) in doc.spaces:
-                    raise DslError(f"space {m.group(1)!r} declared twice", lineno)
+                if name in doc.spaces:
+                    raise DslError(f"space {name!r} declared twice", lineno)
                 if len(set(labels)) != len(labels):
                     raise DslError("duplicate labels in space", lineno)
-                doc.spaces[m.group(1)] = tuple(labels)
+                doc.spaces[name] = tuple(labels)
                 continue
             kind, (name, *spaces), table = word, m.groups(), {}
             for sp in spaces:

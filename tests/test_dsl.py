@@ -545,11 +545,13 @@ HEADERS = {
     "algebra": "algebra A on V :",
     "channel": "channel P : V -> W :",
 }
-LABEL = st.sampled_from(("a", "b", "b", "z"))
-TARGET = st.sampled_from(("x", "x", "y"))
-COEFF = st.sampled_from(("", "", "1", "2", "q", "-3/7", "( 1 + q )", "(q)", "q^2", "0",
-                         "-1", "1/", "0^-1", "q^100000", "(1+q)^300"))
-JOIN = st.sampled_from(("+", "+", "+", "-"))
+LABEL = st.sampled_from(("a", "b") * 8 + ("z",))
+TARGET = st.sampled_from(("x",) * 16 + ("y",))
+COEFF = st.sampled_from(
+    ("",) * 9 + ("1", "2", "q", "-3/7", "( 1 + q )", "(q)", "q^2", "0", "-1") * 2
+    + ("1/", "0^-1", "q^100000", "(1+q)^300")
+)
+JOIN = st.sampled_from(("+",) * 6 + ("-",))
 TOKENS = (
     "space", "coproduct", "counit", "algebra", "channel", "on", "=", "{", "}",
     ",", "a", "b", "x", "z", "unit", "D", "V", "W", "< a , b >", "<b,a>",
@@ -573,7 +575,7 @@ def _line(draw, kind):
         return f"{draw(LABEL)} -> " + _terms(draw, st.builds(
             lambda a, b: f"< {a} , {b} >", LABEL, LABEL))
     if kind == "counit":
-        return f"{draw(LABEL)} -> {draw(COEFF)}"
+        return f"{draw(LABEL)} -> {draw(COEFF.filter(bool))}"
     if kind == "algebra":
         lhs = draw(st.sampled_from(("unit", f"{draw(LABEL)} * {draw(LABEL)}")))
         return f"{lhs} -> " + _terms(draw, LABEL)
@@ -587,8 +589,11 @@ def mutated_documents(draw):
         lines.append(HEADERS[kind])
         lines += [_line(draw, kind) for _ in range(draw(st.integers(0, 3)))]
     tokens = " \n ".join(lines).split(" ")
+    # most edits spare the spaces, so that most blocks are read
+    spared = min(len(SPACES.split(" ")) + 1, len(tokens))
+    first = draw(st.sampled_from((0, spared, spared, spared)))
     for _ in range(draw(st.integers(0, 3))):
-        i = draw(st.integers(0, len(tokens)))
+        i = draw(st.integers(first, len(tokens)))
         edit = draw(st.sampled_from(("insert", "delete", "glue")))
         if edit == "insert":
             tokens.insert(i, draw(st.sampled_from(TOKENS)))
