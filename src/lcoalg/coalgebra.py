@@ -3,10 +3,10 @@ predicate over multi-linear maps, evaluated exhaustively on basis labels.
 
 Axioms are data, not code: each axiom is a list of equations whose sides
 are signed sums of composition chains of role-bound coproducts.  A single
-evaluator expands both sides of every equation on every basis label and
-compares the canonical tensors; finite bases make this complete.  The
-convolution law suites are equations of the same kind, read through the
-transpose.
+evaluator expands both sides of every equation on every basis label where
+either side can be nonzero and compares the canonical tensors; finite bases
+make this complete.  The convolution law suites are equations of the same
+kind, read through the transpose.
 """
 
 from __future__ import annotations
@@ -301,10 +301,13 @@ def _resolve(role: Role, memo: Dict[Role, MultiLinearMap]) -> MultiLinearMap:
 def _expand(
     equation: Equation, memo: Dict[Role, MultiLinearMap], labels: Sequence[str]
 ) -> Iterator[Tuple[str, Tensor, Tensor]]:
-    """(label, lhs, rhs) for every basis label, in basis order: the one
-    evaluator behind the axiom catalogue and the convolution law suites.
-    Roles are resolved once; an output order becomes the leg to read for
-    each variable, or None for the identity."""
+    """(label, lhs, rhs) for every label of ``labels`` in the support of the
+    equation, in the order of ``labels``: the one evaluator behind the axiom
+    catalogue and the convolution law suites.  The support is the union of
+    the tables of the first maps of both sides; every other label has both
+    sides zero, so it can hold no witness and is not yielded.  Roles are
+    resolved once; an output order becomes the leg to read for each
+    variable, or None for the identity."""
     def bind(side: Side):
         bound = []
         for coeff, first, steps, order in side:
@@ -315,8 +318,12 @@ def _expand(
         return bound
 
     lhs, rhs = bind(equation[1]), bind(equation[2])
+    support = set()
+    for _, first, _, _ in lhs + rhs:
+        support.update(first.table)
     for label in labels:
-        yield label, _eval_side(lhs, label), _eval_side(rhs, label)
+        if label in support:
+            yield label, _eval_side(lhs, label), _eval_side(rhs, label)
 
 
 def _eval_side(side, label: str) -> Tensor:

@@ -8,11 +8,12 @@ is about structures sharing one generator set.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .coalgebra import AxiomReport, LStructure, check_axiom
 from .linalg import BasisSpace, MultiLinearMap, Tensor, add_scaled
-from .scalars import ONE, Scalar, parse_scalar
+from .scalars import ONE, ZERO, Scalar, parse_scalar
 
 Arrow = Tuple[str, str]
 
@@ -96,10 +97,11 @@ def geometric_support(s: LStructure, names: Sequence[str]) -> WeightedDigraph:
     covering reading); a conflict raises rather than silently summing.
     """
     arrows: Dict[Arrow, Scalar] = {}
+    rank = s.space.index.__getitem__
     for name in names:
-        cp = s.coproduct(name)
-        for label in s.space.labels:
-            for (a, b), w in cp.of_label(label).items():
+        table = s.coproduct(name).table
+        for label in sorted(table, key=rank):
+            for (a, b), w in table[label].items():
                 key = (a, b)
                 prior = arrows.get(key)
                 if prior is None:
@@ -178,20 +180,28 @@ def covering_check(
         name: geometric_support(s, [name]).arrows for name in family
     }
 
-    # Overlap agreement: coefficient of u@w in delta_i(u) vs delta_j(u).
+    # Overlap agreement: coefficient of u@w in delta_i(u) vs delta_j(u), for
+    # each pair i < j of members whose supports share u->w.  The witnesses
+    # come by member pair in family order, then by arrow in basis order.
     names = list(family)
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            si, sj = supports[names[i]], supports[names[j]]
-            for arrow in set(si) & set(sj):
-                u, w = arrow
-                ci = s.coproduct(names[i]).of_label(u).get((u, w), Scalar.zero())
-                cj = s.coproduct(names[j]).of_label(u).get((u, w), Scalar.zero())
-                if ci != cj:
-                    report.witnesses.append(
-                        (u, f"overlap({names[i]},{names[j]})@{u}->{w}",
-                         {(u, w): ci}, {(u, w): cj})
-                    )
+    holders: Dict[Arrow, List[int]] = {}
+    for i, name in enumerate(names):
+        for arrow in supports[name]:
+            holders.setdefault(arrow, []).append(i)
+    index = s.space.index
+    overlaps = []
+    for (u, w), held in holders.items():
+        coeffs = [
+            s.coproduct(names[i]).table.get(u, {}).get((u, w), ZERO) for i in held
+        ]
+        for (i, ci), (j, cj) in combinations(zip(held, coeffs), 2):
+            if ci != cj:
+                overlaps.append(((i, j, index[u], index[w]), (
+                    u, f"overlap({names[i]},{names[j]})@{u}->{w}",
+                    {(u, w): ci}, {(u, w): cj},
+                )))
+    overlaps.sort(key=lambda item: item[0])
+    report.witnesses.extend(witness for _, witness in overlaps)
 
     union: Dict[Arrow, Scalar] = {}
     for arrs in supports.values():

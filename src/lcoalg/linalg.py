@@ -202,7 +202,7 @@ class MultiLinearMap:
             for mid, c in image.items():
                 new_term = head + mid + tail
                 s = out.get(new_term, None)
-                add = coeff * c
+                add = c if coeff is ONE else coeff if c is ONE else coeff * c
                 s = add if s is None else s + add
                 if s.is_zero():
                     out.pop(new_term, None)
@@ -275,7 +275,9 @@ Matrix = List[List[Scalar]]
 
 
 def rref(matrix: Matrix) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    """Reduced row echelon form; returns (rows, pivot column indices).
+    Zero entries of the pivot row are neither scaled nor eliminated with:
+    both would leave the entry they touch as it is."""
     rows = [list(r) for r in matrix]
     if not rows:
         return [], []
@@ -292,11 +294,14 @@ def rref(matrix: Matrix) -> Tuple[Matrix, List[int]]:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        rows[r] = [x if x.is_zero() else x * inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and not rows[i][c].is_zero():
                 factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [
+                    a if b.is_zero() else a - factor * b
+                    for a, b in zip(rows[i], rows[r])
+                ]
         pivots.append(c)
         r += 1
         if r == len(rows):

@@ -46,7 +46,7 @@ _UNIT: Poly = (_ONE,)
 
 def _trim(coeffs) -> Poly:
     coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
+    while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
 
@@ -64,14 +64,16 @@ def _pneg(a: Poly) -> Poly:
 
 
 def _pmul(a: Poly, b: Poly) -> Poly:
+    """The product, over the nonzero coefficients of both operands only: a
+    monomial c*q^k costs one multiply-add per term of the other operand."""
     if not a or not b:
         return ()
     out = [_ZERO] * (len(a) + len(b) - 1)
+    terms = [(j, cb) for j, cb in enumerate(b) if cb]
     for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
+        if ca:
+            for j, cb in terms:
+                out[i + j] += ca * cb
     return _trim(out)
 
 
@@ -375,7 +377,7 @@ def _poly_str(p: Poly) -> str:
     parts = []
     for power in range(len(p) - 1, -1, -1):
         c = p[power]
-        if c == 0:
+        if not c:
             continue
         term = _mono_str(c, power)
         if parts and not term.startswith("-"):
@@ -418,7 +420,8 @@ def _power_limit(base: Scalar) -> Tuple[int, int]:
 
 class _ScalarParser:
     """expr := term (('+'|'-') term)* ;  term := factor (('*'|'/') factor)* ;
-    factor := ['-'] atom ['^' ['-'] int] ;  atom := 'q' | int | '(' expr ')'
+    factor := ['-'] atom ['^' ['-'] int] ;  atom := 'q' | int | '(' expr ')' ;
+    int := the ASCII digits 0-9, one or more
     """
 
     def __init__(self, text: str):
@@ -498,14 +501,14 @@ class _ScalarParser:
                 raise ScalarSyntaxError("expected ')'", self.pos)
             self.pos += 1
             return value
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             return Scalar.from_rational(self._int())
         raise ScalarSyntaxError("expected 'q', a number, or '('", self.pos)
 
     def _int(self) -> int:
         self._skip()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if start == self.pos:
             raise ScalarSyntaxError("expected an integer", self.pos)

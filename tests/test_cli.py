@@ -446,6 +446,25 @@ def test_document_with_too_large_power_is_positioned_usage_error(tmp_path, capsy
     )
 
 
+def test_non_ascii_digit_is_positioned_usage_error(tmp_path, capsys):
+    # A superscript two is a Unicode digit, but not a number of the reader.
+    path = tmp_path / "V.doc"
+    path.write_text("space V = { a }\n\ncoproduct D on V:\n  a -> \u00b2 * <a, a>\n")
+    code, out, err = run(capsys, "check", str(path), "--axiom", "coassoc")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: line 4, column 1: bad scalar '\u00b2': expected 'q', a number,"
+        " or '(' (at offset 0)\n"
+    )
+
+
+@pytest.mark.parametrize("q", ["\u00b2", "\u0663", "q^\u00b2"])
+def test_fixture_q_with_non_ascii_digit_is_usage_error(q, capsys):
+    code, out, err = run(capsys, "fixtures", "cibils", "--n", "2", f"--q={q}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: expected ") and err.endswith(")\n")
+
+
 # With each power of q computed once, these still take 1.4 to 15 s in process
 # (2-core Xeon, Python 3.11); the bound refuses them before any power.
 @pytest.mark.parametrize("n, q", [

@@ -1,11 +1,17 @@
 """The axiom catalogue: exhaustive checks on the named fixtures plus the
 structural implications between axiom systems."""
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lcoalg import coalgebra, convolution
 from lcoalg.coalgebra import (
     AXIOMS,
     LStructure,
+    _eval_side,
+    _resolve,
     check_axiom,
     cocommutator_space,
     solve_left_counit,
@@ -13,8 +19,8 @@ from lcoalg.coalgebra import (
 )
 from lcoalg.graphs import markov_coalgebra, parse_digraph_edges
 from lcoalg.fixtures import fixture_cibils
-from lcoalg.linalg import MultiLinearMap
-from lcoalg.scalars import ONE
+from lcoalg.linalg import BasisSpace, MultiLinearMap
+from lcoalg.scalars import MINUS_ONE, ONE, Q, ZERO, Scalar
 
 
 def test_axiom_catalogue_names():
@@ -185,3 +191,84 @@ def test_with_coproduct_returns_new_structure(f_data):
     extended = s.with_coproduct("Delta2", s.coproduct("Delta"))
     assert "Delta2" in extended.coproducts
     assert "Delta2" not in s.coproducts
+
+
+# -- the support-only evaluator against the all-labels one -------------------
+
+
+def all_labels_expand(equation, memo, labels):
+    """The evaluator before it skipped labels outside the support: both
+    sides of the equation on every label."""
+    def bind(side):
+        bound = []
+        for coeff, first, steps, order in side:
+            chain = [(_resolve(role, memo), slot) for role, slot in steps]
+            pick = tuple(map(order.index, range(len(order))))
+            identity = pick == tuple(range(len(pick)))
+            bound.append((coeff, _resolve(first, memo), chain, None if identity else pick))
+        return bound
+
+    lhs, rhs = bind(equation[1]), bind(equation[2])
+    for label in labels:
+        yield label, _eval_side(lhs, label), _eval_side(rhs, label)
+
+
+LABELS = ["a", "b", "c", "d"]
+NAMES = ["P", "R", "S"]
+VALUES = [ONE, MINUS_ONE, Scalar.from_rational(2), Q, -Q ** 2, Q ** -1, ZERO]
+# Each suite with roles (left, right, perp).
+LAW_SUITES = (
+    lambda s, left, right, perp: convolution.check_dialgebra_laws(s, left, right),
+    lambda s, left, right, perp: convolution.check_trialgebra_laws(s, perp, left, right),
+    lambda s, left, right, perp: convolution.check_leibniz(s, left, right),
+    lambda s, left, right, perp: convolution.check_poisson(s, perp, left, right),
+    lambda s, left, right, perp: convolution.check_dendriform_algebra(s, left, right),
+)
+
+
+@st.composite
+def sparse_structures(draw):
+    """Coproducts on two to four labels, each with an image on only some of
+    them, and one counit."""
+    labels = LABELS[:draw(st.integers(2, 4))]
+    pairs = [(x, y) for x in labels for y in labels]
+    space = BasisSpace(labels)
+    coproducts = {}
+    for name in NAMES:
+        imaged = draw(st.lists(st.sampled_from(labels), max_size=3, unique=True))
+        table = {
+            lab: draw(st.dictionaries(st.sampled_from(pairs), st.sampled_from(VALUES),
+                                      min_size=1, max_size=3))
+            for lab in imaged
+        }
+        coproducts[name] = MultiLinearMap(space, 2, table)
+    counit = draw(st.dictionaries(st.sampled_from(labels), st.sampled_from(VALUES[:-1]),
+                                  max_size=4))
+    return LStructure(space, coproducts, {"e": counit})
+
+
+def _every_check(s, names):
+    """(axiom, witnesses) of every catalogue axiom and every law suite."""
+    results = []
+    for axiom, schema in sorted(AXIOMS.items()):
+        roles = dict(zip(schema["roles"], names))
+        for role in ("eps", "epstilde"):
+            if role in roles:
+                roles[role] = "e"
+        report = check_axiom(s, axiom, roles)
+        results.append((report.axiom, report.witnesses))
+    for suite in LAW_SUITES:
+        report = suite(s, *names)
+        results.append((report.axiom, report.witnesses))
+    return results
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=sparse_structures(),
+       names=st.lists(st.sampled_from(NAMES), min_size=3, max_size=3))
+def test_support_only_expand_matches_all_labels(s, names):
+    fast = _every_check(s, names)
+    with mock.patch.object(coalgebra, "_expand", all_labels_expand), \
+            mock.patch.object(convolution, "_expand", all_labels_expand):
+        slow = _every_check(s, names)
+    assert fast == slow

@@ -104,6 +104,7 @@ READER_ERRORS = (
     ("term_bad_scalar", _CP + "  a -> q^ * <a, a>\n"),
     ("term_power_too_large", _CP + "  a -> (1 + q)^300 * <a, a>\n"),
     ("term_zero_inverse", _CP + "  a -> 0^-1 * <a, a>\n"),
+    ("unicode_digit", _CP + "  a -> \u00b2 * <a, a>\n"),
     ("two_pairs", _CP + "  a -> <a, a> - <b, b>\n"),
     ("bad_tensor_term", _CP + "  a -> <a a>\n"),
     ("bad_vector_term", _ALG + "  unit -> a b\n"),

@@ -2,9 +2,9 @@
 natural lifts, covering checks, and the text formats."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from lcoalg.coalgebra import check_axiom
+from lcoalg.coalgebra import AxiomReport, LStructure, check_axiom
 from lcoalg.graphs import (
     UndirectedGraph,
     WeightedDigraph,
@@ -18,7 +18,8 @@ from lcoalg.graphs import (
     parse_undirected_edges,
 )
 from lcoalg.fixtures import fixture_petersen
-from lcoalg.scalars import ONE, Q
+from lcoalg.linalg import BasisSpace, MultiLinearMap
+from lcoalg.scalars import ONE, Q, Scalar
 
 
 def test_digraph_merges_duplicate_arrows():
@@ -120,6 +121,25 @@ def test_covering_check_reports_uncovered():
     assert any(w[1].startswith("uncovered:") for w in report.witnesses)
 
 
+TWO = Scalar.from_rational(2)
+UVWX = ["u", "v", "w", "x"]
+
+
+def test_covering_overlaps_come_in_family_then_basis_order():
+    # B = 2A shares every loop of A with another weight: one witness per
+    # loop, in basis order, whatever the hash seed.
+    space = BasisSpace(UVWX)
+    s = LStructure(space, {
+        "A": MultiLinearMap(space, 2, {v: {(v, v): ONE} for v in UVWX}),
+        "B": MultiLinearMap(space, 2, {v: {(v, v): TWO} for v in UVWX}),
+    })
+    g = WeightedDigraph(UVWX, [(v, v, ONE) for v in UVWX])
+    report = covering_check(g, s, ["A", "B"])
+    assert report.witnesses == [
+        (v, f"overlap(A,B)@{v}->{v}", {(v, v): ONE}, {(v, v): TWO}) for v in UVWX
+    ]
+
+
 def test_dot_export_deterministic():
     g = WeightedDigraph(["a", "b"], [("b", "a", Q), ("a", "a", ONE)])
     text = dot_export(g, name="T")
@@ -153,3 +173,136 @@ def test_bidirected_predicate():
     asym = WeightedDigraph(["a", "b"], [("a", "b", ONE)])
     assert sym.is_bidirected()
     assert not asym.is_bidirected()
+
+
+# -- the indexed covering check against the pairwise one ---------------------
+
+
+def copying_support(s, names):
+    """The arrows of the geometric support, read from a copy of every
+    label's image."""
+    arrows = {}
+    for name in names:
+        cp = s.coproduct(name)
+        for label in s.space.labels:
+            for (a, b), w in cp.of_label(label).items():
+                prior = arrows.get((a, b))
+                if prior is None:
+                    arrows[(a, b)] = w
+                elif prior != w:
+                    raise ValueError(
+                        f"coproducts disagree on arrow {a}->{b}: {prior} vs {w}")
+    return arrows
+
+
+def pairwise_covering_check(g, s, family):
+    """The covering check that compared every pair of members through a set
+    intersection of their supports; its overlap witnesses are sorted by
+    member pair in family order, then by arrow in basis order."""
+    report = AxiomReport(axiom="coassociative_covering")
+    for name in family:
+        sub = check_axiom(s, "coassoc", {"Delta": name})
+        if not sub.passed:
+            for label, eq, lhs, rhs in sub.witnesses:
+                report.witnesses.append((label, f"{name}:{eq}", lhs, rhs))
+            report.notes.append(f"family member {name} is not coassociative")
+    if report.witnesses:
+        return report
+    supports = {name: copying_support(s, [name]) for name in family}
+    names = list(family)
+    rank = s.space.index
+    overlaps = []
+    for i in range(len(names)):
+        for j in range(i + 1, len(names)):
+            si, sj = supports[names[i]], supports[names[j]]
+            for arrow in set(si) & set(sj):
+                u, w = arrow
+                ci = s.coproduct(names[i]).of_label(u).get((u, w), Scalar.zero())
+                cj = s.coproduct(names[j]).of_label(u).get((u, w), Scalar.zero())
+                if ci != cj:
+                    overlaps.append(((i, j, rank[u], rank[w]), (
+                        u, f"overlap({names[i]},{names[j]})@{u}->{w}",
+                        {(u, w): ci}, {(u, w): cj})))
+    overlaps.sort(key=lambda item: item[0])
+    report.witnesses.extend(witness for _, witness in overlaps)
+    union = {}
+    for arrs in supports.values():
+        for arrow, w in arrs.items():
+            union.setdefault(arrow, w)
+    missing = set(g.arrows) - set(union)
+    extra = set(union) - set(g.arrows)
+    wrong = {a for a in set(union) & set(g.arrows) if union[a] != g.arrows[a]}
+    for a in sorted(missing):
+        report.witnesses.append((a[0], f"uncovered:{a[0]}->{a[1]}", {}, {a: g.arrows[a]}))
+    for a in sorted(extra):
+        report.witnesses.append((a[0], f"outside:{a[0]}->{a[1]}", {a: union[a]}, {}))
+    for a in sorted(wrong):
+        report.witnesses.append(
+            (a[0], f"weight:{a[0]}->{a[1]}", {a: union[a]}, {a: g.arrows[a]}))
+    return report
+
+
+WEIGHTS = [ONE, TWO, Q]
+
+
+@st.composite
+def coverings(draw):
+    """A digraph on u, v, w, x and a family of group-like maps, bridges
+    s -> t (t to c s@t, s to c s@s) and arbitrary maps, which may fail
+    coassociativity or disagree with themselves on an arrow."""
+    space = BasisSpace(UVWX)
+    arrows = [(a, b) for a in UVWX for b in UVWX]
+    coproducts = {}
+    for k in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["group", "group", "bridge", "bridge", "any"]))
+        if kind == "group":
+            labels = draw(st.lists(st.sampled_from(UVWX), min_size=1, unique=True))
+            table = {v: {(v, v): draw(st.sampled_from(WEIGHTS))} for v in labels}
+        elif kind == "bridge":
+            a, b = draw(st.lists(st.sampled_from(UVWX), min_size=2, max_size=2,
+                                 unique=True))
+            c = draw(st.sampled_from(WEIGHTS))
+            table = {b: {(a, b): c}, a: {(a, a): c}}
+        else:
+            table = draw(st.dictionaries(
+                st.sampled_from(UVWX),
+                st.dictionaries(st.sampled_from(arrows), st.sampled_from(WEIGHTS),
+                                min_size=1, max_size=2),
+                max_size=2))
+        coproducts[f"m{k}"] = MultiLinearMap(space, 2, table)
+    s = LStructure(space, coproducts)
+    family = draw(st.lists(st.sampled_from(sorted(coproducts)), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        covered = {}
+        for name in family:
+            try:
+                covered.update(copying_support(s, [name]))
+            except ValueError:
+                pass
+        g = WeightedDigraph(UVWX, [(a, b, c) for (a, b), c in covered.items()])
+    else:
+        g = WeightedDigraph(UVWX, draw(st.lists(st.tuples(
+            st.sampled_from(UVWX), st.sampled_from(UVWX), st.sampled_from(WEIGHTS)),
+            max_size=6)))
+    return g, s, family
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except ValueError as exc:
+        return "raised", str(exc)
+
+
+def _report(report):
+    return report.witnesses, report.notes
+
+
+@settings(max_examples=150, deadline=None)
+@given(coverings())
+def test_indexed_covering_check_matches_pairwise(case):
+    g, s, family = case
+    assert _outcome(lambda: _report(covering_check(g, s, family))) == _outcome(
+        lambda: _report(pairwise_covering_check(g, s, family)))
+    assert _outcome(lambda: list(geometric_support(s, family).arrows.items())) == _outcome(
+        lambda: list(copying_support(s, family).items()))

@@ -20,7 +20,7 @@ from lcoalg.linalg import (
     vec_scale,
     zero_map,
 )
-from lcoalg.scalars import ONE, Q, ZERO, Scalar
+from lcoalg.scalars import MINUS_ONE, ONE, Q, ZERO, Scalar
 
 
 def test_basis_space_rejects_duplicates():
@@ -100,6 +100,15 @@ def test_at_slot_linearity():
     combined = f.at_slot(tensor_add(t1, t2), 1, 2)
     split = tensor_add(f.at_slot(t1, 1, 2), f.at_slot(t2, 1, 2))
     assert combined == split
+
+
+def test_at_slot_passes_a_unit_factor_through():
+    # A product with ONE is the other factor itself, so no multiply is made.
+    _, f, _ = _sample_maps()
+    out = f.at_slot({("b", "a"): ONE, ("a", "b"): Q}, 1, 2)
+    assert out == {("b", "b", "a"): Q, ("a", "a", "a"): TWO, ("a", "b", "b"): Q}
+    assert out[("b", "b", "a")] is f.table["b"][("b", "b")]
+    assert out[("a", "b", "b")] is Q
 
 
 def test_tau_involution():
@@ -207,3 +216,54 @@ def test_mul_tensors_componentwise():
     left = {("g", "e"): ONE}
     right = {("g", "g"): Q}
     assert alg.mul_tensors(left, right) == {("e", "g"): Q}
+
+
+# -- rref against the dense elimination it replaced --------------------------
+
+
+def dense_rref(matrix):
+    """Row reduction that scales and eliminates every entry, zeros included."""
+    rows = [list(r) for r in matrix]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if not rows[i][c].is_zero():
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = ONE / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+# Mostly zeros, as in the monomial channels the constructions invert.
+sparse_entries = st.sampled_from(
+    [ZERO] * 5 + [ONE, MINUS_ONE, TWO, Q, -Q ** 3, Q ** -2, ONE / (Q + ONE)]
+)
+
+
+@st.composite
+def sparse_matrices(draw):
+    nrows = draw(st.integers(min_value=1, max_value=5))
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    return [[draw(sparse_entries) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@given(sparse_matrices())
+def test_rref_matches_dense_elimination(matrix):
+    assert rref(matrix) == dense_rref(matrix)

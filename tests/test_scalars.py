@@ -140,6 +140,21 @@ def test_parse_errors_are_positioned():
         parse_scalar("")
 
 
+@pytest.mark.parametrize("text, offset, message", [
+    ("\u00b2", 0, "expected 'q', a number, or '('"),    # superscript two
+    ("\u0663", 0, "expected 'q', a number, or '('"),    # Arabic-Indic three
+    ("\uff17 * q", 0, "expected 'q', a number, or '('"),  # fullwidth seven
+    ("2\u00b2", 1, "unexpected character '\u00b2'"),
+    ("q^\u00b2", 2, "expected an integer"),
+    ("q^1\u0663", 3, "unexpected character '\u0663'"),
+])
+def test_only_ascii_digits_are_numbers(text, offset, message):
+    with pytest.raises(ScalarSyntaxError) as exc:
+        parse_scalar(text)
+    assert exc.value.pos == offset
+    assert str(exc.value) == f"{message} (at offset {offset})"
+
+
 small_rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=3
 )
@@ -262,3 +277,37 @@ def test_fast_paths_skip_the_gcd(monkeypatch):
     assert fast_shapes() == expected
     with pytest.raises(AssertionError, match="general constructor"):
         general * general
+
+
+# -- sparse polynomial product against the dense one -------------------------
+
+
+def dense_pmul(a, b):
+    """The polynomial product over every coefficient, zeros included."""
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca == 0:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _trim(out)
+
+
+# Dense polynomials, and monomials c*q^k of high degree.
+sparse_polys = st.one_of(
+    st.lists(small_rationals, max_size=6),
+    st.builds(lambda k, c: (Fraction(0),) * k + (c,),
+              st.integers(min_value=0, max_value=60),
+              small_rationals.filter(bool)),
+    st.lists(st.sampled_from([Fraction(0)] * 4 + [Fraction(1), Fraction(-2, 3)]),
+             max_size=12),
+).map(_trim)
+
+
+@given(sparse_polys, sparse_polys)
+def test_sparse_pmul_matches_dense(a, b):
+    product = _pmul(a, b)
+    assert product == dense_pmul(a, b)
+    assert all(type(c) is Fraction for c in product)
