@@ -22,6 +22,7 @@ from .linalg import (
     Tensor,
     Vector,
     add_scaled,
+    functional_value,
     rref,
     tensor_add,
     unit_vector,
@@ -53,9 +54,9 @@ def _on_legs(tensor: Tensor, legs: Sequence[int], table: Dict[str, Vector]) -> T
 class ChannelMap:
     """An invertible linear map between two boundary spaces.
 
-    Verified at construction: invertibility always; the coalgebra-morphism,
-    counit, and algebra-morphism conditions whenever the corresponding data
-    is supplied.  Fixed points are allowed here (the fixed-point
+    Invertibility is verified at construction; ``check_coalgebra_morphism``
+    and ``check_counit`` check the coalgebra-morphism and counit conditions
+    on request.  Fixed points are allowed here (the fixed-point
     proposition needs them); the entanglement constructions enforce
     disjointness themselves.
     """
@@ -132,14 +133,10 @@ class ChannelMap:
 
     def check_counit(self, eps1: Vector, eps2: Vector) -> List[str]:
         """Labels of C1 where eps2 Phi != eps1."""
-        bad = []
-        for lab in self.c1.labels:
-            value = Scalar.zero()
-            for w, c in self.forward[lab].items():
-                value = value + c * eps2.get(w, Scalar.zero())
-            if value != eps1.get(lab, Scalar.zero()):
-                bad.append(lab)
-        return bad
+        return [
+            lab for lab in self.c1.labels
+            if functional_value(eps2, self.forward[lab]) != eps1.get(lab, Scalar.zero())
+        ]
 
 
 @dataclass
@@ -152,8 +149,6 @@ class EntangledStructure:
     c1: BasisSpace
     c2: BasisSpace
     channel: ChannelMap
-    chirality: str
-    bridge_names: Tuple[str, ...]
     counits: Dict[str, Vector] = field(default_factory=dict)
 
     def coproduct(self, name: str) -> MultiLinearMap:
@@ -245,9 +240,7 @@ def self_entangle(
     if eps1 is not None and _bridge_counits_hold(structure, eps1):
         eps_star = dict(eps1)
         for w in c2.labels:
-            value = Scalar.zero()
-            for v, c in channel.inverse[w].items():
-                value = value + c * eps1.get(v, Scalar.zero())
+            value = functional_value(eps1, channel.inverse[w])
             if not value.is_zero():
                 eps_star[w] = value
         counits["eps_star"] = eps_star
@@ -259,8 +252,6 @@ def self_entangle(
         c1=c1,
         c2=c2,
         channel=channel,
-        chirality="chiral",
-        bridge_names=("delta1", "deltahat1", "delta2", "deltahat2"),
         counits=counits,
     )
 
@@ -348,8 +339,6 @@ def achiral_entangle(
         c1=c1,
         c2=c2,
         channel=channel,
-        chirality="chiral",
-        bridge_names=("delta1", "deltatilde2", "deltatildehat2"),
     )
 
 
@@ -443,8 +432,6 @@ def markov_entangle_de_bruijn(
         c1=c1,
         c2=c2,
         channel=channel,
-        chirality="chiral",
-        bridge_names=("delta_M", "deltatilde_M", "delta"),
     )
 
 
@@ -487,8 +474,6 @@ def markov_entangle_flower(
         c1=c1,
         c2=c2,
         channel=channel,
-        chirality="chiral",
-        bridge_names=("delta_f", "deltatilde_f", "delta"),
     )
 
 

@@ -18,6 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .coalgebra import AxiomReport, Equation, LStructure, Side, _expand
 from .linalg import BasisSpace, Vector, add_scaled, vec_sub
+from .linalg import functional_value  # noqa: F401  (re-exported: public here too)
 from .scalars import MINUS_ONE, ONE, Scalar
 
 Functional = Vector  # label -> value; the coefficient vector in the dual basis
@@ -26,15 +27,6 @@ Functional = Vector  # label -> value; the coefficient vector in the dual basis
 def dual_basis(space: BasisSpace) -> Dict[str, Functional]:
     """label -> the functional dual to that basis element."""
     return {lab: {lab: ONE} for lab in space.labels}
-
-
-def functional_value(f: Functional, v: Vector) -> Scalar:
-    out = Scalar.zero()
-    for lab, c in v.items():
-        w = f.get(lab)
-        if w is not None:
-            out = out + c * w
-    return out
 
 
 def conv_product(s: LStructure, name: str, f: Functional, g: Functional) -> Functional:

@@ -110,6 +110,7 @@ class SpecDocument:
 
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME)
 _ON = rf"\s+({_NAME})\s+on\s+({_NAME})\s*:\s*$"
 # keyword -> (header pattern, error message, expected form); the groups are
 # the name and the spaces of the block, or the name and labels of a space
@@ -232,6 +233,10 @@ def parse_document(text: str) -> SpecDocument:
                 labels = [p.strip() for p in body.split(",") if p.strip()]
                 if not labels:
                     raise DslError("space needs at least one label", lineno)
+                for lab in labels:
+                    if not _NAME_RE.fullmatch(lab):
+                        raise DslError(f"bad space label {lab!r}", lineno,
+                                       expected=[_NAME])
                 if name in doc.spaces:
                     raise DslError(f"space {name!r} declared twice", lineno)
                 if len(set(labels)) != len(labels):

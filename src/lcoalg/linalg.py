@@ -57,13 +57,10 @@ class BasisSpace:
         return BasisSpace(self.labels + other.labels)
 
 
-# -- vector / tensor helpers ----------------------------------------------
-
-
-def vec_add(a: Vector, b: Vector) -> Vector:
-    out = dict(a)
-    add_scaled(out, b.items(), ONE)
-    return out
+# -- sparse-dict operations -----------------------------------------------
+# Vectors, tensors, functionals and noncommutative polynomials are all
+# sparse dicts key -> nonzero Scalar, and share one add, scale and sub:
+# vec_* here and poly_* in ncpoly are names for tensor_*.
 
 
 def add_scaled(
@@ -81,34 +78,38 @@ def add_scaled(
             out[key] = s
 
 
-def vec_scale(a: Vector, c: Scalar) -> Vector:
+def tensor_add(a: Dict[Key, Scalar], b: Dict[Key, Scalar]) -> Dict[Key, Scalar]:
+    out = dict(a)
+    add_scaled(out, b.items(), ONE)
+    return out
+
+
+def tensor_scale(a: Dict[Key, Scalar], c: Scalar) -> Dict[Key, Scalar]:
     if c.is_zero():
         return {}
     return {k: v * c for k, v in a.items()}
 
 
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return vec_add(a, vec_scale(b, MINUS_ONE))
+def tensor_sub(a: Dict[Key, Scalar], b: Dict[Key, Scalar]) -> Dict[Key, Scalar]:
+    return tensor_add(a, tensor_scale(b, MINUS_ONE))
+
+
+vec_add, vec_scale, vec_sub = tensor_add, tensor_scale, tensor_sub
 
 
 def unit_vector(label: Label) -> Vector:
     return {label: ONE}
 
 
-def tensor_add(a: Tensor, b: Tensor) -> Tensor:
-    out = dict(a)
-    add_scaled(out, b.items(), ONE)
+def functional_value(f: Vector, v: Vector) -> Scalar:
+    """The pairing f(v) of a functional (its values on the basis) with a
+    vector."""
+    out = Scalar.zero()
+    for lab, c in v.items():
+        w = f.get(lab)
+        if w is not None:
+            out = out + c * w
     return out
-
-
-def tensor_scale(a: Tensor, c: Scalar) -> Tensor:
-    if c.is_zero():
-        return {}
-    return {k: v * c for k, v in a.items()}
-
-
-def tensor_sub(a: Tensor, b: Tensor) -> Tensor:
-    return tensor_add(a, tensor_scale(b, MINUS_ONE))
 
 
 def tensor_product(a: Tensor, b: Tensor) -> Tensor:
@@ -213,17 +214,19 @@ class MultiLinearMap:
     # -- algebra of maps ---------------------------------------------------
 
     def add(self, other: "MultiLinearMap") -> "MultiLinearMap":
-        self._check_compatible(other)
-        table = {}
-        for label in set(self.table) | set(other.table):
-            table[label] = tensor_add(self.of_label(label), other.of_label(label))
-        return MultiLinearMap(self.domain, self.arity, table)
+        return self._plus(other, ONE)
 
     def sub(self, other: "MultiLinearMap") -> "MultiLinearMap":
+        return self._plus(other, MINUS_ONE)
+
+    def _plus(self, other: "MultiLinearMap", c: Scalar) -> "MultiLinearMap":
+        """self + c * other, its table listing labels in basis order."""
         self._check_compatible(other)
         table = {}
-        for label in set(self.table) | set(other.table):
-            table[label] = tensor_sub(self.of_label(label), other.of_label(label))
+        for label in self.domain.labels:
+            entry = dict(self.table.get(label, {}))
+            add_scaled(entry, other.table.get(label, {}).items(), c)
+            table[label] = entry
         return MultiLinearMap(self.domain, self.arity, table)
 
     def tau(self) -> "MultiLinearMap":
@@ -396,14 +399,10 @@ class FiniteAlgebra:
             for tt, ct in t.items():
                 if len(ts) != len(tt):
                     raise ValueError("tensor degrees differ")
-                factors = [self.mul_labels(a, b) for a, b in zip(ts, tt)]
                 partial: Tensor = {(): cs * ct}
-                for vec in factors:
-                    nxt: Tensor = {}
-                    for term, coeff in partial.items():
-                        add_scaled(nxt, ((term + (lab,), c) for lab, c in vec.items()),
-                                   coeff)
-                    partial = nxt
+                for a, b in zip(ts, tt):
+                    ab = self.product.get((a, b), {})
+                    partial = tensor_product(partial, {(lab,): c for lab, c in ab.items()})
                 add_scaled(out, partial.items(), ONE)
         return out
 

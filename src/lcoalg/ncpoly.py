@@ -7,21 +7,20 @@ convolution identities evaluated inside the presented algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .coalgebra import AxiomReport
-from .linalg import add_scaled
-from .scalars import MINUS_ONE, ONE, Scalar
+from .linalg import add_scaled, tensor_add, tensor_product, tensor_scale, tensor_sub
+from .scalars import ONE, Scalar
 
 Word = Tuple[str, ...]
 NCPoly = Dict[Word, Scalar]  # canonical: no zero coefficients
 NCTensor = Dict[Tuple[Word, Word], Scalar]
 
-
-def poly_of(terms: Iterable[Tuple[Scalar, Word]]) -> NCPoly:
-    out: NCPoly = {}
-    add_scaled(out, ((word, coeff) for coeff, word in terms), ONE)
-    return out
+# Words concatenate as tensor terms do, so the polynomial operations are
+# the tensor ones.
+poly_add, poly_scale, poly_sub = tensor_add, tensor_scale, tensor_sub
+poly_mul = tensor_product
 
 
 def poly_one() -> NCPoly:
@@ -29,30 +28,7 @@ def poly_one() -> NCPoly:
 
 
 def poly_letter(letter: str, coeff: Scalar = ONE) -> NCPoly:
-    return poly_of([(coeff, (letter,))])
-
-
-def poly_add(a: NCPoly, b: NCPoly) -> NCPoly:
-    out = dict(a)
-    add_scaled(out, b.items(), ONE)
-    return out
-
-
-def poly_scale(a: NCPoly, c: Scalar) -> NCPoly:
-    if c.is_zero():
-        return {}
-    return {word: coeff * c for word, coeff in a.items()}
-
-
-def poly_sub(a: NCPoly, b: NCPoly) -> NCPoly:
-    return poly_add(a, poly_scale(b, MINUS_ONE))
-
-
-def poly_mul(a: NCPoly, b: NCPoly) -> NCPoly:
-    out: NCPoly = {}
-    for wa, ca in a.items():
-        add_scaled(out, ((wa + wb, cb) for wb, cb in b.items()), ca)
-    return out
+    return {} if coeff.is_zero() else {(letter,): coeff}
 
 
 class RewriteError(RuntimeError):
@@ -157,18 +133,6 @@ def relation_set(name: str, n: int = 0) -> RewriteSystem:
 # -- coproducts on presented algebras --------------------------------------
 
 
-def tensor_poly_add(a: NCTensor, b: NCTensor) -> NCTensor:
-    out = dict(a)
-    add_scaled(out, b.items(), ONE)
-    return out
-
-
-def tensor_poly_scale(a: NCTensor, c: Scalar) -> NCTensor:
-    if c.is_zero():
-        return {}
-    return {key: coeff * c for key, coeff in a.items()}
-
-
 def tensor_poly_mul(
     a: NCTensor, b: NCTensor, left_rs: RewriteSystem, right_rs: RewriteSystem
 ) -> NCTensor:
@@ -211,7 +175,7 @@ def coproduct_of_poly(
             if image is None:
                 raise KeyError(f"no coproduct image for generator {letter!r}")
             acc = tensor_poly_mul(acc, image, left_rs, right_rs)
-        out = tensor_poly_add(out, tensor_poly_scale(acc, coeff))
+        add_scaled(out, acc.items(), coeff)
     return tensor_poly_normalize(out, left_rs, right_rs)
 
 
@@ -276,7 +240,7 @@ def check_l_hopf(data: AntipodeData, labels: Sequence[str]) -> AxiomReport:
         total: NCPoly = {}
         for (lw, rw), c in image.items():
             piece = poly_mul(_substitute(lw, data.first), _substitute(rw, data.second))
-            total = poly_add(total, poly_scale(piece, c))
+            add_scaled(total, piece.items(), c)
         value = data.rewrite.normalize(total)
         eps = data.counit.get(x, Scalar.zero())
         target = {} if eps.is_zero() else {(): eps}

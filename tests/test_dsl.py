@@ -49,10 +49,11 @@ _VEC_TERM_RE = re.compile(rf"^(?:(.*)\*)?\s*({_NAME})\s*$")
 _KEYWORDS = ("space", "coproduct", "counit", "algebra", "channel")
 
 
-# The one change since: an unbalanced bracket is reported at its column in
+# The changes since: an unbalanced bracket is reported at its column in
 # the source line (``column`` is that of ``text[0]``), at the unmatched
 # closer or the last unclosed opener, where it was reported at an offset
-# into the right-hand side.
+# into the right-hand side; and a space label must be a name (checked in
+# ``oracle_parse_document``).
 def _split_top_plus(text: str, line: int, column: int) -> List[str]:
     parts: List[str] = []
     openers: List[int] = []
@@ -172,6 +173,10 @@ def oracle_parse_document(text: str) -> SpecDocument:
                 labels = [p.strip() for p in body.split(",") if p.strip()]
                 if not labels:
                     raise DslError("space needs at least one label", lineno)
+                for lab in labels:
+                    if not re.fullmatch(_NAME, lab):
+                        raise DslError(f"bad space label {lab!r}", lineno,
+                                       expected=[_NAME])
                 if name in doc.spaces:
                     raise DslError(f"space {name!r} declared twice", lineno)
                 if len(set(labels)) != len(labels):
@@ -398,6 +403,18 @@ def test_undeclared_label_rejected():
         )
     assert err.value.line == 3
     assert str(err.value) == "line 3, column 1: label 'z' is not declared in space 'V'"
+
+
+@pytest.mark.parametrize("body, label", [
+    ("a b", "a b"), ("a, 1b", "1b"), ("a, b-c", "b-c"), ("a, a, b c", "b c"),
+])
+def test_space_label_must_be_a_name(body, label):
+    """A label no term can name is refused, before the duplicate check."""
+    with pytest.raises(DslError) as err:
+        parse_document(f"space V = {{ {body} }}\n")
+    assert str(err.value) == (
+        f"line 1, column 1: bad space label {label!r} (expected [A-Za-z_][A-Za-z0-9_]*)"
+    )
 
 
 def test_duplicate_labels_and_spaces():

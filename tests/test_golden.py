@@ -118,6 +118,7 @@ READER_ERRORS = (
     ("channel_unknown_target_label", _CH + "  a -> y\n"),
     ("bad_space", "space V = a, b\n"),
     ("empty_space", "space V = { , }\n"),
+    ("space_label", "space V = { a b }\n"),
     ("space_twice", _V + "space V = { c }\n"),
     ("duplicate_labels", "space V = { a, b, a }\n"),
     ("bad_coproduct_header", _V + "coproduct D V:\n"),

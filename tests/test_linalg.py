@@ -2,12 +2,13 @@
 algebras."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lcoalg.linalg import (
     BasisSpace,
     FiniteAlgebra,
     MultiLinearMap,
+    add_scaled,
     kernel_basis,
     map_equal,
     rref,
@@ -15,6 +16,7 @@ from lcoalg.linalg import (
     tensor_add,
     tensor_product,
     tensor_scale,
+    tensor_sub,
     unit_vector,
     vec_add,
     vec_scale,
@@ -267,3 +269,130 @@ def sparse_matrices(draw):
 @given(sparse_matrices())
 def test_rref_matches_dense_elimination(matrix):
     assert rref(matrix) == dense_rref(matrix)
+
+
+# -- map sums against the set-walking loops they replaced --------------------
+
+
+def set_walking_add(f, g):
+    """MultiLinearMap.add as it was: labels in the order of a set."""
+    table = {}
+    for label in set(f.table) | set(g.table):
+        table[label] = tensor_add(f.of_label(label), g.of_label(label))
+    return MultiLinearMap(f.domain, f.arity, table)
+
+
+def set_walking_sub(f, g):
+    table = {}
+    for label in set(f.table) | set(g.table):
+        table[label] = tensor_sub(f.of_label(label), g.of_label(label))
+    return MultiLinearMap(f.domain, f.arity, table)
+
+
+coefficients = st.sampled_from([ONE, MINUS_ONE, TWO, Q, -Q, Q ** -2, ONE / (Q + ONE)])
+LABEL_POOL = ["a", "b", "c", "d", "e", "f", "g", "h"]
+
+
+@st.composite
+def map_pairs(draw):
+    """Two maps on one space; about half of g's terms cancel f's."""
+    n = draw(st.integers(min_value=1, max_value=len(LABEL_POOL)))
+    labels = draw(st.permutations(LABEL_POOL))[:n]
+    space = BasisSpace(labels)
+    arity = draw(st.integers(min_value=1, max_value=2))
+    terms = st.tuples(*[st.sampled_from(labels)] * arity)
+    tables = st.dictionaries(
+        st.sampled_from(labels), st.dictionaries(terms, coefficients, max_size=3),
+        max_size=n,
+    )
+    f_table = draw(tables)
+    g_table = draw(tables)
+    for label, tensor in f_table.items():
+        if draw(st.booleans()):
+            g_table[label] = {**g_table.get(label, {}), **tensor}
+    return MultiLinearMap(space, arity, f_table), MultiLinearMap(space, arity, g_table)
+
+
+def _in_basis_order(m):
+    return list(m.table) == [lab for lab in m.domain.labels if lab in m.table]
+
+
+@given(map_pairs())
+def test_map_add_and_sub_match_the_set_walking_loops(pair):
+    f, g = pair
+    for fast, slow in ((f.add(g), set_walking_add(f, g)), (f.sub(g), set_walking_sub(f, g))):
+        assert fast.table == slow.table
+        # Each label's tensor is built in one order by both; only the
+        # order of the labels themselves came from the hash seed.
+        for label, tensor in fast.table.items():
+            assert list(tensor.items()) == list(slow.table[label].items())
+        assert _in_basis_order(fast)
+
+
+def test_map_add_and_sub_list_labels_in_basis_order(f_data):
+    s = f_data["structure"]
+    delta, deltatilde = s.coproduct("Delta"), s.coproduct("Deltatilde")
+    for both in (delta.add(deltatilde), delta.sub(deltatilde), deltatilde.add(delta)):
+        assert list(both.table) == ["a", "b", "c", "d"]
+
+
+# -- mul_tensors against the hand-rolled product it replaced -----------------
+
+
+def hand_rolled_mul_tensors(algebra, s, t):
+    out = {}
+    for ts, cs in s.items():
+        for tt, ct in t.items():
+            factors = [algebra.mul_labels(a, b) for a, b in zip(ts, tt)]
+            partial = {(): cs * ct}
+            for vec in factors:
+                nxt = {}
+                for term, coeff in partial.items():
+                    add_scaled(nxt, ((term + (lab,), c) for lab, c in vec.items()), coeff)
+                partial = nxt
+            add_scaled(out, partial.items(), ONE)
+    return out
+
+
+@st.composite
+def truncated_polynomial_algebras(draw):
+    """k[x] / (x^n - c_{n-1} x^{n-1} - ... - c_0) on x^0..x^{n-1}, with the
+    basis labels shuffled; each c_i may be zero."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    relation = [draw(sparse_entries) for _ in range(n)]
+    labels = draw(st.permutations(LABEL_POOL))[:n]
+
+    def power(k):  # x^k as coefficients of x^0..x^{n-1}
+        if k < n:
+            return [ONE if i == k else ZERO for i in range(n)]
+        lower = power(k - 1)
+        top = lower[-1]
+        return [ZERO] + lower[:-1] if top.is_zero() else [
+            (ZERO if i == 0 else lower[i - 1]) + top * relation[i] for i in range(n)
+        ]
+
+    product = {
+        (labels[i], labels[j]): {
+            labels[k]: c for k, c in enumerate(power(i + j)) if not c.is_zero()
+        }
+        for i in range(n) for j in range(n)
+    }
+    return FiniteAlgebra(BasisSpace(labels), product, {labels[0]: ONE})
+
+
+@st.composite
+def algebra_tensor_pairs(draw):
+    algebra = draw(truncated_polynomial_algebras())
+    degree = draw(st.integers(min_value=1, max_value=3))
+    terms = st.tuples(*[st.sampled_from(algebra.space.labels)] * degree)
+    tensors = st.dictionaries(terms, coefficients, max_size=4)
+    return algebra, draw(tensors), draw(tensors)
+
+
+@settings(deadline=None)
+@given(algebra_tensor_pairs())
+def test_mul_tensors_matches_the_hand_rolled_product(case):
+    algebra, s, t = case
+    assert list(algebra.mul_tensors(s, t).items()) == list(
+        hand_rolled_mul_tensors(algebra, s, t).items()
+    )

@@ -3,9 +3,12 @@ relations, multiplicative coproduct extension, and the antipode-type
 convolution identity."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from lcoalg.coalgebra import AxiomReport
+from lcoalg.linalg import tensor_add, tensor_scale
 from lcoalg.ncpoly import (
+    AntipodeData,
     RewriteError,
     RewriteSystem,
     check_bridge_homomorphism,
@@ -18,8 +21,10 @@ from lcoalg.ncpoly import (
     poly_scale,
     poly_sub,
     relation_set,
+    tensor_poly_mul,
+    tensor_poly_normalize,
 )
-from lcoalg.scalars import ONE, Q, Scalar
+from lcoalg.scalars import MINUS_ONE, ONE, Q, Scalar
 
 
 def word(text):
@@ -169,7 +174,6 @@ def test_l_hopf_identity_all_generators(qm_data):
 
 
 def test_l_hopf_reports_wrong_counit(qm_data):
-    from lcoalg.ncpoly import AntipodeData
     bad = AntipodeData(
         coproducts=qm_data["antipode"].coproducts,
         first=qm_data["antipode"].first,
@@ -180,3 +184,73 @@ def test_l_hopf_reports_wrong_counit(qm_data):
     report = check_l_hopf(bad, ["a", "b", "c", "d", "x", "y", "z", "u"])
     assert not report.passed
     assert {w[0] for w in report.witnesses} == {"d", "y", "z"}
+
+
+# -- the rebuild loops that in-place accumulation replaced -------------------
+
+
+def rebuilding_coproduct_of_poly(poly, generator_images, left_rs, right_rs):
+    """coproduct_of_poly as it was: the sum is copied once per term."""
+    out = {}
+    for w, coeff in poly.items():
+        acc = {((), ()): ONE}
+        for letter in w:
+            acc = tensor_poly_mul(acc, generator_images[letter], left_rs, right_rs)
+        out = tensor_add(out, tensor_scale(acc, coeff))
+    return tensor_poly_normalize(out, left_rs, right_rs)
+
+
+def rebuilding_check_l_hopf(data, labels):
+    """check_l_hopf as it was: the sum is copied once per term."""
+    report = AxiomReport(axiom="l_hopf")
+    for x in labels:
+        total = {}
+        for (lw, rw), c in data.coproducts[x].items():
+            left, right = poly_one(), poly_one()
+            for letter in lw:
+                left = poly_mul(left, data.first[letter])
+            for letter in rw:
+                right = poly_mul(right, data.second[letter])
+            total = poly_add(total, poly_scale(poly_mul(left, right), c))
+        value = data.rewrite.normalize(total)
+        eps = data.counit.get(x, Scalar.zero())
+        target = {} if eps.is_zero() else {(): eps}
+        if value != target:
+            report.witnesses.append((x, "antipode", dict(value), dict(target)))
+    return report
+
+
+nc_coefficients = st.sampled_from([ONE, MINUS_ONE, Q, -Q, Q ** -1, ONE / (Q + ONE)])
+letters = st.text(alphabet=LETTERS, max_size=1).map(tuple)
+# Repeated words make terms cancel inside the sums.
+nc_polys = st.dictionaries(letters, nc_coefficients, max_size=2)
+nc_tensors = st.dictionaries(st.tuples(letters, letters), nc_coefficients,
+                             min_size=1, max_size=2)
+
+
+@settings(deadline=None)
+@given(st.dictionaries(st.text(alphabet=LETTERS, max_size=3).map(tuple),
+                       nc_coefficients, max_size=3),
+       st.fixed_dictionaries({letter: nc_tensors for letter in LETTERS}),
+       st.booleans())
+def test_coproduct_of_poly_matches_the_rebuilding_loop(qm_data, poly, images, random_images):
+    rs = qm_data["rewrite1"]
+    if not random_images:
+        images = qm_data["delta1_nc"]
+    fast = coproduct_of_poly(poly, images, rs, rs)
+    assert list(fast.items()) == list(rebuilding_coproduct_of_poly(poly, images, rs, rs).items())
+
+
+@settings(deadline=None)
+@given(st.fixed_dictionaries({letter: nc_tensors for letter in LETTERS}),
+       st.fixed_dictionaries({letter: nc_polys for letter in LETTERS}),
+       st.fixed_dictionaries({letter: nc_polys for letter in LETTERS}),
+       st.dictionaries(st.sampled_from(LETTERS), nc_coefficients))
+def test_check_l_hopf_matches_the_rebuilding_loop(qm_data, coproducts, first, second, counit):
+    data = AntipodeData(coproducts, first, second, counit, qm_data["rewrite1"])
+    fast = check_l_hopf(data, LETTERS)
+    slow = rebuilding_check_l_hopf(data, LETTERS)
+    assert [(x, kind, list(lhs.items()), list(rhs.items()))
+            for x, kind, lhs, rhs in fast.witnesses] == [
+        (x, kind, list(lhs.items()), list(rhs.items()))
+        for x, kind, lhs, rhs in slow.witnesses]
