@@ -22,11 +22,15 @@ Grammar (one declaration per block; '#' starts a comment):
 Scalars are rational-function expressions in q (see the scalar parser);
 multi-term scalars must be parenthesized so '+' splits terms only at the
 top level.  The reader reads each line once, through one table of block
-headers and one term reader, and parses each distinct scalar text (term
-coefficient or counit value) once per document; scalars are immutable, so
-repeats share one object.  A DslError names its line and a column of that
-source line: the unbalanced bracket itself, and column 1 for an error of
-the whole line.
+headers, and parses each distinct scalar text (term coefficient or counit
+value) once per document; scalars are immutable, so repeats share one
+object.  A term line in the bare form, whose coefficients hold none of
+'( ) < > + *' (every line the unparser writes with no parenthesised
+coefficient), is read by two regex passes over the whole line; every other
+line goes to the chunk reader, which cuts it at each top-level '+' and
+gives the same result on a bare line.  A DslError names its line and a
+column of that source line: the unbalanced bracket itself, and column 1
+for an error of the whole line.
 """
 
 from __future__ import annotations
@@ -138,6 +142,16 @@ _TERMS = {
 }
 _PAIR_RE = re.compile(rf"<\s*{_NAME}\s*,\s*{_NAME}\s*>")
 _BRACKET_OR_PLUS = re.compile(r"[()<>+]")
+# kind -> (line pattern, term pattern) of the bare form: every coefficient
+# is free of '( ) < > + *', so each '+' joins two terms and each '*' ends a
+# coefficient; the groups are the coefficient and the labels of a term
+_BARE = {
+    kind: (re.compile(f"{term}(?:\\+{term})*"), re.compile(term))
+    for kind, term in (
+        ("tensor", rf"(?:([^()<>+*]*)\*)?\s*<\s*({_NAME})\s*,\s*({_NAME})\s*>\s*"),
+        ("vector", rf"(?:([^()<>+*]*)\*)?\s*({_NAME})\s*"),
+    )
+}
 
 
 def _split_top_plus(text: str, line: int, column: int) -> List[str]:
@@ -180,7 +194,27 @@ def _scalar(text: str, line: int, seen: Dict[str, Scalar]) -> Scalar:
 def _parse_terms(rhs: str, line: int, column: int, kind: str,
                  seen: Dict[str, Scalar]) -> Dict:
     """A '+'-joined sum of tensor terms ``[scalar *] <label, label>`` or of
-    vector terms ``[scalar *] label``, starting at ``column``."""
+    vector terms ``[scalar *] label``, starting at ``column``.  A line in
+    the bare form is read by two regex passes; any other line goes to the
+    chunk reader, which gives the same result on a bare line."""
+    bare_line, bare_term = _BARE[kind]
+    if not bare_line.fullmatch(rhs):
+        return _parse_chunks(rhs, line, column, kind, seen)
+    out: Dict = {}
+    tensor = kind == "tensor"
+    add_scaled(out, (
+        (term[1:] if tensor else term[1],
+         _scalar(term[0].strip(), line, seen) if term[0].strip() else ONE)
+        for term in bare_term.findall(rhs)
+    ), ONE)
+    return out
+
+
+def _parse_chunks(rhs: str, line: int, column: int, kind: str,
+                  seen: Dict[str, Scalar]) -> Dict:
+    """``_parse_terms`` for any line: cut at each top-level '+', then match,
+    strip and accumulate each term, with a positioned error for the first
+    bad one."""
     pattern, message, expected = _TERMS[kind]
     out: Dict = {}
     for chunk in _split_top_plus(rhs, line, column):
@@ -205,11 +239,12 @@ def _parse_terms(rhs: str, line: int, column: int, kind: str,
 def parse_document(text: str) -> SpecDocument:
     doc = SpecDocument()
     seen: Dict[str, Scalar] = {}
+    declared_sets: Dict[str, frozenset] = {}  # the labels of each space
     kind: Optional[str] = None  # of the open block, with its name, spaces and table
     name, spaces, table = "", [], {}
 
     def check_labels(space_name: str, labels, lineno: int):
-        declared = doc.spaces[space_name]
+        declared = declared_sets[space_name]
         for lab in labels:
             if lab not in declared:
                 raise DslError(
@@ -242,6 +277,7 @@ def parse_document(text: str) -> SpecDocument:
                 if len(set(labels)) != len(labels):
                     raise DslError("duplicate labels in space", lineno)
                 doc.spaces[name] = tuple(labels)
+                declared_sets[name] = frozenset(labels)
                 continue
             kind, (name, *spaces), table = word, m.groups(), {}
             for sp in spaces:
@@ -299,12 +335,13 @@ def parse_document(text: str) -> SpecDocument:
 
 
 def _scalar_prefix(c: Scalar) -> str:
-    if c == ONE:
-        return ""
-    text = str(c)
-    if re.fullmatch(r"-?[0-9]+(/[0-9]+)?|-?q(\^[0-9]+)?", text):
-        return f"{text} * "
-    return f"({text}) * "
+    """'' for one; bare for a rational number or +-q^k (denominator 1, and
+    a constant numerator or one whose only coefficient is +-1); else in
+    parentheses."""
+    num = c.num
+    if len(c.den) > 1 or len(num) > 1 and (any(num[:-1]) or abs(num[-1]) != 1):
+        return f"({c}) * "
+    return "" if num == (1,) else f"{c} * "
 
 
 def _unparse_tensor(tensor: Tensor) -> str:

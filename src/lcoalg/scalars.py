@@ -229,6 +229,8 @@ class Scalar:
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if other.__class__ is Scalar:
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
             other = Scalar.from_rational(other)
         if not isinstance(other, Scalar):
@@ -372,18 +374,16 @@ def _mono_str(coeff: Fraction, power: int) -> str:
 
 
 def _poly_str(p: Poly) -> str:
+    """The nonzero terms from the highest power down, each after ' + ', or
+    after ' ' when it starts with '-'.  Most zero coefficients are the
+    shared ``_ZERO``, which the identity test passes over without a call."""
     if not p:
         return "0"
-    parts = []
-    for power in range(len(p) - 1, -1, -1):
-        c = p[power]
-        if not c:
-            continue
-        term = _mono_str(c, power)
-        if parts and not term.startswith("-"):
-            parts.append("+")
-        parts.append(term)
-    return " ".join(parts) if len(parts) > 1 else parts[0]
+    terms = [_mono_str(c, power) for power, c in enumerate(p) if c is not _ZERO and c]
+    first = terms.pop()
+    return first + "".join(
+        f" {t}" if t[0] == "-" else f" + {t}" for t in reversed(terms)
+    )
 
 
 ZERO = Scalar((), _UNIT, _canonical=True)

@@ -2,7 +2,9 @@
 exit codes, report lines, document emission, and error handling."""
 
 import contextlib
+import functools
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -10,9 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcoalg.cli import FIXTURE_NAMES, MAX_FIXTURE_N, main
+from lcoalg.coalgebra import AXIOMS
 from lcoalg.dsl import document_from_structure, parse_document, unparse_document
 from lcoalg.scalars import ONE
 from test_complexes import random_structures
+from test_dsl import mutated_documents
 
 
 def run(capsys, *argv):
@@ -521,3 +525,133 @@ def test_complex_keeps_the_exit_code_contract(data):
     grouplike = structure.coproduct("Delta").of_label(unit) == {(unit, unit): ONE}
     if grouplike:
         assert ("\tdd_degree_" in out) == (coassoc == 1)
+
+
+# -- the exit-code contract of every subcommand ------------------------------
+
+# Small fixture documents, next to the mutated documents of the grammar
+# generator; option values are drawn mostly from the names in the document.
+SMALL_FIXTURES = (("F",), ("slq2",), ("su2q-coalg",), ("group", "--n", "3"),
+                  ("cibils", "--n", "3"), ("cibils", "--n", "2", "--q=(1+q)/2"),
+                  ("debruijn", "--n", "3"))
+ROLES = sorted({role for schema in AXIOMS.values() for role in schema["roles"]}
+               | {"eps", "epstilde", "bogus"})
+MOSTLY = st.sampled_from((True,) * 9 + (False,))
+EDGE_LINES = st.sampled_from(("a -- b", "b -- c", "c -- a", "a -- a", "1 -- 2", "") * 4
+                             + ("a b", "a -- b -- c", "--", " -- x", "# note", "a --"))
+
+# channels of F into itself: a swap, and the identity, which has fixed points
+F_CHANNELS = ("\nchannel Swap : F -> F:\n  a -> d\n  b -> c\n  c -> b\n  d -> a\n",
+              "\nchannel Id : F -> F:\n  a -> a\n  b -> b\n  c -> c\n  d -> d\n")
+
+
+@functools.lru_cache(maxsize=None)
+def _fixture_text(argv):
+    code, out, _ = _quiet_main(["fixtures", *argv])
+    assert code == 0
+    return out
+
+
+def _small_documents():
+    texts = [_fixture_text(argv) for argv in SMALL_FIXTURES]
+    return st.sampled_from(texts + [texts[0] + channel for channel in F_CHANNELS])
+
+
+def _declared(document, keyword):
+    """The names of the blocks of one kind, or every label of every space."""
+    if keyword == "label":
+        return re.findall(r"[A-Za-z_][A-Za-z0-9_]*",
+                          " ".join(re.findall(r"\{(.*)\}", document)))
+    return re.findall(rf"^\s*{keyword}\s+([A-Za-z_][A-Za-z0-9_]*)", document, re.M)
+
+
+def _names(document, keyword):
+    """Mostly names of the right kind, sometimes a wrong or unknown one."""
+    right = _declared(document, keyword)
+    wrong = ["zz", "", "-x"] + _declared(document, "label")[:2]
+    return st.sampled_from(right * 6 + wrong)
+
+
+@st.composite
+def bindings(draw, document, axiom):
+    """Usually each role of ``axiom`` bound to a declared name, as one or
+    several comma-joined pieces; sometimes roles left out, a piece without
+    '=', an empty piece or a role of another system."""
+    pieces = []
+    for role in AXIOMS.get(axiom, {"roles": ("Delta",)})["roles"]:
+        if draw(MOSTLY):
+            kind = "counit" if role.startswith("eps") else "coproduct"
+            pieces.append(f"{role}={draw(_names(document, kind))}")
+    pieces += draw(st.lists(st.sampled_from(
+        ("bogus=Delta", "Delta", "=Delta", "", " delta = Delta ")), max_size=1))
+    return ",".join(draw(st.permutations(pieces)))
+
+
+@st.composite
+def cli_invocations(draw, doc_path, edges_path, missing_path):
+    """(argv, document text, edges text) for one of the seven subcommands."""
+    document = draw(st.one_of(mutated_documents(), _small_documents(), _small_documents()))
+    edges = draw(st.one_of(st.lists(EDGE_LINES, max_size=6).map("\n".join),
+                           st.just(_fixture_text(("petersen",)))))
+    space, coproduct, label = (_names(document, kind)
+                               for kind in ("space", "coproduct", "label"))
+    axiom = draw(st.sampled_from(sorted(AXIOMS) + ["bogus"]))
+    file = draw(st.sampled_from((doc_path,) * 18 + (missing_path, str(Path(doc_path).parent))))
+    command = draw(st.sampled_from(("check", "support", "entangle", "bracket",
+                                    "complex", "embed", "fixtures")))
+    options = {
+        "check": {"--space": space, "--axiom": st.just(axiom),
+                  "--bind": bindings(document, axiom)},
+        "support": {"--space": space, "--dot": st.just(None),
+                    "--coproducts": st.lists(coproduct, max_size=3).map(",".join)},
+        "entangle": {"--space": space, "--kind": st.sampled_from(("self", "achiral") * 3 + ("x",)),
+                     "--coproduct": coproduct, "--cotilde": coproduct,
+                     "--channel": _names(document, "channel"),
+                     "--counit": _names(document, "counit"), "--transport": coproduct,
+                     "--out-space": st.sampled_from(("E", "F", "x1", "1x"))},
+        "bracket": {"--space": space, "--left": coproduct, "--right": coproduct},
+        "complex": {"--space": space, "--coproduct": coproduct, "--unit": label,
+                    "--max-degree": st.sampled_from(("1", "2", "3") * 3 + ("0", "-1", "x")),
+                    "--form": st.sampled_from(("primary", "prime", "alternative") * 3 + ("x",))},
+        "embed": {"--edges": st.sampled_from((edges_path,) * 9 + (missing_path,))},
+        "fixtures": {"--n": st.sampled_from(("1", "2", "3", "0", "-1", "x", "51", "151")),
+                     "--q": st.sampled_from(("q", "3/7", "(1+q)/2", "q^", "1/0", "",
+                                             "q^100000", "\u0663"))},
+    }[command]
+    argv = [command]
+    if command == "fixtures":
+        argv += draw(st.lists(st.sampled_from(FIXTURE_NAMES + ("bogus",)), max_size=1))
+    elif command != "embed":
+        argv.append(file)
+    # Each option at most once, except that --bind repeats; the options a
+    # run needs are drawn more often (--space, since most fixture documents
+    # declare two spaces) but left out now and then.
+    flags = draw(st.lists(st.sampled_from(sorted(options)), max_size=3))
+    for flag in ("--space", "--axiom", "--bind", "--coproducts", "--channel", "--cotilde",
+                 "--left", "--right", "--unit", "--edges"):
+        if flag in options and draw(MOSTLY):
+            flags.append(flag)
+    for flag in flags if "--bind" in flags else dict.fromkeys(flags):
+        value = draw(options[flag])
+        argv += [flag] if value is None else [flag, value]
+    if not draw(MOSTLY):
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(
+            ("--bogus", "extra", "--space", "--n=2"))))
+    return argv, document, edges
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_every_subcommand_keeps_the_exit_code_contract(data):
+    with tempfile.TemporaryDirectory() as workdir:
+        doc_path, edges_path = str(Path(workdir, "S.doc")), str(Path(workdir, "edges"))
+        argv, document, edges = data.draw(cli_invocations(
+            doc_path, edges_path, str(Path(workdir, "missing"))))
+        Path(doc_path).write_text(document, encoding="utf-8")
+        Path(edges_path).write_text(edges, encoding="utf-8")
+        code, out, err = _quiet_main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert sum("error:" in line for line in err.splitlines()) == 1
+    else:
+        assert err == ""

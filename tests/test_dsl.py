@@ -1,7 +1,9 @@
 """Text format for spaces, coproducts, counits, algebras, and channels:
 round-trips through the canonical unparser and positioned diagnostics.
 The reader as it was before its one-pass rewrite is kept here as the
-oracle of a hypothesis property over mutated documents."""
+oracle of a hypothesis property over mutated documents; the chunk reader
+is the oracle of the bare-line fast path, and the unparser's old regex
+rule the oracle of its bare-or-parenthesised choice."""
 
 import operator
 import re
@@ -29,7 +31,8 @@ from lcoalg.fixtures import (
     fixture_quantum_sphere,
 )
 from lcoalg.linalg import Tensor, Vector, add_scaled
-from lcoalg.scalars import ONE, Q, Scalar, ScalarSyntaxError, parse_scalar
+from lcoalg.scalars import MINUS_ONE, ONE, Q, ZERO, Scalar, ScalarSyntaxError, parse_scalar
+from test_scalars import scalars, shaped_scalars
 
 
 # -- the reader before the one-pass rewrite, kept as the oracle ------------
@@ -731,3 +734,113 @@ def test_unparse_parse_unparse_over_random_structures(doc):
     reparsed = parse_document(text)
     assert unparse_document(reparsed) == text
     assert reparsed == doc
+
+
+# -- the bare-line fast path against the chunk reader ----------------------
+
+# Bare coefficients, some of them zero, unreadable or whitespace only,
+# since the fast path takes any coefficient free of '( ) < > + *'.
+BARE_COEFF = st.sampled_from(
+    ("",) * 6 + ("1", "2", "0", "-1", "q", "-q", "q^2", "-q^3", "3/7", "-3/7")
+    + ("0/5", "q^-1", "1/q", "q - 1", "  ", "1/0", "q^", "2 3", "-", "q^100000")
+)
+SPACING = st.sampled_from(("", " ", " ", "  ", "\t"))
+PAIR_LABEL = st.sampled_from(("a", "b", "x1"))
+
+
+def _negated(coeff: str) -> str:
+    coeff = coeff.strip()
+    if not coeff:
+        return "-1"
+    return coeff[1:] if coeff.startswith("-") else "-" + coeff
+
+
+@st.composite
+def bare_lines(draw, kind):
+    """A bare term line of 1 to 8 terms, some repeated and some cancelled."""
+    terms = []
+    for _ in range(draw(st.integers(1, 8))):
+        if kind == "tensor":
+            ws = [draw(SPACING) for _ in range(4)]
+            target = f"<{ws[0]}{draw(PAIR_LABEL)}{ws[1]},{ws[2]}{draw(PAIR_LABEL)}{ws[3]}>"
+        else:
+            target = draw(PAIR_LABEL)
+        coeffs = [draw(BARE_COEFF)]
+        if draw(st.integers(0, 3)) == 0:
+            coeffs.append(_negated(coeffs[0]))
+        for coeff in coeffs:
+            star = f"{coeff}{draw(SPACING)}*" if coeff or draw(st.booleans()) else ""
+            terms.append(f"{draw(SPACING)}{star}{draw(SPACING)}{target}{draw(SPACING)}")
+    if len(terms) > 1 and draw(st.booleans()):
+        terms = draw(st.permutations(terms))
+    return "+".join(terms[:8])
+
+
+def _terms_outcome(read, rhs, kind):
+    try:
+        return ("terms", list(read(rhs, 7, 9, kind, {}).items()))
+    except DslError as exc:
+        return ("error", str(exc), exc.line, exc.column, exc.expected)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(("tensor", "vector")).flatmap(
+    lambda kind: st.tuples(st.just(kind), bare_lines(kind))))
+def test_bare_fast_path_matches_the_chunk_reader(kind_and_rhs):
+    kind, rhs = kind_and_rhs
+    assert dsl._BARE[kind][0].fullmatch(rhs), rhs
+    assert (_terms_outcome(dsl._parse_terms, rhs, kind)
+            == _terms_outcome(dsl._parse_chunks, rhs, kind))
+
+
+def test_unparsed_bare_lines_take_the_fast_path(capsys, monkeypatch):
+    """Every term line the unparser writes with no parenthesised
+    coefficient is read by the fast path; only the others reach the chunk
+    reader."""
+    chunked: List[str] = []
+    chunk_reader = dsl._parse_chunks
+
+    def recording(rhs, *args):
+        chunked.append(rhs)
+        return chunk_reader(rhs, *args)
+
+    monkeypatch.setattr(dsl, "_parse_chunks", recording)
+    for argv in (["cibils", "--n", "6"], ["cibils", "--n", "4", "--q=-3/7"],
+                 ["cibils", "--n", "3", "--q=(1+q)/2"], ["debruijn", "--n", "5"],
+                 ["group", "--n", "4"], ["F"]):
+        assert main(["fixtures", *argv]) == 0
+        text = capsys.readouterr().out
+        chunked.clear()
+        parse_document(text)
+        term_rhs, block = [], None
+        for line in text.splitlines():
+            if line and not line[0].isspace():
+                block = line.split(None, 1)[0]
+            elif line.strip() and block != "counit":
+                term_rhs.append(line.split("->", 1)[1].strip())
+        assert chunked == [rhs for rhs in term_rhs if "(" in rhs]
+        assert len(term_rhs) > len(chunked)
+
+
+# -- the unparser's coefficient prefix against its old text rule -----------
+
+
+def oracle_scalar_prefix(c: Scalar) -> str:
+    """The prefix as it was decided, on the rendered text."""
+    if c == ONE:
+        return ""
+    text = str(c)
+    if re.fullmatch(r"-?[0-9]+(/[0-9]+)?|-?q(\^[0-9]+)?", text):
+        return f"{text} * "
+    return f"({text}) * "
+
+
+SIGNED_POWERS = st.builds(lambda k, sign: sign * Scalar.q_power(k),
+                          st.integers(-60, 60), st.sampled_from((ONE, MINUS_ONE)))
+
+
+@settings(max_examples=300)
+@given(st.one_of(COEFFS, MONOMIALS, SIGNED_POWERS, shaped_scalars, scalars(),
+                 st.sampled_from((ZERO, ONE, MINUS_ONE))))
+def test_scalar_prefix_matches_the_text_rule(c):
+    assert dsl._scalar_prefix(c) == oracle_scalar_prefix(c)

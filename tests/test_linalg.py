@@ -266,6 +266,7 @@ def sparse_matrices(draw):
     return [[draw(sparse_entries) for _ in range(ncols)] for _ in range(nrows)]
 
 
+@settings(deadline=None)
 @given(sparse_matrices())
 def test_rref_matches_dense_elimination(matrix):
     assert rref(matrix) == dense_rref(matrix)

@@ -13,9 +13,11 @@ from lcoalg.scalars import (
     ZERO,
     Scalar,
     ScalarSyntaxError,
+    _mono_str,
     _padd,
     _pmul,
     _pneg,
+    _poly_str,
     _trim,
     parse_scalar,
 )
@@ -311,3 +313,33 @@ def test_sparse_pmul_matches_dense(a, b):
     product = _pmul(a, b)
     assert product == dense_pmul(a, b)
     assert all(type(c) is Fraction for c in product)
+
+
+# -- rendering over the nonzero powers against the dense walk -----------------
+
+
+def dense_poly_str(p):
+    """The text of a polynomial, walking every power from the highest down."""
+    if not p:
+        return "0"
+    parts = []
+    for power in range(len(p) - 1, -1, -1):
+        c = p[power]
+        if not c:
+            continue
+        term = _mono_str(c, power)
+        if parts and not term.startswith("-"):
+            parts.append("+")
+        parts.append(term)
+    return " ".join(parts) if len(parts) > 1 else parts[0]
+
+
+@given(sparse_polys)
+def test_poly_str_matches_the_dense_walk(p):
+    assert _poly_str(p) == dense_poly_str(p)
+
+
+@given(shaped_scalars, shaped_scalars)
+def test_scalar_equality_is_on_the_canonical_form(a, b):
+    assert (a == b) == ((a.num, a.den) == (b.num, b.den))
+    assert (a != b) == ((a.num, a.den) != (b.num, b.den))
