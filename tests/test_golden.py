@@ -141,6 +141,15 @@ READER_ERRORS = (
     ("three_factors", _ALG + "  a * b * a -> a\n"),
 )
 
+# (name, document) of each coassociativity check whose expansion writes one
+# term twice, so that at_slot sums its terms; each runs as
+# ``check @rerun_NAME.doc --axiom coassoc --bind Delta=D``
+_RERUN = "space V = { a, b, c }\ncoproduct D on V:\n  a -> <b, c> + <c, c>\n  b -> <a, a>\n"
+RERUN_CHECKS = (
+    ("repeat", _RERUN + "  c -> <a, a>\n"),
+    ("cancel", _RERUN + "  c -> -1 * <a, a>\n"),
+)
+
 FIXED_POINT_CHANNEL = "\nchannel Bad : F -> F:\n  a -> a\n  b -> b\n  c -> c\n  d -> d\n"
 
 
@@ -249,6 +258,9 @@ def transcript(workdir: str):
     for name, structure in _library_documents():
         text = unparse_document(document_from_structure("E", structure))
         rows.append((f"library {name}", "0", _digest(text), _digest("")))
+    for name, text in RERUN_CHECKS:
+        Path(path(f"rerun_{name}.doc")).write_text(text, encoding="utf-8")
+        run("check", f"@rerun_{name}.doc", "--axiom", "coassoc", "--bind", "Delta=D")
     return rows
 
 
