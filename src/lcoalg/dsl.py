@@ -47,6 +47,7 @@ from .linalg import (
     MultiLinearMap,
     Tensor,
     Vector,
+    _NUM,
     add_scaled,
 )
 from .scalars import ONE, Scalar, ScalarSyntaxError, parse_scalar
@@ -195,18 +196,19 @@ def _parse_terms(rhs: str, line: int, column: int, kind: str,
                  seen: Dict[str, Scalar]) -> Dict:
     """A '+'-joined sum of tensor terms ``[scalar *] <label, label>`` or of
     vector terms ``[scalar *] label``, starting at ``column``.  A line in
-    the bare form is read by two regex passes; any other line goes to the
-    chunk reader, which gives the same result on a bare line."""
+    the bare form is read by two regex passes into one dict; any other
+    line, and a bare line that repeats a key or has a zero coefficient,
+    goes to the chunk reader, which sums the terms."""
     bare_line, bare_term = _BARE[kind]
     if not bare_line.fullmatch(rhs):
         return _parse_chunks(rhs, line, column, kind, seen)
-    out: Dict = {}
+    found = bare_term.findall(rhs)
     tensor = kind == "tensor"
-    add_scaled(out, (
-        (term[1:] if tensor else term[1],
-         _scalar(term[0].strip(), line, seen) if term[0].strip() else ONE)
-        for term in bare_term.findall(rhs)
-    ), ONE)
+    out = {term[1:] if tensor else term[1]:
+           _scalar(raw, line, seen) if (raw := term[0].strip()) else ONE for term in found}
+    if len(out) != len(found) or not all(map(_NUM, out.values())):
+        # A repeated key or a zero coefficient: the terms must be summed.
+        return _parse_chunks(rhs, line, column, kind, seen)
     return out
 
 
@@ -245,6 +247,8 @@ def parse_document(text: str) -> SpecDocument:
 
     def check_labels(space_name: str, labels, lineno: int):
         declared = declared_sets[space_name]
+        if declared.issuperset(labels):
+            return
         for lab in labels:
             if lab not in declared:
                 raise DslError(

@@ -3,13 +3,20 @@ row reduction, and finite algebras given by multiplication tables.
 
 Vectors are dicts label -> Scalar; tensors are dicts (label, ...) -> Scalar.
 Zero coefficients are never stored, so dict equality is exact map equality.
+``MultiLinearMap`` validates a table with whole-table set operations and
+words a failure term by term; ``at_slot`` writes each output term once and
+sums the terms only when two writes hit one key.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from .scalars import MINUS_ONE, ONE, Scalar
+
+_NUM = attrgetter("num")  # a Scalar's numerator, empty exactly when it is zero
 
 Label = str
 Term = Tuple[Label, ...]
@@ -130,29 +137,50 @@ class MultiLinearMap:
     __slots__ = ("domain", "arity", "table", "_legs")
 
     def __init__(self, domain: BasisSpace, arity: int, table: Dict[Label, Tensor]):
+        """Validate and copy ``table`` by whole-table set operations (keys,
+        labels and term lengths against the domain and ``arity``, and a zero
+        test of every coefficient); only a table that fails is walked term
+        by term, which drops zeros and words the first error."""
         if arity < 1:
             raise ValueError("arity must be positive")
-        clean: Dict[Label, Tensor] = {}
-        for label, tensor in table.items():
-            if label not in domain:
-                raise ValueError(f"table key {label!r} is not a domain label")
-            entry = {t: c for t, c in tensor.items() if not c.is_zero()}
-            for term in entry:
-                if len(term) != arity:
-                    raise ValueError(
-                        f"term {term} of {label!r} has wrong arity (want {arity})"
-                    )
-                for lab in term:
-                    if lab not in domain:
+        labels = domain.index.keys()
+        try:
+            clean = {label: {**tensor} for label, tensor in table.items() if tensor}
+            terms = set().union(*clean.values())
+            values = chain.from_iterable(map(dict.values, clean.values()))
+            valid = (labels >= table.keys() and labels >= set().union(*terms)
+                     and set(map(len, terms)) <= {arity} and all(map(_NUM, values)))
+        except (AttributeError, TypeError):
+            valid = False
+        if not valid:
+            clean = {}
+            for label, tensor in table.items():
+                if label not in domain:
+                    raise ValueError(f"table key {label!r} is not a domain label")
+                entry = {t: c for t, c in tensor.items() if not c.is_zero()}
+                for term in entry:
+                    if len(term) != arity:
                         raise ValueError(
-                            f"label {lab!r} in value of {label!r} is not in the space"
+                            f"term {term} of {label!r} has wrong arity (want {arity})"
                         )
-            if entry:
-                clean[label] = entry
+                    for lab in term:
+                        if lab not in domain:
+                            raise ValueError(
+                                f"label {lab!r} in value of {label!r} is not in the space"
+                            )
+                if entry:
+                    clean[label] = entry
         self.domain = domain
         self.arity = arity
         self.table = clean
         self._legs: Optional[Legs] = None
+
+    @classmethod
+    def _trusted(cls, domain: BasisSpace, arity: int, table: Dict[Label, Tensor]):
+        """A map on a table with no empty entry or zero: neither checked nor copied."""
+        m = cls.__new__(cls)
+        m.domain, m.arity, m.table, m._legs = domain, arity, table, None
+        return m
 
     # -- evaluation --------------------------------------------------------
 
@@ -189,26 +217,35 @@ class MultiLinearMap:
 
     def at_slot(self, tensor: Tensor, slot: int, degree: int) -> Tensor:
         """Apply this map at the given 1-based slot of a degree-``degree``
-        tensor, identity elsewhere."""
+        tensor, identity elsewhere.  Each output term is written once, with
+        no lookup and no zero test: a product of nonzero scalars is nonzero,
+        and a zero input term adds nothing.  Only when two writes hit one key
+        are the terms summed instead (``add_scaled``), which drops a key whose
+        sum cancels and keeps the order in which the other keys arrived."""
         if not 1 <= slot <= degree:
             raise ValueError(f"slot {slot} out of range for degree {degree}")
+        table, i = self.table, slot - 1
         out: Tensor = {}
+        written = 0
         for term, coeff in tensor.items():
             if len(term) != degree:
                 raise ValueError(f"term {term} does not have degree {degree}")
-            image = self.table.get(term[slot - 1])
-            if not image:
+            image = table.get(term[i])
+            if not image or not coeff.num:
                 continue
-            head, tail = term[: slot - 1], term[slot:]
+            head, tail = term[:i], term[slot:]
+            written += len(image)
             for mid, c in image.items():
-                new_term = head + mid + tail
-                s = out.get(new_term, None)
-                add = c if coeff is ONE else coeff if c is ONE else coeff * c
-                s = add if s is None else s + add
-                if s.is_zero():
-                    out.pop(new_term, None)
-                else:
-                    out[new_term] = s
+                out[head + mid + tail] = (
+                    c if coeff is ONE else coeff if c is ONE else coeff * c)
+        if len(out) == written:
+            return out
+        out = {}
+        for term, coeff in tensor.items():
+            image = table.get(term[i])
+            if image:
+                head, tail = term[:i], term[slot:]
+                add_scaled(out, ((head + mid + tail, c) for mid, c in image.items()), coeff)
         return out
 
     # -- algebra of maps ---------------------------------------------------
@@ -226,8 +263,9 @@ class MultiLinearMap:
         for label in self.domain.labels:
             entry = dict(self.table.get(label, {}))
             add_scaled(entry, other.table.get(label, {}).items(), c)
-            table[label] = entry
-        return MultiLinearMap(self.domain, self.arity, table)
+            if entry:
+                table[label] = entry
+        return MultiLinearMap._trusted(self.domain, self.arity, table)
 
     def tau(self) -> "MultiLinearMap":
         """Swap the two output legs (arity-2 maps only)."""
@@ -237,7 +275,7 @@ class MultiLinearMap:
             label: {(b, a): c for (a, b), c in tensor.items()}
             for label, tensor in self.table.items()
         }
-        return MultiLinearMap(self.domain, 2, table)
+        return MultiLinearMap._trusted(self.domain, 2, table)
 
     def is_zero(self) -> bool:
         return not self.table

@@ -275,12 +275,13 @@ def _neg(a: Scalar) -> Scalar:
 
 
 def _scale(a: Scalar, c: Fraction) -> Scalar:
-    """a*c for a nonzero rational c; the numerator stays coprime to den."""
+    """a*c for a nonzero rational c; the numerator stays coprime to den.
+    Zero coefficients stay the shared ``_ZERO``."""
     if c == 1:
         return a
     if c == -1:
         return _neg(a)
-    return Scalar(tuple(x * c for x in a.num), a.den, _canonical=True)
+    return Scalar(tuple(x * c if x else _ZERO for x in a.num), a.den, _canonical=True)
 
 
 def _add_constant(a: Scalar, c: Fraction) -> Scalar:
@@ -355,6 +356,10 @@ def _mul(a: Scalar, b: Scalar) -> Scalar:
         return _scale(b, an[0])
     ka, kb = _q_order(ad), _q_order(bd)
     if ka >= 0 and kb >= 0:
+        if an.count(_ZERO) == len(an) - 1 and bn.count(_ZERO) == len(bn) - 1:
+            # c*q^i times d*q^j is c*d*q^(i+j): one product, no _pmul.
+            num = (_ZERO,) * (len(an) + len(bn) - 2) + (an[-1] * bn[-1],)
+            return _over_q_power(num, ka + kb)
         return _over_q_power(_pmul(an, bn), ka + kb)
     return Scalar(_pmul(an, bn), _pmul(ad, bd))
 

@@ -2,8 +2,9 @@
 algebras."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from lcoalg import linalg
 from lcoalg.linalg import (
     BasisSpace,
     FiniteAlgebra,
@@ -397,3 +398,198 @@ def test_mul_tensors_matches_the_hand_rolled_product(case):
     assert list(algebra.mul_tensors(s, t).items()) == list(
         hand_rolled_mul_tensors(algebra, s, t).items()
     )
+
+
+# -- at_slot against the summing loop it replaced ------------------------------
+
+
+def summing_at_slot(m, tensor, slot, degree):
+    """MultiLinearMap.at_slot as it was: every output term is added to the
+    sum so far, and a key whose sum cancels is dropped."""
+    if not 1 <= slot <= degree:
+        raise ValueError(f"slot {slot} out of range for degree {degree}")
+    out = {}
+    for term, coeff in tensor.items():
+        if len(term) != degree:
+            raise ValueError(f"term {term} does not have degree {degree}")
+        image = m.table.get(term[slot - 1])
+        if not image:
+            continue
+        head, tail = term[: slot - 1], term[slot:]
+        for mid, c in image.items():
+            new_term = head + mid + tail
+            s = out.get(new_term, None)
+            add = c if coeff is ONE else coeff if c is ONE else coeff * c
+            s = add if s is None else s + add
+            if s.is_zero():
+                out.pop(new_term, None)
+            else:
+                out[new_term] = s
+    return out
+
+
+# Few labels and signed coefficients, so that outputs repeat and cancel.
+slot_coefficients = st.sampled_from([ONE, MINUS_ONE, TWO, -TWO, Q, -Q, Q ** -2])
+
+
+@st.composite
+def slot_cases(draw):
+    """(map, tensor, slot, degree) over two or three labels, every label
+    with an image; the tensor may hold a zero coefficient, and rarely the
+    slot is out of range or a term has the wrong degree."""
+    labels = LABEL_POOL[:draw(st.integers(min_value=2, max_value=3))]
+    arity = draw(st.integers(min_value=1, max_value=2))
+    m = MultiLinearMap(BasisSpace(labels), arity, draw(st.fixed_dictionaries({
+        label: st.dictionaries(st.tuples(*[st.sampled_from(labels)] * arity),
+                               slot_coefficients, max_size=3)
+        for label in labels
+    })))
+    degree = draw(st.integers(min_value=1, max_value=3))
+    slot = draw(st.integers(min_value=0, max_value=degree + 1)
+                if draw(st.integers(0, 19)) == 0
+                else st.integers(min_value=1, max_value=degree))
+    lengths = st.integers(min_value=1, max_value=4) if draw(st.integers(0, 9)) == 0 \
+        else st.just(degree)
+    terms = lengths.flatmap(lambda n: st.tuples(*[st.sampled_from(labels)] * n))
+    tensor = draw(st.dictionaries(terms, slot_coefficients | st.just(ZERO), max_size=5))
+    return m, tensor, slot, degree
+
+
+def _outcome(apply, *args):
+    try:
+        return ("tensor", list(apply(*args).items()))
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+def _count_sums(monkeypatch):
+    """The add_scaled calls at_slot makes, which it makes only to sum."""
+    calls = []
+    real = linalg.add_scaled
+    monkeypatch.setattr(linalg, "add_scaled", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_at_slot_matches_the_summing_loop(monkeypatch):
+    sums = _count_sums(monkeypatch)
+
+    @settings(max_examples=400, deadline=None)
+    @given(slot_cases())
+    def same_tensor_in_the_same_order(case):
+        m, tensor, slot, degree = case
+        assert _outcome(m.at_slot, tensor, slot, degree) == _outcome(
+            summing_at_slot, m, tensor, slot, degree)
+
+    same_tensor_in_the_same_order()
+    # Repeated keys and cancellations occurred, so the sums were checked.
+    assert len(sums) >= 10
+
+
+def test_at_slot_sums_only_on_a_repeated_key(monkeypatch):
+    space = BasisSpace(["a", "b"])
+    m = MultiLinearMap(space, 2, {"a": {("a", "a"): ONE}, "b": {("a", "a"): -Q, ("a", "b"): Q}})
+    sums = _count_sums(monkeypatch)
+    assert m.at_slot({("a",): TWO}, 1, 1) == {("a", "a"): TWO}
+    assert m.at_slot({("a",): ONE, ("b",): ZERO}, 1, 1) == {("a", "a"): ONE}
+    assert not sums
+    assert m.at_slot({("a",): Q, ("b",): ONE}, 1, 1) == {("a", "b"): Q}  # cancels
+    assert sums
+
+
+# -- the whole-table constructor against the per-term loop it replaced --------
+
+
+def per_term_table(domain, arity, table):
+    """MultiLinearMap's table as it was built: term by term, dropping zeros
+    and raising at the first bad key, arity or label."""
+    if arity < 1:
+        raise ValueError("arity must be positive")
+    clean = {}
+    for label, tensor in table.items():
+        if label not in domain:
+            raise ValueError(f"table key {label!r} is not a domain label")
+        entry = {t: c for t, c in tensor.items() if not c.is_zero()}
+        for term in entry:
+            if len(term) != arity:
+                raise ValueError(
+                    f"term {term} of {label!r} has wrong arity (want {arity})"
+                )
+            for lab in term:
+                if lab not in domain:
+                    raise ValueError(
+                        f"label {lab!r} in value of {label!r} is not in the space"
+                    )
+        if entry:
+            clean[label] = entry
+    return clean
+
+
+@st.composite
+def raw_tables(draw):
+    """(domain, arity, table) where keys and labels may be unknown, terms
+    may have the wrong length, and coefficients and entries may be zero or
+    empty."""
+    labels = LABEL_POOL[:draw(st.integers(min_value=1, max_value=3))]
+    arity = draw(st.integers(min_value=0, max_value=3))
+    bad = draw(st.integers(0, 3)) == 0
+    pool = labels + ["z"] if bad else labels
+    lengths = st.integers(min_value=1, max_value=4) if bad else st.just(max(arity, 1))
+    terms = lengths.flatmap(lambda n: st.tuples(*[st.sampled_from(pool)] * n))
+    table = draw(st.dictionaries(
+        st.sampled_from(pool),
+        st.dictionaries(terms, slot_coefficients | st.just(ZERO), max_size=3),
+        max_size=4,
+    ))
+    return BasisSpace(labels), arity, table
+
+
+def _built(build, *args):
+    try:
+        return ("table", [(label, list(t.items())) for label, t in build(*args).items()])
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_tables())
+def test_constructor_matches_the_per_term_loop(case):
+    domain, arity, table = case
+    snapshot = {label: dict(t) for label, t in table.items()}
+    assert _built(lambda *a: MultiLinearMap(*a).table, domain, arity, table) == _built(
+        per_term_table, domain, arity, table)
+    assert table == snapshot  # the input is not touched
+    if _built(per_term_table, domain, arity, table)[0] == "table":
+        m = MultiLinearMap(domain, arity, table)
+        for label, tensor in m.table.items():
+            assert tensor is not table[label]  # each entry is a copy
+
+
+@pytest.mark.parametrize("table", [
+    {"a": {("a", "a"): 1}},  # not a Scalar
+    {"a": [(("a", "a"), ONE)]},  # not a dict
+    {"z": {}, "a": [(("a", "a"), ONE)]},  # an earlier bad key
+])
+def test_constructor_raises_as_the_per_term_loop_on_foreign_values(table):
+    space = BasisSpace(["a"])
+    with pytest.raises(Exception) as fast:
+        MultiLinearMap(space, 2, table)
+    with pytest.raises(Exception) as slow:
+        per_term_table(space, 2, table)
+    assert (type(fast.value), str(fast.value)) == (type(slow.value), str(slow.value))
+
+
+# -- tau against the validating constructor ----------------------------------
+# (add and sub are compared with maps that the validating constructor builds
+# in test_map_add_and_sub_match_the_set_walking_loops)
+
+
+@given(map_pairs())
+def test_tau_matches_the_validating_constructor(pair):
+    f, _ = pair
+    assume(f.arity == 2)
+    reference = MultiLinearMap(f.domain, 2, {
+        label: {(b, a): c for (a, b), c in tensor.items()}
+        for label, tensor in f.table.items()
+    })
+    assert [(label, list(t.items())) for label, t in f.tau().table.items()] == [
+        (label, list(t.items())) for label, t in reference.table.items()]

@@ -13,11 +13,13 @@ from lcoalg.scalars import (
     ZERO,
     Scalar,
     ScalarSyntaxError,
+    _ZERO,
     _mono_str,
     _padd,
     _pmul,
     _pneg,
     _poly_str,
+    _scale,
     _trim,
     parse_scalar,
 )
@@ -343,3 +345,44 @@ def test_poly_str_matches_the_dense_walk(p):
 def test_scalar_equality_is_on_the_canonical_form(a, b):
     assert (a == b) == ((a.num, a.den) == (b.num, b.den))
     assert (a != b) == ((a.num, a.den) != (b.num, b.den))
+
+
+# -- scaling and monomial products against the loops they replaced ----------
+
+
+def old_scale(a, c):
+    """_scale as it was: every coefficient multiplied, zeros included."""
+    if c == 1:
+        return a
+    if c == -1:
+        return -a
+    return Scalar(tuple(x * c for x in a.num), a.den, _canonical=True)
+
+
+def test_scaled_zero_coefficients_are_the_shared_zero():
+    for text in ("3/7*q^5", "3/7 * q ^ 5", "-2*q^3/q^7"):
+        value = parse_scalar(text)
+        zeros = [c for c in value.num + value.den if not c]
+        assert zeros and all(c is _ZERO for c in zeros), text
+
+
+@given(shaped_scalars, small_rationals.filter(bool))
+def test_scale_matches_the_old_scale(a, c):
+    fast, reference = _scale(a, c), old_scale(a, c)
+    _same(fast, reference)
+    if abs(c) != 1:  # +-1 return the operand or its negation
+        assert all(x is _ZERO for x in fast.num if not x)
+
+
+# +-c*q^k for |k| <= 60, over a denominator q^j or 1, and the constants.
+MONOMIAL_SCALARS = st.one_of(
+    st.builds(lambda c, k: Scalar.from_rational(c) * Scalar.q_power(k),
+              small_rationals.filter(bool), st.integers(min_value=-60, max_value=60)),
+    shaped_scalars,
+    st.sampled_from([ZERO, ONE, MINUS_ONE, Q]),
+)
+
+
+@given(MONOMIAL_SCALARS, MONOMIAL_SCALARS)
+def test_monomial_products_match_the_general_constructor(a, b):
+    _same(a * b, Scalar(_pmul(a.num, b.num), _pmul(a.den, b.den)))
