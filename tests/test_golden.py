@@ -1,7 +1,9 @@
 """Golden transcript: the exit code and the sha256 of stdout and of stderr
 of every command-line invocation below, and the sha256 of the emitted
 document of each library-only construction, compared with
-``golden_cli.tsv``.
+``golden_cli.tsv``.  The witness matrix adds, per (document, axiom), the
+sha256 of every witness that ``check_axiom`` reports, both expansions
+included, since ``lcoalg check`` prints only the witness labels.
 
 Everything runs in process.  Regenerate the file with
 ``PYTHONPATH=src python tests/regenerate_golden.py``, and only when an
@@ -12,10 +14,11 @@ import contextlib
 import hashlib
 import io
 import os
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 
 from lcoalg.cli import main
+from lcoalg.coalgebra import AXIOMS, check_axiom
 from lcoalg.constructions import (
     ChannelMap,
     de_bruijn_codialgebra,
@@ -26,10 +29,14 @@ from lcoalg.constructions import (
 )
 from lcoalg.dsl import document_from_structure, parse_document, unparse_document
 from lcoalg.fixtures import (
+    fixture_cibils,
+    fixture_debruijn,
     fixture_f,
     fixture_f_entangled,
     fixture_group,
     fixture_group_split,
+    fixture_quantum_matrix,
+    fixture_quantum_sphere,
 )
 from lcoalg.linalg import BasisSpace
 from lcoalg.scalars import ONE
@@ -150,6 +157,9 @@ RERUN_CHECKS = (
     ("cancel", _RERUN + "  c -> -1 * <a, a>\n"),
 )
 
+# The most role bindings checked per (document, axiom) in the witness matrix
+MAX_BINDINGS = 40
+
 FIXED_POINT_CHANNEL = "\nchannel Bad : F -> F:\n  a -> a\n  b -> b\n  c -> c\n  d -> d\n"
 
 
@@ -183,6 +193,56 @@ def _library_documents():
     yield "self_tiling_dendriform F", self_tiling_dendriform(
         f_data["structure"], "Delta", f_data["channel"])[0]
     yield "fixture_group_split", fixture_group_split().structure
+
+
+def _witness_documents():
+    """(name, structure) of each document of the witness matrix."""
+    def parsed(text):
+        doc = parse_document(text)
+        (space,) = doc.spaces
+        return doc.structure(space)
+
+    yield "F", fixture_f()["structure"]
+    yield "F entangled", fixture_f_entangled().structure
+    yield "slq2 entangled", fixture_quantum_matrix()["entangled"].structure
+    yield "su2q", fixture_quantum_sphere()["structure"]
+    for n in (2, 3):
+        yield f"cibils {n}", fixture_cibils(n)["structure"]
+    yield "debruijn 3", fixture_debruijn(3)["codialgebra"]
+    for n in (3, 4):
+        yield f"group {n}", fixture_group(n)
+    yield "noncoassoc", parsed(NON_COASSOCIATIVE_DOC)
+    for name, text in RERUN_CHECKS:
+        yield f"rerun_{name}", parsed(text)
+
+
+def _render_tensor(tensor) -> str:
+    return " + ".join(f"{coeff}*<{', '.join(term)}>" for term, coeff in tensor.items())
+
+
+def witness_matrix():
+    """(invocation, exit code, witness digest, empty digest) rows: every
+    catalogue axiom on every witness document, in process, under the first
+    ``MAX_BINDINGS`` role bindings (coproduct roles over the sorted
+    coproduct names, counit roles over the sorted counit names).  The
+    digest covers every witness of every binding, with both expansions."""
+    rows = []
+    for name, structure in _witness_documents():
+        for axiom, schema in AXIOMS.items():
+            roles = schema["roles"]
+            choices = [sorted(structure.counits if role in ("eps", "epstilde")
+                              else structure.coproducts) for role in roles]
+            failed, lines = False, []
+            for names in islice(product(*choices), MAX_BINDINGS):
+                binding = ",".join(f"{r}={n}" for r, n in zip(roles, names))
+                report = check_axiom(structure, axiom, dict(zip(roles, names)))
+                failed = failed or not report.passed
+                lines.extend(
+                    f"{binding}\t{label}\t{tag}\t{_render_tensor(lhs)}\t{_render_tensor(rhs)}\n"
+                    for label, tag, lhs, rhs in report.witnesses)
+            rows.append((f"witnesses {name} {axiom}", str(int(failed)),
+                         _digest("".join(lines)), _digest("")))
+    return rows
 
 
 def transcript(workdir: str):
@@ -261,6 +321,7 @@ def transcript(workdir: str):
     for name, text in RERUN_CHECKS:
         Path(path(f"rerun_{name}.doc")).write_text(text, encoding="utf-8")
         run("check", f"@rerun_{name}.doc", "--axiom", "coassoc", "--bind", "Delta=D")
+    rows.extend(witness_matrix())
     return rows
 
 
