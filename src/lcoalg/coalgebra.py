@@ -1,11 +1,14 @@
 """The axiom catalogue: every coalgebraic structure checked here is a
 predicate over multi-linear maps, evaluated exhaustively on basis labels.
 
-Axioms are data, not code: each axiom is a list of equations whose sides
-are signed sums of composition chains of role-bound coproducts.  A single
-evaluator expands both sides of every equation on every basis label where
-either side can be nonzero and compares the canonical tensors; finite bases
-make this complete.  The convolution law suites are equations of the same
+Axioms are data, not code.  Each equation is named once in ``EQUATIONS``,
+its sides signed sums of composition chains of role-bound coproducts, and
+each axiom system of ``AXIOMS`` lists its equations by name, so a system
+glued from others (a cotrialgebra from a codialgebra) shares their
+equations rather than repeating them.  A single evaluator expands both
+sides of every equation on every basis label where either side can be
+nonzero and compares the canonical tensors; finite bases make this
+complete.  The convolution law suites are equations of the same
 kind, read through the transpose.
 """
 
@@ -106,177 +109,73 @@ def _side(first: Role, *steps: Tuple[Role, int]) -> Side:
     return ((ONE, first, tuple(steps), tuple(range(len(steps) + 2))),)
 
 
-# Equation shorthand: _side(B, (A, i)) encodes (A at slot i) after B, i.e.
-# (A x id)B for i=1 and (id x A)B for i=2 on arity-2 outputs.
-_COASSOC = lambda r: (
-    f"coassoc({r})",
-    _side(r, (r, 1)),
-    _side(r, (r, 2)),
-)
-# (rtilde x id) r = (id x r) rtilde
-_ENTANGLE = lambda r, rt, tag=None: (
-    tag or f"entangle({rt},{r})",
-    _side(r, (rt, 1)),
-    _side(rt, (r, 2)),
+# Every named equation, written once as (lhs, rhs).  _side(B, (A, i))
+# encodes (A at slot i) after B, i.e. (A x id)B for i=1 and (id x A)B for
+# i=2 on arity-2 outputs.
+EQUATIONS: Dict[str, Tuple[Side, Side]] = {
+    **{f"coassoc({r})": (_side(r, (r, 1)), _side(r, (r, 2)))
+       for r in ("Delta", "Deltatilde", "delta", "deltahat")},
+    # (rtilde x id) r = (id x r) rtilde: r = Delta and rtilde = Deltatilde in
+    # the first two, swapped in the third
+    "entangle(Deltatilde,Delta)": (_side("Delta", ("Deltatilde", 1)),
+                                   _side("Deltatilde", ("Delta", 2))),
+    "entangle_tilde_first": (_side("Delta", ("Deltatilde", 1)),
+                             _side("Deltatilde", ("Delta", 2))),
+    "entangle_plain_first": (_side("Deltatilde", ("Delta", 1)),
+                             _side("Delta", ("Deltatilde", 2))),
+    "cocommutative": (_side("Delta"), _side(("tau", "Deltatilde"))),
+    "bidirected": (_side("Delta"), _side(("tau", "Deltatilde"))),
+    "codip": (_side("delta", ("Delta", 1)), _side("delta", ("delta", 2))),
+    "anti_codip": (_side("deltahat", ("Delta", 2)), _side("deltahat", ("deltahat", 1))),
+    "bridge_entangle": (_side("delta", ("deltahat", 2)),
+                        _side("deltahat", ("delta", 1))),
+    "dendriform1": (_side("deltahat", (("sum", "delta", "deltahat"), 2)),
+                    _side("deltahat", ("deltahat", 1))),
+    "dendriform2": (_side("delta", ("deltahat", 2)), _side("deltahat", ("delta", 1))),
+    "dendriform3": (_side("delta", (("sum", "deltahat", "delta"), 1)),
+                    _side("delta", ("delta", 2))),
+    "codialg2": (_side("deltahat", ("deltahat", 2)), _side("deltahat", ("delta", 2))),
+    "codialg3": (_side("delta", ("delta", 1)), _side("delta", ("deltahat", 1))),
+    "codialg4": (_side("deltahat", ("delta", 1)), _side("delta", ("deltahat", 2))),
+    "cotri3": (_side("deltahat", ("deltahat", 1)), _side("deltahat", ("Delta", 2))),
+    "cotri4": (_side("deltahat", ("Delta", 1)), _side("Delta", ("deltahat", 2))),
+    "cotri5": (_side("Delta", ("deltahat", 1)), _side("Delta", ("delta", 2))),
+    "cotri6": (_side("Delta", ("delta", 1)), _side("delta", ("Delta", 2))),
+    "cotri7": (_side("delta", ("Delta", 1)), _side("delta", ("delta", 2))),
+}
+
+
+def _system(roles: Tuple[str, ...], *tags: str) -> Dict:
+    return {"roles": roles, "equations": [(tag, *EQUATIONS[tag]) for tag in tags]}
+
+
+# A codialgebra is two coassociative coproducts glued by three equations;
+# a cotrialgebra glues a third coassociative coproduct, Delta, to one.
+_CODIALGEBRA = (
+    "coassoc(delta)", "coassoc(deltahat)", "codialg2", "codialg3", "codialg4"
 )
 
+# Each system: its roles and its equations, listed by tag.  A counit
+# system names instead the side ("right" or "left") its counit acts on.
 AXIOMS: Dict[str, Dict] = {
-    "coassoc": {
-        "roles": ("Delta",),
-        "equations": [_COASSOC("Delta")],
-    },
-    "entanglement": {
-        "roles": ("Delta", "Deltatilde"),
-        "equations": [_ENTANGLE("Delta", "Deltatilde")],
-    },
+    "coassoc": _system(("Delta",), "coassoc(Delta)"),
+    "entanglement": _system(("Delta", "Deltatilde"), "entangle(Deltatilde,Delta)"),
     "right_counit": {"roles": ("Delta", "eps"), "counit": "right"},
     "left_counit": {"roles": ("Deltatilde", "epstilde"), "counit": "left"},
-    "L_cocommutative": {
-        "roles": ("Delta", "Deltatilde"),
-        "equations": [
-            ("cocommutative", _side("Delta"), _side(("tau", "Deltatilde")))
-        ],
-    },
-    "bidirected": {
-        "roles": ("Delta", "Deltatilde"),
-        "equations": [
-            ("bidirected", _side("Delta"), _side(("tau", "Deltatilde")))
-        ],
-    },
-    "codipterous": {
-        "roles": ("Delta", "delta"),
-        "equations": [
-            _COASSOC("Delta"),
-            ("codip", _side("delta", ("Delta", 1)), _side("delta", ("delta", 2))),
-        ],
-    },
-    "anti_codipterous": {
-        "roles": ("Delta", "deltahat"),
-        "equations": [
-            _COASSOC("Delta"),
-            (
-                "anti_codip",
-                _side("deltahat", ("Delta", 2)),
-                _side("deltahat", ("deltahat", 1)),
-            ),
-        ],
-    },
-    "pre_dendriform": {
-        "roles": ("Delta", "delta", "deltahat"),
-        "equations": [
-            _COASSOC("Delta"),
-            ("codip", _side("delta", ("Delta", 1)), _side("delta", ("delta", 2))),
-            (
-                "anti_codip",
-                _side("deltahat", ("Delta", 2)),
-                _side("deltahat", ("deltahat", 1)),
-            ),
-            (
-                "bridge_entangle",
-                _side("delta", ("deltahat", 2)),
-                _side("deltahat", ("delta", 1)),
-            ),
-        ],
-    },
-    "dendriform_coalgebra": {
-        "roles": ("delta", "deltahat"),
-        "equations": [
-            (
-                "dendriform1",
-                _side("deltahat", (("sum", "delta", "deltahat"), 2)),
-                _side("deltahat", ("deltahat", 1)),
-            ),
-            (
-                "dendriform2",
-                _side("delta", ("deltahat", 2)),
-                _side("deltahat", ("delta", 1)),
-            ),
-            (
-                "dendriform3",
-                _side("delta", (("sum", "deltahat", "delta"), 1)),
-                _side("delta", ("delta", 2)),
-            ),
-        ],
-    },
-    "codialgebra": {
-        "roles": ("delta", "deltahat"),
-        "equations": [
-            _COASSOC("delta"),
-            _COASSOC("deltahat"),
-            (
-                "codialg2",
-                _side("deltahat", ("deltahat", 2)),
-                _side("deltahat", ("delta", 2)),
-            ),
-            (
-                "codialg3",
-                _side("delta", ("delta", 1)),
-                _side("delta", ("deltahat", 1)),
-            ),
-            (
-                "codialg4",
-                _side("deltahat", ("delta", 1)),
-                _side("delta", ("deltahat", 2)),
-            ),
-        ],
-    },
-    "cotrialgebra": {
-        "roles": ("Delta", "delta", "deltahat"),
-        "equations": [
-            _COASSOC("Delta"),
-            _COASSOC("delta"),
-            _COASSOC("deltahat"),
-            (
-                "codialg2",
-                _side("deltahat", ("deltahat", 2)),
-                _side("deltahat", ("delta", 2)),
-            ),
-            (
-                "codialg3",
-                _side("delta", ("delta", 1)),
-                _side("delta", ("deltahat", 1)),
-            ),
-            (
-                "codialg4",
-                _side("deltahat", ("delta", 1)),
-                _side("delta", ("deltahat", 2)),
-            ),
-            (
-                "cotri3",
-                _side("deltahat", ("deltahat", 1)),
-                _side("deltahat", ("Delta", 2)),
-            ),
-            (
-                "cotri4",
-                _side("deltahat", ("Delta", 1)),
-                _side("Delta", ("deltahat", 2)),
-            ),
-            (
-                "cotri5",
-                _side("Delta", ("deltahat", 1)),
-                _side("Delta", ("delta", 2)),
-            ),
-            (
-                "cotri6",
-                _side("Delta", ("delta", 1)),
-                _side("delta", ("Delta", 2)),
-            ),
-            (
-                "cotri7",
-                _side("delta", ("Delta", 1)),
-                _side("delta", ("delta", 2)),
-            ),
-        ],
-    },
-    "achiral": {
-        "roles": ("Delta", "Deltatilde"),
-        "equations": [
-            _COASSOC("Delta"),
-            _COASSOC("Deltatilde"),
-            _ENTANGLE("Delta", "Deltatilde", "entangle_tilde_first"),
-            _ENTANGLE("Deltatilde", "Delta", "entangle_plain_first"),
-        ],
-    },
+    "L_cocommutative": _system(("Delta", "Deltatilde"), "cocommutative"),
+    "bidirected": _system(("Delta", "Deltatilde"), "bidirected"),
+    "codipterous": _system(("Delta", "delta"), "coassoc(Delta)", "codip"),
+    "anti_codipterous": _system(("Delta", "deltahat"), "coassoc(Delta)", "anti_codip"),
+    "pre_dendriform": _system(("Delta", "delta", "deltahat"), "coassoc(Delta)",
+                              "codip", "anti_codip", "bridge_entangle"),
+    "dendriform_coalgebra": _system(("delta", "deltahat"),
+                                    "dendriform1", "dendriform2", "dendriform3"),
+    "codialgebra": _system(("delta", "deltahat"), *_CODIALGEBRA),
+    "cotrialgebra": _system(("Delta", "delta", "deltahat"), "coassoc(Delta)",
+                            *_CODIALGEBRA, "cotri3", "cotri4", "cotri5", "cotri6",
+                            "cotri7"),
+    "achiral": _system(("Delta", "Deltatilde"), "coassoc(Delta)", "coassoc(Deltatilde)",
+                       "entangle_tilde_first", "entangle_plain_first"),
 }
 
 
@@ -359,25 +258,22 @@ def check_axiom(
     schema = AXIOMS[axiom]
     report = AxiomReport(axiom=axiom)
 
-    if schema.get("counit"):
-        kind = schema["counit"]
-        cp_role = "Delta" if kind == "right" else "Deltatilde"
-        eps_role = "eps" if kind == "right" else "epstilde"
-        for role in (cp_role, eps_role):
+    if "counit" in schema:
+        for role in schema["roles"]:
             if role not in bindings:
                 raise KeyError(f"missing binding for role {role!r}")
+        cp_role, eps_role = schema["roles"]
         cp = s.coproduct(bindings[cp_role])
         eps_name = bindings[eps_role]
         if eps_name not in s.counits:
             raise KeyError(f"unknown counit {eps_name!r}")
         eps = s.counits[eps_name]
-        slot = 2 if kind == "right" else 1
-        eq = "right_counit" if kind == "right" else "left_counit"
+        slot = 2 if schema["counit"] == "right" else 1
         for label in s.space.labels:
             lhs = _apply_counit(eps, cp.of_label(label), slot)
             rhs: Tensor = {(label,): ONE}
             if lhs != rhs:
-                report.witnesses.append((label, eq, lhs, rhs))
+                report.witnesses.append((label, axiom, lhs, rhs))
         return report
 
     memo: Dict[Role, MultiLinearMap] = {}

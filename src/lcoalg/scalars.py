@@ -60,7 +60,7 @@ def _padd(a: Poly, b: Poly) -> Poly:
 
 
 def _pneg(a: Poly) -> Poly:
-    return tuple(-c for c in a)
+    return tuple(-c if c else _ZERO for c in a)
 
 
 def _pmul(a: Poly, b: Poly) -> Poly:
@@ -80,7 +80,7 @@ def _pmul(a: Poly, b: Poly) -> Poly:
 def _pscale(a: Poly, c: Fraction) -> Poly:
     if c == 0:
         return ()
-    return tuple(x * c for x in a)
+    return tuple(x * c if x else _ZERO for x in a)
 
 
 def _pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:

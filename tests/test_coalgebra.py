@@ -1,6 +1,8 @@
 """The axiom catalogue: exhaustive checks on the named fixtures plus the
 structural implications between axiom systems."""
 
+import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from lcoalg import coalgebra, convolution
 from lcoalg.coalgebra import (
     AXIOMS,
+    EQUATIONS,
     LStructure,
     _eval_side,
     _resolve,
@@ -30,6 +33,23 @@ def test_axiom_catalogue_names():
         "pre_dendriform", "dendriform_coalgebra", "codialgebra",
         "cotrialgebra", "achiral",
     }
+
+
+def test_readme_catalogue_table_matches_the_catalogue():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Axiom catalogue\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            name, roles, tags = (re.findall(r"`([^`]+)`", cell)
+                                 for cell in line.strip("|").split("|"))
+            rows[name[0]] = {"roles": tuple(roles), "tags": tags}
+    assert rows == {
+        name: {"roles": schema["roles"],
+               "tags": [eq[0] for eq in schema.get("equations", ())] or [name]}
+        for name, schema in AXIOMS.items()
+    }
+    assert list(rows) == list(AXIOMS)
 
 
 def test_unknown_axiom_raises(f_data):
@@ -272,3 +292,200 @@ def test_support_only_expand_matches_all_labels(s, names):
             mock.patch.object(convolution, "_expand", all_labels_expand):
         slow = _every_check(s, names)
     assert fast == slow
+
+
+# -- the catalogue as it was written before the equation table: the oracle --
+
+
+def _side(first, *steps):
+    return ((ONE, first, tuple(steps), tuple(range(len(steps) + 2))),)
+
+
+# Equation shorthand: _side(B, (A, i)) encodes (A at slot i) after B, i.e.
+# (A x id)B for i=1 and (id x A)B for i=2 on arity-2 outputs.
+_COASSOC = lambda r: (
+    f"coassoc({r})",
+    _side(r, (r, 1)),
+    _side(r, (r, 2)),
+)
+# (rtilde x id) r = (id x r) rtilde
+_ENTANGLE = lambda r, rt, tag=None: (
+    tag or f"entangle({rt},{r})",
+    _side(r, (rt, 1)),
+    _side(rt, (r, 2)),
+)
+
+OLD_AXIOMS = {
+    "coassoc": {
+        "roles": ("Delta",),
+        "equations": [_COASSOC("Delta")],
+    },
+    "entanglement": {
+        "roles": ("Delta", "Deltatilde"),
+        "equations": [_ENTANGLE("Delta", "Deltatilde")],
+    },
+    "right_counit": {"roles": ("Delta", "eps"), "counit": "right"},
+    "left_counit": {"roles": ("Deltatilde", "epstilde"), "counit": "left"},
+    "L_cocommutative": {
+        "roles": ("Delta", "Deltatilde"),
+        "equations": [
+            ("cocommutative", _side("Delta"), _side(("tau", "Deltatilde")))
+        ],
+    },
+    "bidirected": {
+        "roles": ("Delta", "Deltatilde"),
+        "equations": [
+            ("bidirected", _side("Delta"), _side(("tau", "Deltatilde")))
+        ],
+    },
+    "codipterous": {
+        "roles": ("Delta", "delta"),
+        "equations": [
+            _COASSOC("Delta"),
+            ("codip", _side("delta", ("Delta", 1)), _side("delta", ("delta", 2))),
+        ],
+    },
+    "anti_codipterous": {
+        "roles": ("Delta", "deltahat"),
+        "equations": [
+            _COASSOC("Delta"),
+            (
+                "anti_codip",
+                _side("deltahat", ("Delta", 2)),
+                _side("deltahat", ("deltahat", 1)),
+            ),
+        ],
+    },
+    "pre_dendriform": {
+        "roles": ("Delta", "delta", "deltahat"),
+        "equations": [
+            _COASSOC("Delta"),
+            ("codip", _side("delta", ("Delta", 1)), _side("delta", ("delta", 2))),
+            (
+                "anti_codip",
+                _side("deltahat", ("Delta", 2)),
+                _side("deltahat", ("deltahat", 1)),
+            ),
+            (
+                "bridge_entangle",
+                _side("delta", ("deltahat", 2)),
+                _side("deltahat", ("delta", 1)),
+            ),
+        ],
+    },
+    "dendriform_coalgebra": {
+        "roles": ("delta", "deltahat"),
+        "equations": [
+            (
+                "dendriform1",
+                _side("deltahat", (("sum", "delta", "deltahat"), 2)),
+                _side("deltahat", ("deltahat", 1)),
+            ),
+            (
+                "dendriform2",
+                _side("delta", ("deltahat", 2)),
+                _side("deltahat", ("delta", 1)),
+            ),
+            (
+                "dendriform3",
+                _side("delta", (("sum", "deltahat", "delta"), 1)),
+                _side("delta", ("delta", 2)),
+            ),
+        ],
+    },
+    "codialgebra": {
+        "roles": ("delta", "deltahat"),
+        "equations": [
+            _COASSOC("delta"),
+            _COASSOC("deltahat"),
+            (
+                "codialg2",
+                _side("deltahat", ("deltahat", 2)),
+                _side("deltahat", ("delta", 2)),
+            ),
+            (
+                "codialg3",
+                _side("delta", ("delta", 1)),
+                _side("delta", ("deltahat", 1)),
+            ),
+            (
+                "codialg4",
+                _side("deltahat", ("delta", 1)),
+                _side("delta", ("deltahat", 2)),
+            ),
+        ],
+    },
+    "cotrialgebra": {
+        "roles": ("Delta", "delta", "deltahat"),
+        "equations": [
+            _COASSOC("Delta"),
+            _COASSOC("delta"),
+            _COASSOC("deltahat"),
+            (
+                "codialg2",
+                _side("deltahat", ("deltahat", 2)),
+                _side("deltahat", ("delta", 2)),
+            ),
+            (
+                "codialg3",
+                _side("delta", ("delta", 1)),
+                _side("delta", ("deltahat", 1)),
+            ),
+            (
+                "codialg4",
+                _side("deltahat", ("delta", 1)),
+                _side("delta", ("deltahat", 2)),
+            ),
+            (
+                "cotri3",
+                _side("deltahat", ("deltahat", 1)),
+                _side("deltahat", ("Delta", 2)),
+            ),
+            (
+                "cotri4",
+                _side("deltahat", ("Delta", 1)),
+                _side("Delta", ("deltahat", 2)),
+            ),
+            (
+                "cotri5",
+                _side("Delta", ("deltahat", 1)),
+                _side("Delta", ("delta", 2)),
+            ),
+            (
+                "cotri6",
+                _side("Delta", ("delta", 1)),
+                _side("delta", ("Delta", 2)),
+            ),
+            (
+                "cotri7",
+                _side("delta", ("Delta", 1)),
+                _side("delta", ("delta", 2)),
+            ),
+        ],
+    },
+    "achiral": {
+        "roles": ("Delta", "Deltatilde"),
+        "equations": [
+            _COASSOC("Delta"),
+            _COASSOC("Deltatilde"),
+            _ENTANGLE("Delta", "Deltatilde", "entangle_tilde_first"),
+            _ENTANGLE("Deltatilde", "Delta", "entangle_plain_first"),
+        ],
+    },
+}
+
+
+def test_catalogue_matches_the_written_out_systems():
+    assert AXIOMS == OLD_AXIOMS  # equation lists compare in order, tags included
+    assert list(AXIOMS) == list(OLD_AXIOMS)
+    assert [list(schema) for schema in AXIOMS.values()] == [
+        list(schema) for schema in OLD_AXIOMS.values()]
+
+
+def test_every_system_equation_is_the_table_entry():
+    listed = set()
+    for schema in AXIOMS.values():
+        for tag, lhs, rhs in schema.get("equations", ()):
+            assert lhs is EQUATIONS[tag][0] and rhs is EQUATIONS[tag][1], tag
+            listed.add(tag)
+    assert listed == set(EQUATIONS) and len(EQUATIONS) == 23

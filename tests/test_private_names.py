@@ -1,0 +1,82 @@
+"""Code with no caller is deleted: every module-level private name of the
+package (one that starts with a single underscore) must be read somewhere
+in the package besides its own definition."""
+
+import ast
+from pathlib import Path
+
+import lcoalg
+
+PACKAGE = Path(lcoalg.__file__).parent
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _defined(tree: ast.Module):
+    """The private names a module binds at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from filter(_private, targets)
+
+
+def _reads(tree: ast.Module):
+    """Every name a module reads, as a bare name or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def _imports(tree: ast.Module):
+    """(module, name) of every private name imported from a package module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            for alias in node.names:
+                if _private(alias.name):
+                    yield node.module, alias.name
+
+
+def unread_private_names(package: Path = PACKAGE):
+    """(module, name) of each module-level private name that no code of the
+    package reads: not its own module, nor a module that imports it."""
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+    }
+    reads = {module: set(_reads(tree)) for module, tree in trees.items()}
+    importers = {}
+    for module, tree in trees.items():
+        for source, name in _imports(tree):
+            importers.setdefault((source, name), []).append(module)
+    return [
+        (module, name)
+        for module, tree in trees.items()
+        for name in _defined(tree)
+        if not any(name in reads[m] for m in [module, *importers.get((module, name), [])])
+    ]
+
+
+def test_every_private_name_has_a_reader():
+    assert unread_private_names() == []
+
+
+def test_an_unread_private_name_is_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from .b import _used_elsewhere\n_read = 1\n_unread = _read\n"
+        "def _dead():\n    pass\nx = _used_elsewhere\n", encoding="utf-8")
+    (tmp_path / "b.py").write_text(
+        "_used_elsewhere = 2\n_imported_only = 3\nclass _Gone:\n    pass\n",
+        encoding="utf-8")
+    (tmp_path / "c.py").write_text("from .b import _imported_only\n", encoding="utf-8")
+    assert sorted(unread_private_names(tmp_path)) == [
+        ("a", "_dead"), ("a", "_unread"), ("b", "_Gone"), ("b", "_imported_only"),
+    ]

@@ -360,7 +360,7 @@ def old_scale(a, c):
 
 
 def test_scaled_zero_coefficients_are_the_shared_zero():
-    for text in ("3/7*q^5", "3/7 * q ^ 5", "-2*q^3/q^7"):
+    for text in ("3/7*q^5", "3/7 * q ^ 5", "-2*q^3/q^7", "-q^5", "1/(2*q^4)"):
         value = parse_scalar(text)
         zeros = [c for c in value.num + value.den if not c]
         assert zeros and all(c is _ZERO for c in zeros), text
