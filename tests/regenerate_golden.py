@@ -3,13 +3,54 @@
 Run it only when an output change is intended, and say why in the change:
 
     PYTHONPATH=src python tests/regenerate_golden.py
+
+With ``--append`` it writes only the rows of invocations that the file does
+not hold yet, after the rows it holds, so new rows can be recorded from code
+whose existing rows must not move.  It exits 1 and writes nothing if any
+existing row would change or is no longer produced:
+
+    PYTHONPATH=src python tests/regenerate_golden.py --append
 """
 
+import argparse
+import sys
 import tempfile
+from pathlib import Path
 
 from test_golden import GOLDEN, format_rows, transcript
 
-if __name__ == "__main__":
+
+def append_rows(golden: Path, rows) -> int:
+    """Append to ``golden`` the ``rows`` whose invocation it lacks; 1, with
+    the file untouched, if a row it holds differs from ``rows`` or is
+    missing from them."""
+    text = golden.read_text(encoding="utf-8")
+    held = {line.split("\t")[3]: line + "\n" for line in text.splitlines()}
+    produced = {row[0]: format_rows([row]) for row in rows}
+    changed = [inv for inv, line in held.items() if produced.get(inv) != line]
+    if changed:
+        print(f"{len(changed)} existing rows would change, first: {changed[0]}",
+              file=sys.stderr)
+        return 1
+    new = [row for row in rows if row[0] not in held]
+    golden.write_text(text + format_rows(new), encoding="utf-8")
+    print(f"appended {len(new)} rows to {golden}")
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--append", action="store_true",
+                        help="write only the rows of new invocations")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as workdir:
-        GOLDEN.write_text(format_rows(transcript(workdir)), encoding="utf-8")
+        rows = transcript(workdir)
+    if args.append:
+        return append_rows(GOLDEN, rows)
+    GOLDEN.write_text(format_rows(rows), encoding="utf-8")
     print(f"wrote {GOLDEN}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
