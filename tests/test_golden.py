@@ -162,6 +162,23 @@ MAX_BINDINGS = 40
 
 FIXED_POINT_CHANNEL = "\nchannel Bad : F -> F:\n  a -> a\n  b -> b\n  c -> c\n  d -> d\n"
 
+# The exponents k of the diagonal channel g_i -> q^k * h_i of an order-5 group
+DIAGONAL_EXPONENTS = (12, 2, 40, 50, 26)
+DIAGONAL_CHANNEL = (
+    "\nspace H = { h0, h1, h2, h3, h4 }\n\nchannel Phi : G -> H:\n"
+    + "".join(f"  g{i} -> q^{k} * h{i}\n" for i, k in enumerate(DIAGONAL_EXPONENTS))
+)
+
+# (name, document) of each algebra the document reader accepts but the
+# structure refuses; each runs as ``check @algebra_NAME.doc --axiom coassoc``
+_UNITAL = ("space V = { e, a, b }\ncoproduct D on V:\n  e -> <e, e>\n"
+           "algebra A on V:\n  unit -> e\n  e * e -> e\n  e * a -> a\n  e * b -> b\n")
+ALGEBRA_ERRORS = (
+    ("not_associative", _UNITAL + "  a * e -> a\n  b * e -> b\n"
+     "  a * a -> 2 * b\n  a * b -> q * e\n  b * a -> q * e\n  b * b -> a\n"),
+    ("unit_law", _UNITAL + "  a * e -> a\n  b * e -> -1 * b\n  a * a -> a\n"),
+)
+
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -322,6 +339,22 @@ def transcript(workdir: str):
         Path(path(f"rerun_{name}.doc")).write_text(text, encoding="utf-8")
         run("check", f"@rerun_{name}.doc", "--axiom", "coassoc", "--bind", "Delta=D")
     rows.extend(witness_matrix())
+
+    for n, q in (("24", ("--q=-9/2",)), ("20", ()), ("16", ("--q=8/5",))):
+        run("fixtures", "cibils", "--n", n, *q)
+    run("fixtures", "group", "--n", "5", save="group5.doc")
+    Path(path("diag5.doc")).write_text(
+        Path(path("group5.doc")).read_text(encoding="utf-8") + DIAGONAL_CHANNEL,
+        encoding="utf-8")
+    base = ("entangle", "@diag5.doc", "--space", "G", "--coproduct", "Delta",
+            "--channel", "Phi", "--out-space", "E")
+    run(*base, "--kind", "self", "--counit", "eps", save="diag5_E.doc")
+    run(*base, "--kind", "achiral", "--cotilde", "Deltatilde")
+    run("bracket", "@diag5_E.doc")
+    run("support", "@diag5_E.doc", "--coproducts", "Delta_star", "--dot")
+    for name, text in ALGEBRA_ERRORS:
+        Path(path(f"algebra_{name}.doc")).write_text(text, encoding="utf-8")
+        run("check", f"@algebra_{name}.doc", "--axiom", "coassoc")
     return rows
 
 
