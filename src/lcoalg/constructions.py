@@ -483,7 +483,9 @@ def cibils_structures(n: int, q: Scalar) -> Dict[str, object]:
     Index sums run over integer compositions j+k=i inside 0..n-1 (the only
     reading under which every asserted axiom holds exactly).  Returns the
     structure carrying Delta_star, the codialgebra pair (delta, deltahat),
-    the dendriform pair (delta, deltahat_d), the counit, and the channels.
+    the dendriform pair (delta, deltahat_d) and the counit.  The gluing
+    channels a_i -> q^-i x_i and a_i -> x_i are not built: no caller reads
+    them, and each would invert an n x 2n matrix.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -531,13 +533,7 @@ def cibils_structures(n: int, q: Scalar) -> Dict[str, object]:
             "eps": {"a0": ONE},
         },
     )
-    phi = ChannelMap(
-        a_space, x_space, {f"a{i}": {f"x{i}": q ** (-i)} for i in range(n)}
-    )
-    psi = ChannelMap(
-        a_space, x_space, {f"a{i}": {f"x{i}": ONE} for i in range(n)}
-    )
-    return {"structure": structure, "phi": phi, "psi": psi}
+    return {"structure": structure}
 
 
 def self_tiling_dendriform(

@@ -348,9 +348,17 @@ def _scalar_prefix(c: Scalar) -> str:
     return "" if num == (1,) else f"{c} * "
 
 
-def _unparse_tensor(tensor: Tensor) -> str:
+def _prefix(c: Scalar, prefixes: Dict[int, str]) -> str:
+    """``_scalar_prefix(c)``, rendered once per coefficient object."""
+    prefix = prefixes.get(id(c))
+    if prefix is None:
+        prefix = prefixes[id(c)] = _scalar_prefix(c)
+    return prefix
+
+
+def _unparse_tensor(tensor: Tensor, prefixes: Dict[int, str]) -> str:
     parts = [
-        f"{_scalar_prefix(c)}<{a}, {b}>"
+        f"{_prefix(c, prefixes)}<{a}, {b}>"
         for (a, b), c in sorted(tensor.items())
     ]
     if not parts:
@@ -358,12 +366,20 @@ def _unparse_tensor(tensor: Tensor) -> str:
     return " + ".join(parts)
 
 
-def _unparse_vector(vec: Vector) -> str:
-    parts = [f"{_scalar_prefix(c)}{lab}" for lab, c in sorted(vec.items())]
+def _unparse_vector(vec: Vector, prefixes: Dict[int, str]) -> str:
+    parts = [f"{_prefix(c, prefixes)}{lab}" for lab, c in sorted(vec.items())]
     return " + ".join(parts)
 
 
 def unparse_document(doc: SpecDocument) -> str:
+    """The canonical text of ``doc``.
+
+    Each coefficient object is rendered once per call: the prefixes are
+    kept by ``id``, since fixtures and parsed documents share one object
+    among the many terms with the same coefficient.  The ids are safe keys
+    because ``doc`` holds every scalar for the whole call, so no id is
+    reused.  Counit values are written with ``str``."""
+    prefixes: Dict[int, str] = {}
     lines: List[str] = []
     for name, labels in doc.spaces.items():
         lines.append(f"space {name} = {{ {', '.join(labels)} }}")
@@ -373,7 +389,7 @@ def unparse_document(doc: SpecDocument) -> str:
         for lab in doc.spaces[space_name]:
             tensor = table.get(lab)
             if tensor:
-                lines.append(f"  {lab} -> {_unparse_tensor(tensor)}")
+                lines.append(f"  {lab} -> {_unparse_tensor(tensor, prefixes)}")
     for name, (space_name, values) in doc.counits.items():
         lines.append("")
         lines.append(f"counit {name} on {space_name}:")
@@ -383,15 +399,15 @@ def unparse_document(doc: SpecDocument) -> str:
     for name, (space_name, unit, product) in doc.algebras.items():
         lines.append("")
         lines.append(f"algebra {name} on {space_name}:")
-        lines.append(f"  unit -> {_unparse_vector(unit)}")
+        lines.append(f"  unit -> {_unparse_vector(unit, prefixes)}")
         for (a, b) in sorted(product):
-            lines.append(f"  {a} * {b} -> {_unparse_vector(product[(a, b)])}")
+            lines.append(f"  {a} * {b} -> {_unparse_vector(product[(a, b)], prefixes)}")
     for name, (src, dst, table) in doc.channels.items():
         lines.append("")
         lines.append(f"channel {name} : {src} -> {dst}:")
         for lab in doc.spaces[src]:
             if lab in table:
-                lines.append(f"  {lab} -> {_unparse_vector(table[lab])}")
+                lines.append(f"  {lab} -> {_unparse_vector(table[lab], prefixes)}")
     return "\n".join(lines) + "\n"
 
 
@@ -403,10 +419,8 @@ def document_from_structure(
     doc = SpecDocument()
     doc.spaces[space_name] = s.space.labels
     for name, cp in s.coproducts.items():
-        doc.coproducts[name] = (
-            space_name,
-            {lab: cp.of_label(lab) for lab in s.space.labels if cp.of_label(lab)},
-        )
+        images = ((lab, cp.of_label(lab)) for lab in s.space.labels)
+        doc.coproducts[name] = (space_name, {lab: t for lab, t in images if t})
     for name, eps in s.counits.items():
         doc.counits[name] = (space_name, dict(eps))
     if s.algebra is not None:

@@ -394,6 +394,8 @@ class FiniteAlgebra:
 
     Associativity and the two-sided unit law are checked exhaustively at
     construction: the fixtures are small and a wrong table should fail fast.
+    Associativity is summed straight from the table, with no product of
+    vectors (see ``_check_associative``).
     """
 
     __slots__ = ("space", "product", "unit")
@@ -451,14 +453,28 @@ class FiniteAlgebra:
                 raise ValueError(f"unit law fails at {lab!r}")
 
     def _check_associative(self):
-        for a in self.space.labels:
-            for b in self.space.labels:
-                ab = self.mul_labels(a, b)
-                for c in self.space.labels:
-                    left = self.mul_vectors(ab, unit_vector(c))
-                    right = self.mul_vectors(
-                        unit_vector(a), self.mul_labels(b, c)
-                    )
+        """(ab)c = a(bc) on every basis triple, summed off the table:
+        (ab)c = sum_k ab[k] P(k, c) and a(bc) = sum_m bc[m] P(a, m).  Where
+        ab and bc are each one label with coefficient ONE, as in a group
+        algebra, the two sides are the table entries P(k, c) and P(a, m)."""
+        product = self.product
+        # key -> k, for an entry that is one label k with coefficient ONE
+        plain = {key: k for key, vec in product.items() if len(vec) == 1
+                 for k, coeff in vec.items() if coeff is ONE}
+        labels = self.space.labels
+        for a in labels:
+            for b in labels:
+                ab = product.get((a, b), {})
+                for c in labels:
+                    k, m = plain.get((a, b)), plain.get((b, c))
+                    if k is not None and m is not None:
+                        left, right = product.get((k, c), {}), product.get((a, m), {})
+                    else:
+                        left, right = {}, {}
+                        for j, coeff in ab.items():
+                            add_scaled(left, product.get((j, c), {}).items(), coeff)
+                        for j, coeff in product.get((b, c), {}).items():
+                            add_scaled(right, product.get((a, j), {}).items(), coeff)
                     if left != right:
                         raise ValueError(
                             f"associativity fails at ({a!r}, {b!r}, {c!r})"
