@@ -26,6 +26,7 @@ from lcoalg.dsl import (
     unparse_document,
 )
 from lcoalg.fixtures import (
+    fixture_cibils,
     fixture_f,
     fixture_group,
     fixture_quantum_sphere,
@@ -696,14 +697,14 @@ def _labels(draw):
                                unique=True)))
 
 
-def _combination(draw, keys):
+def _combination(draw, keys, coeffs=COEFFS):
     """A nonzero sparse combination of ``keys``."""
     chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=4, unique=True))
-    return {key: draw(COEFFS) for key in chosen}
+    return {key: draw(coeffs) for key in chosen}
 
 
 @st.composite
-def random_documents(draw):
+def random_documents(draw, coeffs=COEFFS):
     doc = SpecDocument()
     doc.spaces["V"] = labels = _labels(draw)
     doc.spaces["W"] = targets = _labels(draw)
@@ -711,10 +712,11 @@ def random_documents(draw):
     for name in draw(st.lists(st.sampled_from(("Delta", "delta", "D2")), min_size=1,
                               max_size=2, unique=True)):
         rows = draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
-        doc.coproducts[name] = ("V", {lab: _combination(draw, pairs) for lab in rows})
+        doc.coproducts[name] = ("V", {lab: _combination(draw, pairs, coeffs)
+                                      for lab in rows})
     if draw(st.booleans()):
         rows = draw(st.lists(st.sampled_from(labels), unique=True))
-        doc.counits["eps"] = ("V", {lab: draw(COEFFS) for lab in rows})
+        doc.counits["eps"] = ("V", {lab: draw(coeffs) for lab in rows})
     if draw(st.booleans()):
         n = len(labels)
         doc.algebras["A"] = ("V", {labels[0]: ONE}, {
@@ -723,7 +725,8 @@ def random_documents(draw):
         })
     if draw(st.booleans()):
         rows = draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
-        doc.channels["phi"] = ("V", "W", {lab: _combination(draw, targets) for lab in rows})
+        doc.channels["phi"] = ("V", "W", {lab: _combination(draw, targets, coeffs)
+                                          for lab in rows})
     return doc
 
 
@@ -844,3 +847,110 @@ SIGNED_POWERS = st.builds(lambda k, sign: sign * Scalar.q_power(k),
                  st.sampled_from((ZERO, ONE, MINUS_ONE))))
 def test_scalar_prefix_matches_the_text_rule(c):
     assert dsl._scalar_prefix(c) == oracle_scalar_prefix(c)
+
+
+# -- the per-term unparser, kept as the oracle of the per-object one -------
+
+
+def per_term_unparse_tensor(tensor: Tensor) -> str:
+    parts = [
+        f"{dsl._scalar_prefix(c)}<{a}, {b}>"
+        for (a, b), c in sorted(tensor.items())
+    ]
+    if not parts:
+        raise ValueError("cannot unparse an identically zero tensor entry")
+    return " + ".join(parts)
+
+
+def per_term_unparse_vector(vec: Vector) -> str:
+    parts = [f"{dsl._scalar_prefix(c)}{lab}" for lab, c in sorted(vec.items())]
+    return " + ".join(parts)
+
+
+def per_term_unparse_document(doc: SpecDocument) -> str:
+    """``unparse_document`` as it was: one prefix rendering per term."""
+    lines: List[str] = []
+    for name, labels in doc.spaces.items():
+        lines.append(f"space {name} = {{ {', '.join(labels)} }}")
+    for name, (space_name, table) in doc.coproducts.items():
+        lines.append("")
+        lines.append(f"coproduct {name} on {space_name}:")
+        for lab in doc.spaces[space_name]:
+            tensor = table.get(lab)
+            if tensor:
+                lines.append(f"  {lab} -> {per_term_unparse_tensor(tensor)}")
+    for name, (space_name, values) in doc.counits.items():
+        lines.append("")
+        lines.append(f"counit {name} on {space_name}:")
+        for lab in doc.spaces[space_name]:
+            if lab in values:
+                lines.append(f"  {lab} -> {values[lab]}")
+    for name, (space_name, unit, product) in doc.algebras.items():
+        lines.append("")
+        lines.append(f"algebra {name} on {space_name}:")
+        lines.append(f"  unit -> {per_term_unparse_vector(unit)}")
+        for (a, b) in sorted(product):
+            lines.append(f"  {a} * {b} -> {per_term_unparse_vector(product[(a, b)])}")
+    for name, (src, dst, table) in doc.channels.items():
+        lines.append("")
+        lines.append(f"channel {name} : {src} -> {dst}:")
+        for lab in doc.spaces[src]:
+            if lab in table:
+                lines.append(f"  {lab} -> {per_term_unparse_vector(table[lab])}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def coefficient_pools(draw):
+    """A few coefficient objects, each one shared by every term that draws
+    it, and distinct objects equal to some of them."""
+    pool = draw(st.lists(st.one_of(st.sampled_from((ONE, MINUS_ONE)), SIGNED_POWERS,
+                                   COEFFS), min_size=1, max_size=5))
+    copies = draw(st.lists(st.sampled_from(pool), max_size=3))
+    return pool + [parse_scalar(str(c)) for c in copies]
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficient_pools().flatmap(lambda pool: random_documents(st.sampled_from(pool))))
+def test_unparse_matches_the_per_term_unparser(doc):
+    assert unparse_document(doc) == per_term_unparse_document(doc)
+
+
+def _coefficients(doc: SpecDocument) -> List[Scalar]:
+    """The term coefficients of ``doc``, counit values excluded."""
+    out = [c for _, table in doc.coproducts.values()
+           for tensor in table.values() for c in tensor.values()]
+    for _, unit, product in doc.algebras.values():
+        out += list(unit.values()) + [c for vec in product.values() for c in vec.values()]
+    return out + [c for _, _, table in doc.channels.values()
+                  for vec in table.values() for c in vec.values()]
+
+
+def test_unparse_renders_each_coefficient_object_once(monkeypatch):
+    """On the cibils fixture, whose q^k objects are shared by many terms,
+    and on a document with distinct but equal coefficients."""
+    q3 = parse_scalar("q^3")
+    equal = SpecDocument()
+    equal.spaces["V"] = ("a", "b")
+    equal.coproducts["D"] = ("V", {"a": {("a", "a"): q3, ("a", "b"): Scalar.q_power(3)},
+                                   "b": {("b", "b"): q3, ("b", "a"): MINUS_ONE}})
+    equal.channels["P"] = ("V", "V", {"a": {"b": parse_scalar("-1")}})
+    assert equal.coproducts["D"][1]["a"][("a", "b")] is not q3
+    cibils = document_from_structure(
+        "E", fixture_cibils(24, parse_scalar("-9/2"))["structure"])
+    calls: List[Scalar] = []
+    real = dsl._scalar_prefix
+
+    def recording(c):
+        calls.append(c)
+        return real(c)
+
+    for doc in (equal, cibils):
+        expected = per_term_unparse_document(doc)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(dsl, "_scalar_prefix", recording)
+            assert unparse_document(doc) == expected
+        coefficients = _coefficients(doc)
+        assert sorted(map(id, calls)) == sorted({id(c) for c in coefficients})
+    assert len(coefficients) == 2100 and len(calls) == 25

@@ -1,6 +1,8 @@
 """Basis spaces, sparse multi-linear maps, exact row reduction, finite
 algebras."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -593,3 +595,66 @@ def test_tau_matches_the_validating_constructor(pair):
     })
     assert [(label, list(t.items())) for label, t in f.tau().table.items()] == [
         (label, list(t.items())) for label, t in reference.table.items()]
+
+
+# -- associativity read off the table against the vector products it replaced --
+
+
+def vector_product_check_associative(self):
+    """``FiniteAlgebra._check_associative`` as it was: both sides of every
+    triple built with ``mul_vectors`` on unit vectors."""
+    for a in self.space.labels:
+        for b in self.space.labels:
+            ab = self.mul_labels(a, b)
+            for c in self.space.labels:
+                left = self.mul_vectors(ab, unit_vector(c))
+                right = self.mul_vectors(
+                    unit_vector(a), self.mul_labels(b, c)
+                )
+                if left != right:
+                    raise ValueError(
+                        f"associativity fails at ({a!r}, {b!r}, {c!r})"
+                    )
+
+
+TABLE_COEFFS = (ONE, MINUS_ONE, ONE + ONE, Q, Scalar.q_power(-1))
+
+
+@st.composite
+def unital_tables(draw):
+    """A product table on 2 to 4 labels with unit e, and 0 to 2 terms in
+    every other entry."""
+    labels = ("e", "a", "b", "c")[:draw(st.integers(2, 4))]
+    product = {}
+    for x in labels:
+        product[("e", x)] = {x: ONE}
+        product[(x, "e")] = {x: ONE}
+    for x in labels[1:]:
+        for y in labels[1:]:
+            keys = draw(st.lists(st.sampled_from(labels), max_size=2, unique=True))
+            product[(x, y)] = {k: draw(st.sampled_from(TABLE_COEFFS)) for k in keys}
+    return BasisSpace(labels), product
+
+
+def _associativity_outcome(space, product):
+    try:
+        FiniteAlgebra(space, product, {"e": ONE})
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_associativity_matches_the_vector_products():
+    outcomes = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(unital_tables())
+    def agree(table):
+        new = _associativity_outcome(*table)
+        with mock.patch.object(FiniteAlgebra, "_check_associative",
+                               vector_product_check_associative):
+            assert _associativity_outcome(*table) == new
+        outcomes.add(new is None)
+
+    agree()
+    assert outcomes == {True, False}
