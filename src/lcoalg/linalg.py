@@ -394,8 +394,8 @@ class FiniteAlgebra:
 
     Associativity and the two-sided unit law are checked exhaustively at
     construction: the fixtures are small and a wrong table should fail fast.
-    Associativity is summed straight from the table, with no product of
-    vectors (see ``_check_associative``).
+    Associativity is summed straight from the product table (see
+    ``_check_associative``).
     """
 
     __slots__ = ("space", "product", "unit")
