@@ -6,8 +6,10 @@ Run it only when an output change is intended, and say why in the change:
 
 With ``--append`` it writes only the rows of invocations that the file does
 not hold yet, after the rows it holds, so new rows can be recorded from code
-whose existing rows must not move.  It exits 1 and writes nothing if any
-existing row would change or is no longer produced:
+whose existing rows must not move.  It exits 1 and writes nothing unless the
+rows the file holds are, in order, the first rows the code produces, so it
+refuses an existing row that would change, is gone or has moved, and a new
+invocation placed anywhere but after the last held one:
 
     PYTHONPATH=src python tests/regenerate_golden.py --append
 """
@@ -21,19 +23,21 @@ from test_golden import GOLDEN, format_rows, transcript
 
 
 def append_rows(golden: Path, rows) -> int:
-    """Append to ``golden`` the ``rows`` whose invocation it lacks; 1, with
-    the file untouched, if a row it holds differs from ``rows`` or is
-    missing from them."""
+    """Append to ``golden`` the ``rows`` after those it holds; 1, with the
+    file untouched, unless the rows it holds are, in order, the first of
+    ``rows``.  The golden test reads the invocations in transcript order, so
+    a new invocation anywhere but at the end cannot be appended."""
     text = golden.read_text(encoding="utf-8")
-    held = {line.split("\t")[3]: line + "\n" for line in text.splitlines()}
-    produced = {row[0]: format_rows([row]) for row in rows}
-    changed = [inv for inv, line in held.items() if produced.get(inv) != line]
-    if changed:
-        print(f"{len(changed)} existing rows would change, first: {changed[0]}",
-              file=sys.stderr)
+    held = text.splitlines(keepends=True)
+    produced = [format_rows([row]) for row in rows]
+    if produced[:len(held)] != held:
+        first = next(i for i, line in enumerate(held)
+                     if i >= len(produced) or produced[i] != line)
+        invocation = held[first].rstrip("\n").split("\t")[3]
+        print(f"row {first + 1} would change: {invocation}", file=sys.stderr)
         return 1
-    new = [row for row in rows if row[0] not in held]
-    golden.write_text(text + format_rows(new), encoding="utf-8")
+    new = produced[len(held):]
+    golden.write_text(text + "".join(new), encoding="utf-8")
     print(f"appended {len(new)} rows to {golden}")
     return 0
 

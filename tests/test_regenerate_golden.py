@@ -37,3 +37,16 @@ def test_append_refuses_a_changed_or_dropped_row(tmp_path):
     assert copy.read_text(encoding="utf-8") == held
     assert append_rows(copy, rows[:5] + rows[6:]) == 1
     assert copy.read_text(encoding="utf-8") == held
+
+
+def test_append_refuses_a_new_invocation_before_the_held_ones(tmp_path):
+    # the golden test reads the invocations in transcript order, so a row
+    # appended after the held ones would fail it
+    full = GOLDEN.read_text(encoding="utf-8")
+    rows = _rows(full)
+    copy = tmp_path / "golden_cli.tsv"
+    lines = full.splitlines(keepends=True)
+    held = "".join(lines[:5] + lines[6:-3])
+    copy.write_text(held, encoding="utf-8")
+    assert append_rows(copy, rows) == 1
+    assert copy.read_text(encoding="utf-8") == held
