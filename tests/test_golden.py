@@ -179,6 +179,24 @@ ALGEBRA_ERRORS = (
     ("unit_law", _UNITAL + "  a * e -> a\n  b * e -> -1 * b\n  a * a -> a\n"),
 )
 
+# (name, document, arguments) of each document whose term lines repeat, as
+# the glued coproducts of an entanglement do; each runs as
+# ``check @repeat_NAME.doc`` with its arguments.  In ``other_space`` the
+# second copy of a line sits in a block on a space that lacks one of its
+# labels, so the error names the second copy's line.
+_PARENTHESISED = "  a -> (1 + q) * <a, a> + <a, b>\n  b -> <b, b>\n"
+REPEATED_LINES = (
+    ("other_space",
+     "space V = { a, b }\nspace W = { a, c }\ncoproduct D on V:\n"
+     "  a -> 2 * <a, b> + <b, a>\ncoproduct E on W:\n  c -> <a, a>\n"
+     "  a -> 2 * <a, b> + <b, a>\n",
+     ("--space", "W", "--axiom", "coassoc")),
+    ("three_coproducts",
+     "space V = { a, b }\n"
+     + "".join(f"coproduct D{i} on V:\n{_PARENTHESISED}" for i in (1, 2, 3)),
+     ("--axiom", "codialgebra", "--bind", "delta=D1,deltahat=D3")),
+)
+
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -355,6 +373,10 @@ def transcript(workdir: str):
     for name, text in ALGEBRA_ERRORS:
         Path(path(f"algebra_{name}.doc")).write_text(text, encoding="utf-8")
         run("check", f"@algebra_{name}.doc", "--axiom", "coassoc")
+    for name, text, args in REPEATED_LINES:
+        Path(path(f"repeat_{name}.doc")).write_text(text, encoding="utf-8")
+        run("check", f"@repeat_{name}.doc", *args)
+    run("check", "@E0.doc", "--axiom", "coassoc", "--bind", "Delta=Delta_star")
     return rows
 
 
