@@ -228,9 +228,12 @@ def _expand(
 def _eval_side(side, label: str) -> Tensor:
     out: Tensor = {}
     for coeff, first, chain, pick in side:
-        tensor = first.of_label(label)
-        for degree, (cp, slot) in enumerate(chain, 2):
-            tensor = cp.at_slot(tensor, slot, degree)
+        if chain:  # at_slot never writes its input: read the entry in place
+            tensor = first.table.get(label, {})
+            for degree, (cp, slot) in enumerate(chain, 2):
+                tensor = cp.at_slot(tensor, slot, degree)
+        else:  # a copy, since it may be returned as a witness
+            tensor = first.of_label(label)
         if len(side) == 1 and coeff is ONE and pick is None:
             return tensor  # one plain chain is its own value: no copy
         if pick is not None:  # a permutation of legs, so no terms collide

@@ -23,14 +23,14 @@ Scalars are rational-function expressions in q (see the scalar parser);
 multi-term scalars must be parenthesized so '+' splits terms only at the
 top level.  The reader reads each line once, through one table of block
 headers, and parses each distinct scalar text (term coefficient or counit
-value) once per document; scalars are immutable, so repeats share one
-object.  A term line in the bare form, whose coefficients hold none of
-'( ) < > + *' (every line the unparser writes with no parenthesised
-coefficient), is read by two regex passes over the whole line; every other
-line goes to the chunk reader, which cuts it at each top-level '+' and
-gives the same result on a bare line.  A DslError names its line and a
-column of that source line: the unbalanced bracket itself, and column 1
-for an error of the whole line.
+value) and each distinct term line once per document; scalars are
+immutable, so repeats share one object.  A term line in the bare form,
+whose coefficients hold none of '( ) < > + *' (every line the unparser
+writes with no parenthesised coefficient), is read by two regex passes over
+the whole line; every other line goes to the chunk reader, which cuts it at
+each top-level '+' and gives the same result on a bare line.  A DslError
+names its line and a column of that source line: the unbalanced bracket
+itself, and column 1 for an error of the whole line.
 """
 
 from __future__ import annotations
@@ -78,6 +78,11 @@ class SpecDocument:
         default_factory=dict
     )
     channels: Dict[str, Tuple[str, str, Dict[str, Vector]]] = field(default_factory=dict)
+    # coproduct name -> (space, its labels, table) as the reader built them;
+    # the table's tensors are the reader's own, not those of ``coproducts``
+    _read: Dict[str, Tuple[str, Tuple[str, ...], Dict[str, Tensor]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- building runtime objects -----------------------------------------
 
@@ -87,11 +92,18 @@ class SpecDocument:
         return BasisSpace(self.spaces[name])
 
     def structure(self, space_name: str) -> LStructure:
-        """All coproducts, counits, and at most one algebra on a space."""
+        """All coproducts, counits, and at most one algebra on a space.
+
+        A coproduct table is validated once.  The reader checked every
+        label and arity of the tables it built, so while such a table still
+        equals the reader's snapshot of it, and its space still has the
+        labels it had, the map is built on the snapshot without a second
+        check.  Any other table, changed in place or built by hand, goes
+        through the validating ``MultiLinearMap`` constructor."""
         space = self.space(space_name)
         coproducts = {
-            name: MultiLinearMap(space, 2, table)
-            for name, (sp, table) in self.coproducts.items()
+            name: self._coproduct(name, space)
+            for name, (sp, _) in self.coproducts.items()
             if sp == space_name
         }
         counits = {
@@ -106,6 +118,15 @@ class SpecDocument:
                     raise ValueError(f"space {space_name!r} has several algebras")
                 algebra = FiniteAlgebra(space, product, unit)
         return LStructure(space, coproducts, counits=counits, algebra=algebra)
+
+    def _coproduct(self, name: str, space: BasisSpace) -> MultiLinearMap:
+        sp, table = self.coproducts[name]
+        read = self._read.get(name)
+        if read == (sp, space.labels, table):
+            # The reader's tensors hold no zero; an entry may be empty.
+            return MultiLinearMap._trusted(
+                space, 2, {lab: t for lab, t in read[2].items() if t})
+        return MultiLinearMap(space, 2, table)
 
     def channel(self, name: str) -> ChannelMap:
         if name not in self.channels:
@@ -239,11 +260,21 @@ def _parse_chunks(rhs: str, line: int, column: int, kind: str,
 
 
 def parse_document(text: str) -> SpecDocument:
+    """The declarations of ``text``; a DslError names the first bad line.
+
+    Each distinct term line is read once per document: a line that repeats
+    an earlier one of its kind (tensor or vector) reuses the terms read
+    then, each use getting its own copy, and only its labels are checked
+    again, against the space of its own block, so an error names the
+    repeat's line.  The reader keeps its own copy of each coproduct table,
+    which lets ``SpecDocument.structure`` skip a second validation."""
     doc = SpecDocument()
     seen: Dict[str, Scalar] = {}
+    # (kind, rhs) -> (terms, their label set, their labels in order)
+    lines: Dict[Tuple[str, str], Tuple[Dict, frozenset, List[str]]] = {}
     declared_sets: Dict[str, frozenset] = {}  # the labels of each space
     kind: Optional[str] = None  # of the open block, with its name, spaces and table
-    name, spaces, table = "", [], {}
+    name, spaces, table, read = "", [], {}, {}
 
     def check_labels(space_name: str, labels, lineno: int):
         declared = declared_sets[space_name]
@@ -254,6 +285,21 @@ def parse_document(text: str) -> SpecDocument:
                 raise DslError(
                     f"label {lab!r} is not declared in space {space_name!r}", lineno
                 )
+
+    def read_terms(rhs: str, lineno: int, column: int, term_kind: str,
+                   space_name: str) -> Dict:
+        """The terms of ``rhs``, read once per document and checked against
+        ``space_name`` at every use; the dict returned is shared."""
+        entry = lines.get((term_kind, rhs))
+        if entry is None:
+            terms = _parse_terms(rhs, lineno, column, term_kind, seen)
+            labels = ([lab for term in terms for lab in term]
+                      if term_kind == "tensor" else list(terms))
+            entry = lines[term_kind, rhs] = (terms, frozenset(labels), labels)
+        terms, label_set, labels = entry
+        if not declared_sets[space_name] >= label_set:
+            check_labels(space_name, labels, lineno)
+        return terms
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         code = raw.split("#", 1)[0]
@@ -291,6 +337,9 @@ def parse_document(text: str) -> SpecDocument:
                 doc.algebras[name] = (spaces[0], {}, table)
             else:  # (space, table), or (source, target, table) for a channel
                 getattr(doc, kind + "s")[name] = (*spaces, table)
+            if kind == "coproduct":
+                read = {}
+                doc._read[name] = (spaces[0], doc.spaces[spaces[0]], read)
             continue
 
         if kind is None:
@@ -304,19 +353,17 @@ def parse_document(text: str) -> SpecDocument:
         column = len(code) - len(after.lstrip()) + 1  # of rhs in the source line
         if kind == "coproduct":
             check_labels(spaces[0], [lhs], lineno)
-            tensor = _parse_terms(rhs, lineno, column, "tensor", seen)
-            check_labels(spaces[0], [lab for term in tensor for lab in term], lineno)
+            tensor = read_terms(rhs, lineno, column, "tensor", spaces[0])
             if lhs in table:
                 raise DslError(f"label {lhs!r} defined twice", lineno)
-            table[lhs] = tensor
+            table[lhs], read[lhs] = dict(tensor), tensor
         elif kind == "counit":
             check_labels(spaces[0], [lhs], lineno)
             value = _scalar(rhs, lineno, seen)
             if not value.is_zero():
                 table[lhs] = value
         elif kind == "algebra":
-            vec = _parse_terms(rhs, lineno, column, "vector", seen)
-            check_labels(spaces[0], vec, lineno)
+            vec = dict(read_terms(rhs, lineno, column, "vector", spaces[0]))
             if lhs == "unit":
                 doc.algebras[name] = (spaces[0], vec, table)
             else:
@@ -329,9 +376,7 @@ def parse_document(text: str) -> SpecDocument:
                 table[(factors[0], factors[1])] = vec
         else:  # channel
             check_labels(spaces[0], [lhs], lineno)
-            vec = _parse_terms(rhs, lineno, column, "vector", seen)
-            check_labels(spaces[1], vec, lineno)
-            table[lhs] = vec
+            table[lhs] = dict(read_terms(rhs, lineno, column, "vector", spaces[1]))
     return doc
 
 

@@ -489,3 +489,22 @@ def test_every_system_equation_is_the_table_entry():
             assert lhs is EQUATIONS[tag][0] and rhs is EQUATIONS[tag][1], tag
             listed.add(tag)
     assert listed == set(EQUATIONS) and len(EQUATIONS) == 23
+
+
+def test_witnesses_share_nothing_with_the_maps():
+    """A side that is one map with no step returns a copy of its table
+    entry, and a side with steps reads the entry in place without writing
+    it: clearing every witness tensor leaves every map unchanged."""
+    s = fixture_cibils(2)["structure"]
+    tables = {name: {lab: dict(t) for lab, t in cp.table.items()}
+              for name, cp in s.coproducts.items()}
+    for axiom, bindings in (
+        ("L_cocommutative", {"Delta": "delta", "Deltatilde": "delta"}),
+        ("codialgebra", {"delta": "deltahat", "deltahat": "delta"}),
+    ):
+        report = check_axiom(s, axiom, bindings)
+        assert report.witnesses, axiom
+        for _, _, lhs, rhs in report.witnesses:
+            lhs.clear()
+            rhs.clear()
+    assert {name: cp.table for name, cp in s.coproducts.items()} == tables

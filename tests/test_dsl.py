@@ -1,9 +1,12 @@
 """Text format for spaces, coproducts, counits, algebras, and channels:
 round-trips through the canonical unparser and positioned diagnostics.
 The reader as it was before its one-pass rewrite is kept here as the
-oracle of a hypothesis property over mutated documents; the chunk reader
-is the oracle of the bare-line fast path, and the unparser's old regex
-rule the oracle of its bare-or-parenthesised choice."""
+oracle of a hypothesis property over mutated documents, and the reader as
+it was before it read each distinct term line once as the oracle of one
+over documents whose lines repeat; the validating constructor is the
+oracle of ``structure()``, the chunk reader the oracle of the bare-line
+fast path, and the unparser's old regex rule the oracle of its
+bare-or-parenthesised choice."""
 
 import operator
 import re
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 
 from lcoalg import dsl
 from lcoalg.cli import main
-from lcoalg.coalgebra import check_axiom
+from lcoalg.coalgebra import LStructure, check_axiom
 from lcoalg.dsl import (
     DslError,
     SpecDocument,
@@ -31,7 +34,7 @@ from lcoalg.fixtures import (
     fixture_group,
     fixture_quantum_sphere,
 )
-from lcoalg.linalg import Tensor, Vector, add_scaled
+from lcoalg.linalg import FiniteAlgebra, MultiLinearMap, Tensor, Vector, add_scaled
 from lcoalg.scalars import MINUS_ONE, ONE, Q, ZERO, Scalar, ScalarSyntaxError, parse_scalar
 from test_scalars import scalars, shaped_scalars
 
@@ -679,6 +682,168 @@ def test_each_scalar_text_is_parsed_once(capsys, monkeypatch):
     assert len(texts) == len(distinct) and set(texts) == distinct
 
 
+# -- the reader before its line memo, kept as the oracle -------------------
+
+def per_line_parse_document(text: str) -> SpecDocument:
+    """``parse_document`` as it was before it read each distinct term line
+    once: every line is read and checked afresh."""
+    doc = SpecDocument()
+    seen: Dict[str, Scalar] = {}
+    declared_sets: Dict[str, frozenset] = {}
+    kind: Optional[str] = None
+    name, spaces, table = "", [], {}
+
+    def check_labels(space_name: str, labels, lineno: int):
+        declared = declared_sets[space_name]
+        if declared.issuperset(labels):
+            return
+        for lab in labels:
+            if lab not in declared:
+                raise DslError(
+                    f"label {lab!r} is not declared in space {space_name!r}", lineno
+                )
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        code = raw.split("#", 1)[0]
+        stripped = code.strip()
+        if not stripped:
+            continue
+        word = stripped.split(None, 1)[0]
+        if word in dsl._HEADERS:
+            pattern, message, expected = dsl._HEADERS[word]
+            m = pattern.match(stripped)
+            if not m:
+                raise DslError(message, lineno, expected=[expected])
+            kind = None
+            if word == "space":
+                name, body = m.groups()
+                labels = [p.strip() for p in body.split(",") if p.strip()]
+                if not labels:
+                    raise DslError("space needs at least one label", lineno)
+                for lab in labels:
+                    if not dsl._NAME_RE.fullmatch(lab):
+                        raise DslError(f"bad space label {lab!r}", lineno,
+                                       expected=[dsl._NAME])
+                if name in doc.spaces:
+                    raise DslError(f"space {name!r} declared twice", lineno)
+                if len(set(labels)) != len(labels):
+                    raise DslError("duplicate labels in space", lineno)
+                doc.spaces[name] = tuple(labels)
+                declared_sets[name] = frozenset(labels)
+                continue
+            kind, (name, *spaces), table = word, m.groups(), {}
+            for sp in spaces:
+                if sp not in doc.spaces:
+                    raise DslError(f"unknown space {sp!r}", lineno)
+            if kind == "algebra":
+                doc.algebras[name] = (spaces[0], {}, table)
+            else:
+                getattr(doc, kind + "s")[name] = (*spaces, table)
+            continue
+
+        if kind is None:
+            raise DslError(
+                f"unexpected line {stripped!r}", lineno, expected=list(dsl._HEADERS)
+            )
+        lhs, arrow, after = code.partition("->")
+        if not arrow:
+            raise DslError("expected 'lhs -> rhs'", lineno)
+        lhs, rhs = lhs.strip(), after.strip()
+        column = len(code) - len(after.lstrip()) + 1
+        if kind == "coproduct":
+            check_labels(spaces[0], [lhs], lineno)
+            tensor = dsl._parse_terms(rhs, lineno, column, "tensor", seen)
+            check_labels(spaces[0], [lab for term in tensor for lab in term], lineno)
+            if lhs in table:
+                raise DslError(f"label {lhs!r} defined twice", lineno)
+            table[lhs] = tensor
+        elif kind == "counit":
+            check_labels(spaces[0], [lhs], lineno)
+            value = dsl._scalar(rhs, lineno, seen)
+            if not value.is_zero():
+                table[lhs] = value
+        elif kind == "algebra":
+            vec = dsl._parse_terms(rhs, lineno, column, "vector", seen)
+            check_labels(spaces[0], vec, lineno)
+            if lhs == "unit":
+                doc.algebras[name] = (spaces[0], vec, table)
+            else:
+                factors = [p.strip() for p in lhs.split("*")]
+                if len(factors) != 2:
+                    raise DslError(
+                        "expected 'label * label -> ...' or 'unit -> ...'", lineno
+                    )
+                check_labels(spaces[0], factors, lineno)
+                table[(factors[0], factors[1])] = vec
+        else:
+            check_labels(spaces[0], [lhs], lineno)
+            vec = dsl._parse_terms(rhs, lineno, column, "vector", seen)
+            check_labels(spaces[1], vec, lineno)
+            table[lhs] = vec
+    return doc
+
+
+# Documents whose term lines repeat, across blocks and across spaces: each
+# draws its lines from a small pool.  The spaces share the labels a and b;
+# c is declared only in V, x only in W and z in neither, so a repeated line
+# may hold a label its block's space lacks.  Now and then a coefficient is
+# malformed or a block defines a label twice.
+REPEAT_SPACES = "space V = { a, b, c }\nspace W = { a, b, x }"
+REPEAT_HEADERS = ("coproduct D on V:", "coproduct E on W:", "coproduct D on W:",
+                  "algebra A on V:", "channel P : V -> W:", "channel R : W -> V:",
+                  "counit e on W:")
+REPEAT_LABEL = st.sampled_from(("a", "b") * 10 + ("c", "x", "z"))
+REPEAT_COEFF = st.sampled_from(("",) * 8 + (
+    "2", "-1", "q", "-3/7", "( 1 + q )", "0", " - 4 /\t6", "007") * 3 + ("1/0", "q^"))
+
+
+@st.composite
+def repeating_documents(draw):
+    def rhs(tensor):
+        terms = []
+        for _ in range(draw(st.integers(1, 3))):
+            target = (f"<{draw(REPEAT_LABEL)}, {draw(REPEAT_LABEL)}>" if tensor
+                      else draw(REPEAT_LABEL))
+            coeff = draw(REPEAT_COEFF)
+            terms.append(f"{coeff} * {target}" if coeff else target)
+        return " + ".join(terms)
+
+    pools = {kind: [rhs(kind) for _ in range(draw(st.integers(1, 3)))]
+             for kind in (True, False)}
+    lines = [REPEAT_SPACES]
+    for header in draw(st.lists(st.sampled_from(REPEAT_HEADERS), max_size=5)):
+        lines.append(header)
+        lhs_labels = draw(st.lists(REPEAT_LABEL, max_size=3, unique=True))
+        if lhs_labels and draw(st.integers(0, 9)) == 0:
+            lhs_labels.append(lhs_labels[0])
+        for lhs in lhs_labels:
+            if header.startswith("counit"):
+                rhs_text = draw(REPEAT_COEFF.filter(bool))
+            else:
+                rhs_text = draw(st.sampled_from(pools[header.startswith("coproduct")]))
+            if header.startswith("algebra"):
+                lhs = draw(st.sampled_from(("unit", f"{lhs} * {draw(REPEAT_LABEL)}")))
+            lines.append(f"  {lhs} -> {rhs_text}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=600, deadline=None)
+@given(repeating_documents())
+def test_reader_matches_the_per_line_reader(text):
+    assert _outcome(parse_document, text) == _outcome(per_line_parse_document, text)
+
+
+def test_each_use_of_a_repeated_line_gets_its_own_copy():
+    doc = parse_document("space V = { a, b }\ncoproduct D on V:\n  a -> 2 * <a, b>\n"
+                         "  b -> 2 * <a, b>\ncoproduct E on V:\n  a -> 2 * <a, b>\n")
+    tensors = [doc.coproducts["D"][1]["a"], doc.coproducts["D"][1]["b"],
+               doc.coproducts["E"][1]["a"]]
+    assert tensors[0] == tensors[1] == tensors[2] == {("a", "b"): Scalar.from_rational(2)}
+    assert len({id(t) for t in tensors}) == 3
+    tensors[0][("b", "b")] = ONE
+    assert doc.coproducts["E"][1]["a"] == {("a", "b"): Scalar.from_rational(2)}
+
+
 # -- unparse, parse, unparse over random structures ------------------------
 
 LABELS = ("a", "b", "e", "x1", "g_2", "Lab")
@@ -739,6 +904,109 @@ def test_unparse_parse_unparse_over_random_structures(doc):
     assert reparsed == doc
 
 
+# -- structure() against the validating constructor ------------------------
+
+def validating_structure(doc: SpecDocument, space_name: str) -> LStructure:
+    """``SpecDocument.structure`` as it was before it trusted the tables the
+    reader built: every coproduct table goes through the validating
+    constructor."""
+    space = doc.space(space_name)
+    coproducts = {
+        name: MultiLinearMap(space, 2, table)
+        for name, (sp, table) in doc.coproducts.items()
+        if sp == space_name
+    }
+    counits = {name: dict(values) for name, (sp, values) in doc.counits.items()
+               if sp == space_name}
+    algebra = None
+    for name, (sp, unit, product) in doc.algebras.items():
+        if sp == space_name:
+            if algebra is not None:
+                raise ValueError(f"space {space_name!r} has several algebras")
+            algebra = FiniteAlgebra(space, product, unit)
+    return LStructure(space, coproducts, counits=counits, algebra=algebra)
+
+
+def _structure_outcome(build, doc, space_name):
+    try:
+        s = build(doc, space_name)
+    except (KeyError, ValueError) as exc:
+        return ("error", type(exc), str(exc))
+    algebra = s.algebra and (_ordered(s.algebra.unit), _ordered(s.algebra.product))
+    return ("structure", s.space.labels, algebra, _ordered(s.counits),
+            [(name, cp.domain, cp.arity, _ordered(cp.table))
+             for name, cp in s.coproducts.items()])
+
+
+# Changes made to a parsed document before its structure is built
+STRUCTURE_EDITS = ("none", "undeclared label", "wrong arity", "zero coefficient",
+                   "emptied entry", "entry replaced by {}", "coefficient changed",
+                   "undeclared key", "equal table", "label dropped", "label added")
+
+
+def _edit(doc: SpecDocument, edit: str, data) -> None:
+    name = data.draw(st.sampled_from(sorted(doc.coproducts)))
+    sp, table = doc.coproducts[name]
+    labels = doc.spaces[sp]
+    lab = data.draw(st.sampled_from(sorted(table)))
+    term = data.draw(st.sampled_from(sorted(table[lab])))
+    if edit == "undeclared label":
+        table[lab][(labels[0], "zz")] = ONE
+    elif edit == "wrong arity":
+        table[lab][(labels[0],)] = ONE
+    elif edit == "zero coefficient":
+        table[lab][term] = ZERO
+    elif edit == "emptied entry":
+        table[lab].clear()
+    elif edit == "entry replaced by {}":
+        table[lab] = {}
+    elif edit == "coefficient changed":
+        table[lab][term] = table[lab][term] * Q
+    elif edit == "undeclared key":
+        table["zz"] = {(labels[0], labels[0]): ONE}
+    elif edit == "equal table":
+        doc.coproducts[name] = (sp, {k: dict(t) for k, t in table.items()})
+    elif edit == "label dropped" and len(labels) > 1:
+        doc.spaces[sp] = labels[:-1]
+    elif edit in ("label dropped", "label added"):
+        doc.spaces[sp] = labels + ("zz",)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_documents(), st.sampled_from(STRUCTURE_EDITS), st.data())
+def test_structure_matches_the_validating_constructor(doc, edit, data):
+    parsed = parse_document(unparse_document(doc))
+    _edit(parsed, edit, data)
+    assert (_structure_outcome(SpecDocument.structure, parsed, "V")
+            == _structure_outcome(validating_structure, parsed, "V"))
+
+
+def test_structure_validates_only_tables_changed_after_reading(capsys, monkeypatch):
+    assert main(["fixtures", "cibils", "--n", "4"]) == 0
+    doc = parse_document(capsys.readouterr().out)
+    (space,) = doc.spaces
+    validated: List[str] = []
+    constructor = MultiLinearMap.__init__
+
+    def recording(self, domain, arity, table):
+        validated.append(next(name for name, (_, t) in doc.coproducts.items() if t is table))
+        constructor(self, domain, arity, table)
+
+    monkeypatch.setattr(MultiLinearMap, "__init__", recording)
+    trusted = doc.structure(space)
+    assert validated == [] and len(trusted.coproducts) > 1
+    name = next(iter(doc.coproducts))
+    table = doc.coproducts[name][1]
+    lab = next(iter(table))
+    table[lab] = dict(table[lab])  # an equal entry: still the reader's table
+    doc.structure(space)
+    assert validated == []
+    table[lab].clear()
+    changed = doc.structure(space)
+    assert validated == [name]
+    assert lab not in changed.coproduct(name).table
+
+
 # -- the bare-line fast path against the chunk reader ----------------------
 
 # Bare coefficients, some of them zero, unreadable or whitespace only,
@@ -797,22 +1065,28 @@ def test_bare_fast_path_matches_the_chunk_reader(kind_and_rhs):
 
 
 def test_unparsed_bare_lines_take_the_fast_path(capsys, monkeypatch):
-    """Every term line the unparser writes with no parenthesised
-    coefficient is read by the fast path; only the others reach the chunk
-    reader."""
+    """Each distinct term line reaches a reader once per document, in the
+    order first seen.  Every such line the unparser writes with no
+    parenthesised coefficient is read by the fast path; only the others
+    reach the chunk reader."""
+    read: List[str] = []
     chunked: List[str] = []
-    chunk_reader = dsl._parse_chunks
 
-    def recording(rhs, *args):
-        chunked.append(rhs)
-        return chunk_reader(rhs, *args)
+    def recording(log, reader):
+        def record(rhs, *args):
+            log.append(rhs)
+            return reader(rhs, *args)
+        return record
 
-    monkeypatch.setattr(dsl, "_parse_chunks", recording)
+    monkeypatch.setattr(dsl, "_parse_terms", recording(read, dsl._parse_terms))
+    monkeypatch.setattr(dsl, "_parse_chunks", recording(chunked, dsl._parse_chunks))
+    repeats = 0
     for argv in (["cibils", "--n", "6"], ["cibils", "--n", "4", "--q=-3/7"],
                  ["cibils", "--n", "3", "--q=(1+q)/2"], ["debruijn", "--n", "5"],
                  ["group", "--n", "4"], ["F"]):
         assert main(["fixtures", *argv]) == 0
         text = capsys.readouterr().out
+        read.clear()
         chunked.clear()
         parse_document(text)
         term_rhs, block = [], None
@@ -821,8 +1095,14 @@ def test_unparsed_bare_lines_take_the_fast_path(capsys, monkeypatch):
                 block = line.split(None, 1)[0]
             elif line.strip() and block != "counit":
                 term_rhs.append(line.split("->", 1)[1].strip())
-        assert chunked == [rhs for rhs in term_rhs if "(" in rhs]
-        assert len(term_rhs) > len(chunked)
+        # A tensor line holds '<' and a vector line none, so the text of a
+        # line names its kind.
+        distinct = list(dict.fromkeys(term_rhs))
+        assert read == distinct
+        assert chunked == [rhs for rhs in distinct if "(" in rhs]
+        assert len(distinct) > len(chunked)
+        repeats += len(term_rhs) - len(distinct)
+    assert repeats
 
 
 # -- the unparser's coefficient prefix against its old text rule -----------
