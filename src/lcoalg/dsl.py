@@ -78,11 +78,6 @@ class SpecDocument:
         default_factory=dict
     )
     channels: Dict[str, Tuple[str, str, Dict[str, Vector]]] = field(default_factory=dict)
-    # coproduct name -> (space, its labels, table) as the reader built them;
-    # the table's tensors are the reader's own, not those of ``coproducts``
-    _read: Dict[str, Tuple[str, Tuple[str, ...], Dict[str, Tensor]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     # -- building runtime objects -----------------------------------------
 
@@ -92,18 +87,11 @@ class SpecDocument:
         return BasisSpace(self.spaces[name])
 
     def structure(self, space_name: str) -> LStructure:
-        """All coproducts, counits, and at most one algebra on a space.
-
-        A coproduct table is validated once.  The reader checked every
-        label and arity of the tables it built, so while such a table still
-        equals the reader's snapshot of it, and its space still has the
-        labels it had, the map is built on the snapshot without a second
-        check.  Any other table, changed in place or built by hand, goes
-        through the validating ``MultiLinearMap`` constructor."""
+        """All coproducts, counits, and at most one algebra on a space."""
         space = self.space(space_name)
         coproducts = {
-            name: self._coproduct(name, space)
-            for name, (sp, _) in self.coproducts.items()
+            name: MultiLinearMap(space, 2, table)
+            for name, (sp, table) in self.coproducts.items()
             if sp == space_name
         }
         counits = {
@@ -118,15 +106,6 @@ class SpecDocument:
                     raise ValueError(f"space {space_name!r} has several algebras")
                 algebra = FiniteAlgebra(space, product, unit)
         return LStructure(space, coproducts, counits=counits, algebra=algebra)
-
-    def _coproduct(self, name: str, space: BasisSpace) -> MultiLinearMap:
-        sp, table = self.coproducts[name]
-        read = self._read.get(name)
-        if read == (sp, space.labels, table):
-            # The reader's tensors hold no zero; an entry may be empty.
-            return MultiLinearMap._trusted(
-                space, 2, {lab: t for lab, t in read[2].items() if t})
-        return MultiLinearMap(space, 2, table)
 
     def channel(self, name: str) -> ChannelMap:
         if name not in self.channels:
@@ -266,15 +245,14 @@ def parse_document(text: str) -> SpecDocument:
     an earlier one of its kind (tensor or vector) reuses the terms read
     then, each use getting its own copy, and only its labels are checked
     again, against the space of its own block, so an error names the
-    repeat's line.  The reader keeps its own copy of each coproduct table,
-    which lets ``SpecDocument.structure`` skip a second validation."""
+    repeat's line."""
     doc = SpecDocument()
     seen: Dict[str, Scalar] = {}
     # (kind, rhs) -> (terms, their label set, their labels in order)
     lines: Dict[Tuple[str, str], Tuple[Dict, frozenset, List[str]]] = {}
     declared_sets: Dict[str, frozenset] = {}  # the labels of each space
     kind: Optional[str] = None  # of the open block, with its name, spaces and table
-    name, spaces, table, read = "", [], {}, {}
+    name, spaces, table = "", [], {}
 
     def check_labels(space_name: str, labels, lineno: int):
         declared = declared_sets[space_name]
@@ -337,9 +315,6 @@ def parse_document(text: str) -> SpecDocument:
                 doc.algebras[name] = (spaces[0], {}, table)
             else:  # (space, table), or (source, target, table) for a channel
                 getattr(doc, kind + "s")[name] = (*spaces, table)
-            if kind == "coproduct":
-                read = {}
-                doc._read[name] = (spaces[0], doc.spaces[spaces[0]], read)
             continue
 
         if kind is None:
@@ -356,7 +331,7 @@ def parse_document(text: str) -> SpecDocument:
             tensor = read_terms(rhs, lineno, column, "tensor", spaces[0])
             if lhs in table:
                 raise DslError(f"label {lhs!r} defined twice", lineno)
-            table[lhs], read[lhs] = dict(tensor), tensor
+            table[lhs] = dict(tensor)
         elif kind == "counit":
             check_labels(spaces[0], [lhs], lineno)
             value = _scalar(rhs, lineno, seen)

@@ -28,14 +28,12 @@ with ``ONE`` returns the other operand and negation swaps ``ONE`` and
 ``MINUS_ONE``, so products and negations of these signs allocate nothing.
 
 A small recursive-descent parser reads expressions such as
-``(q^2 - 1)/(q - 1)`` or ``-3/2 * q``, and a plain rational literal such
-as ``-4/3`` is read by one regex match instead; ``str`` emits a form the
-parser reads back.
+``(q^2 - 1)/(q - 1)`` or ``-3/2 * q``; ``str`` emits a form the parser
+reads back.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Tuple, Union
 
@@ -522,23 +520,6 @@ class _ScalarParser:
         return int(self.text[start : self.pos])
 
 
-# A plain rational literal, spaced as the parser allows: a sign, an integer
-# and an optional denominator.  Each run of blanks is bounded by a token,
-# so a failed match backtracks in linear time.
-_RATIONAL = re.compile(r"[ \t]*(-[ \t]*)?([0-9]+)(?:[ \t]*/[ \t]*([0-9]+))?[ \t]*")
-
-
 def parse_scalar(text: str) -> Scalar:
-    """Parse a rational-function expression in q into a canonical Scalar.
-
-    A plain rational literal such as ``-4/3`` with a nonzero denominator is
-    read by one regex match; every other text, a zero denominator included,
-    goes to the recursive-descent parser, which gives the same value."""
-    m = _RATIONAL.fullmatch(text)
-    if m is not None:
-        minus, num, den = m.groups()
-        num = int(num)
-        den = int(den) if den else 1
-        if den:
-            return Scalar.from_rational(Fraction(-num if minus else num, den))
+    """Parse a rational-function expression in q into a canonical Scalar."""
     return _ScalarParser(text).parse()

@@ -3,9 +3,8 @@ round-trips through the canonical unparser and positioned diagnostics.
 The reader as it was before its one-pass rewrite is kept here as the
 oracle of a hypothesis property over mutated documents, and the reader as
 it was before it read each distinct term line once as the oracle of one
-over documents whose lines repeat; the validating constructor is the
-oracle of ``structure()``, the chunk reader the oracle of the bare-line
-fast path, and the unparser's old regex rule the oracle of its
+over documents whose lines repeat; the chunk reader is the oracle of the
+bare-line fast path, and the unparser's old regex rule the oracle of its
 bare-or-parenthesised choice."""
 
 import operator
@@ -20,7 +19,7 @@ from hypothesis import strategies as st
 
 from lcoalg import dsl
 from lcoalg.cli import main
-from lcoalg.coalgebra import LStructure, check_axiom
+from lcoalg.coalgebra import check_axiom
 from lcoalg.dsl import (
     DslError,
     SpecDocument,
@@ -34,7 +33,7 @@ from lcoalg.fixtures import (
     fixture_group,
     fixture_quantum_sphere,
 )
-from lcoalg.linalg import FiniteAlgebra, MultiLinearMap, Tensor, Vector, add_scaled
+from lcoalg.linalg import Tensor, Vector, add_scaled
 from lcoalg.scalars import MINUS_ONE, ONE, Q, ZERO, Scalar, ScalarSyntaxError, parse_scalar
 from test_scalars import scalars, shaped_scalars
 
@@ -902,109 +901,6 @@ def test_unparse_parse_unparse_over_random_structures(doc):
     reparsed = parse_document(text)
     assert unparse_document(reparsed) == text
     assert reparsed == doc
-
-
-# -- structure() against the validating constructor ------------------------
-
-def validating_structure(doc: SpecDocument, space_name: str) -> LStructure:
-    """``SpecDocument.structure`` as it was before it trusted the tables the
-    reader built: every coproduct table goes through the validating
-    constructor."""
-    space = doc.space(space_name)
-    coproducts = {
-        name: MultiLinearMap(space, 2, table)
-        for name, (sp, table) in doc.coproducts.items()
-        if sp == space_name
-    }
-    counits = {name: dict(values) for name, (sp, values) in doc.counits.items()
-               if sp == space_name}
-    algebra = None
-    for name, (sp, unit, product) in doc.algebras.items():
-        if sp == space_name:
-            if algebra is not None:
-                raise ValueError(f"space {space_name!r} has several algebras")
-            algebra = FiniteAlgebra(space, product, unit)
-    return LStructure(space, coproducts, counits=counits, algebra=algebra)
-
-
-def _structure_outcome(build, doc, space_name):
-    try:
-        s = build(doc, space_name)
-    except (KeyError, ValueError) as exc:
-        return ("error", type(exc), str(exc))
-    algebra = s.algebra and (_ordered(s.algebra.unit), _ordered(s.algebra.product))
-    return ("structure", s.space.labels, algebra, _ordered(s.counits),
-            [(name, cp.domain, cp.arity, _ordered(cp.table))
-             for name, cp in s.coproducts.items()])
-
-
-# Changes made to a parsed document before its structure is built
-STRUCTURE_EDITS = ("none", "undeclared label", "wrong arity", "zero coefficient",
-                   "emptied entry", "entry replaced by {}", "coefficient changed",
-                   "undeclared key", "equal table", "label dropped", "label added")
-
-
-def _edit(doc: SpecDocument, edit: str, data) -> None:
-    name = data.draw(st.sampled_from(sorted(doc.coproducts)))
-    sp, table = doc.coproducts[name]
-    labels = doc.spaces[sp]
-    lab = data.draw(st.sampled_from(sorted(table)))
-    term = data.draw(st.sampled_from(sorted(table[lab])))
-    if edit == "undeclared label":
-        table[lab][(labels[0], "zz")] = ONE
-    elif edit == "wrong arity":
-        table[lab][(labels[0],)] = ONE
-    elif edit == "zero coefficient":
-        table[lab][term] = ZERO
-    elif edit == "emptied entry":
-        table[lab].clear()
-    elif edit == "entry replaced by {}":
-        table[lab] = {}
-    elif edit == "coefficient changed":
-        table[lab][term] = table[lab][term] * Q
-    elif edit == "undeclared key":
-        table["zz"] = {(labels[0], labels[0]): ONE}
-    elif edit == "equal table":
-        doc.coproducts[name] = (sp, {k: dict(t) for k, t in table.items()})
-    elif edit == "label dropped" and len(labels) > 1:
-        doc.spaces[sp] = labels[:-1]
-    elif edit in ("label dropped", "label added"):
-        doc.spaces[sp] = labels + ("zz",)
-
-
-@settings(max_examples=300, deadline=None)
-@given(random_documents(), st.sampled_from(STRUCTURE_EDITS), st.data())
-def test_structure_matches_the_validating_constructor(doc, edit, data):
-    parsed = parse_document(unparse_document(doc))
-    _edit(parsed, edit, data)
-    assert (_structure_outcome(SpecDocument.structure, parsed, "V")
-            == _structure_outcome(validating_structure, parsed, "V"))
-
-
-def test_structure_validates_only_tables_changed_after_reading(capsys, monkeypatch):
-    assert main(["fixtures", "cibils", "--n", "4"]) == 0
-    doc = parse_document(capsys.readouterr().out)
-    (space,) = doc.spaces
-    validated: List[str] = []
-    constructor = MultiLinearMap.__init__
-
-    def recording(self, domain, arity, table):
-        validated.append(next(name for name, (_, t) in doc.coproducts.items() if t is table))
-        constructor(self, domain, arity, table)
-
-    monkeypatch.setattr(MultiLinearMap, "__init__", recording)
-    trusted = doc.structure(space)
-    assert validated == [] and len(trusted.coproducts) > 1
-    name = next(iter(doc.coproducts))
-    table = doc.coproducts[name][1]
-    lab = next(iter(table))
-    table[lab] = dict(table[lab])  # an equal entry: still the reader's table
-    doc.structure(space)
-    assert validated == []
-    table[lab].clear()
-    changed = doc.structure(space)
-    assert validated == [name]
-    assert lab not in changed.coproduct(name).table
 
 
 # -- the bare-line fast path against the chunk reader ----------------------

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from lcoalg import scalars as scalars_module
 from lcoalg.scalars import (
@@ -13,8 +13,6 @@ from lcoalg.scalars import (
     ZERO,
     Scalar,
     ScalarSyntaxError,
-    _RATIONAL,
-    _ScalarParser,
     _ZERO,
     _mono_str,
     _padd,
@@ -159,54 +157,6 @@ def test_only_ascii_digits_are_numbers(text, offset, message):
         parse_scalar(text)
     assert exc.value.pos == offset
     assert str(exc.value) == f"{message} (at offset {offset})"
-
-
-def _parse_outcome(parse, text):
-    try:
-        value = parse(text)
-    except ScalarSyntaxError as exc:
-        return ("error", str(exc), exc.pos)
-    return ("value", value.num, value.den)
-
-
-# Texts near the plain rational literal: blanks, signs, slashes, leading
-# zeros, Unicode digits and the tokens of a wider expression.
-LITERAL_TOKENS = st.sampled_from(
-    (" ", "\t", "-", "-", "/", "/", "0", "00", "4", "3", "007", "12", "177147")
-    + ("\u00b2", "\u0663", "\uff17", "q", "*", "^", "(", ")", "+", "_", "\n"))
-
-
-@settings(max_examples=500)
-@given(st.one_of(st.from_regex(_RATIONAL, fullmatch=True),
-                 st.lists(LITERAL_TOKENS, max_size=8).map("".join)))
-@example("\t-\t4 /\t3 ")
-@example("-0")
-@example("0/5")
-@example("4/0")
-@example("007/0010")
-@example("--4")
-@example("4/3/2")
-@example("2/2")
-@example("-3/3")
-@example("\u0663")
-@example("1\u0663")
-@example("4/\u00b2")
-def test_parse_scalar_matches_the_expression_parser(text):
-    assert (_parse_outcome(parse_scalar, text)
-            == _parse_outcome(lambda t: _ScalarParser(t).parse(), text))
-
-
-def test_rational_literals_skip_the_expression_parser(monkeypatch):
-    def refuse(self):
-        raise AssertionError(f"parsed {self.text!r}")
-
-    monkeypatch.setattr(_ScalarParser, "parse", refuse)
-    assert parse_scalar(" -\t4 / 6 ") == Scalar.from_rational(Fraction(-2, 3))
-    assert parse_scalar("177147/1977326743") == Scalar.from_rational(
-        Fraction(177147, 1977326743))
-    assert parse_scalar("-0") is ZERO and parse_scalar("2/2") is ONE
-    with pytest.raises(AssertionError):
-        parse_scalar("4/0")
 
 
 small_rationals = st.fractions(
