@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from .coalgebra import AXIOMS, AxiomReport, check_axiom
 from .complexes import check_boundary_forms_agree, check_complex
 from .constructions import achiral_entangle, self_entangle
 from .convolution import structure_constants
 from .dsl import (
-    DslError,
     SpecDocument,
     document_from_structure,
     parse_document,
@@ -42,7 +41,6 @@ from .graphs import (
 from .scalars import (
     MAX_MONOMIAL_POWER,
     Scalar,
-    ScalarSyntaxError,
     _power_limit,
     parse_scalar,
 )
@@ -403,11 +401,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (DslError, ScalarSyntaxError) as exc:
-        return _fail(str(exc))
-    except OSError as exc:
-        return _fail(str(exc))
-    except (KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:  # the reader's errors are ValueErrors
         return _fail(str(exc))
 
 

@@ -25,9 +25,8 @@ from .linalg import (
     functional_value,
     rref,
     tensor_add,
+    tensor_sub,
     unit_vector,
-    vec_add,
-    vec_sub,
 )
 from .scalars import ONE, Scalar
 
@@ -644,7 +643,7 @@ def leibniz_coderivative(e: EntangledStructure) -> Tuple[Dict[str, Vector], Axio
     channel = e.channel
     table: Dict[str, Vector] = {}
     for v in e.c1.labels:
-        table[v] = vec_sub(channel.forward[v], unit_vector(v))
+        table[v] = tensor_sub(channel.forward[v], unit_vector(v))
 
     s = e.structure
     delta1 = s.coproduct("delta1")
@@ -678,10 +677,10 @@ def leibniz_coderivative(e: EntangledStructure) -> Tuple[Dict[str, Vector], Axio
         for a in e.c1.labels:
             for b in e.c1.labels:
                 ab = algebra.mul_labels(a, b)
-                lhs_v = vec_sub(
+                lhs_v = tensor_sub(
                     d_of(ab), algebra.mul_vectors(table[a], table[b])
                 )
-                rhs_v = vec_add(
+                rhs_v = tensor_add(
                     algebra.mul_vectors(unit_vector(a), table[b]),
                     algebra.mul_vectors(table[a], unit_vector(b)),
                 )

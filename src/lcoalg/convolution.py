@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from .coalgebra import AxiomReport, Equation, LStructure, Side, _expand
-from .linalg import BasisSpace, Vector, add_scaled, vec_sub
+from .linalg import BasisSpace, Vector, add_scaled, tensor_sub
 from .linalg import functional_value  # noqa: F401  (re-exported: public here too)
 from .scalars import MINUS_ONE, ONE, Scalar
 
@@ -58,7 +58,7 @@ def bracket(
 ) -> Functional:
     """[f, g] = (f left g) - (g right f): the dialgebra commutator of the
     two bridge convolutions."""
-    return vec_sub(
+    return tensor_sub(
         conv_product(s, left_name, f, g), conv_product(s, right_name, g, f)
     )
 

@@ -435,12 +435,15 @@ def document_from_structure(
     space_name: str, s: LStructure,
     channels: Optional[Dict[str, Tuple[str, str, Dict[str, Vector]]]] = None,
 ) -> SpecDocument:
-    """Wrap a runtime structure back into a document (for emission)."""
+    """Wrap a runtime structure back into a document (for emission).  The
+    document shares each coproduct map's table entries, in basis order, so
+    it must not be written to while the structure is in use."""
     doc = SpecDocument()
     doc.spaces[space_name] = s.space.labels
     for name, cp in s.coproducts.items():
-        images = ((lab, cp.of_label(lab)) for lab in s.space.labels)
-        doc.coproducts[name] = (space_name, {lab: t for lab, t in images if t})
+        table = cp.table
+        doc.coproducts[name] = (
+            space_name, {lab: table[lab] for lab in s.space.labels if lab in table})
     for name, eps in s.counits.items():
         doc.counits[name] = (space_name, dict(eps))
     if s.algebra is not None:

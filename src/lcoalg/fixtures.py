@@ -20,7 +20,7 @@ from .constructions import (
     self_entangle,
 )
 from .graphs import UndirectedGraph, WeightedDigraph, de_bruijn_graph, markov_coalgebra
-from .linalg import BasisSpace, FiniteAlgebra, MultiLinearMap, Tensor, Vector
+from .linalg import BasisSpace, FiniteAlgebra, MultiLinearMap, Tensor
 from .ncpoly import NCPoly, NCTensor, AntipodeData, RewriteSystem, relation_set
 from .scalars import ONE, Q, Scalar
 

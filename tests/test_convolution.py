@@ -19,7 +19,7 @@ from lcoalg.convolution import (
 )
 from lcoalg.coalgebra import LStructure
 from lcoalg.fixtures import fixture_cibils
-from lcoalg.linalg import BasisSpace, MultiLinearMap, vec_add, vec_sub
+from lcoalg.linalg import BasisSpace, MultiLinearMap, tensor_add, tensor_sub
 from lcoalg.scalars import ONE, ZERO, Scalar, parse_scalar
 
 C1 = ["a", "b", "c", "d"]
@@ -256,8 +256,8 @@ def oracle_laws(s, suite, left="deltahat1", right="delta1", perp="Delta_star"):
     lt = lambda f, g: conv_product(s, left, f, g)
     rt = lambda f, g: conv_product(s, right, f, g)
     pp = lambda f, g: conv_product(s, perp, f, g)
-    br = lambda f, g: vec_sub(lt(f, g), rt(g, f))
-    succ = lambda f, g: vec_sub(rt(f, g), lt(f, g))
+    br = lambda f, g: tensor_sub(lt(f, g), rt(g, f))
+    succ = lambda f, g: tensor_sub(rt(f, g), lt(f, g))
     dialgebra = [
         ("left_assoc",
          lambda x, y, z: lt(lt(x, y), z), lambda x, y, z: lt(x, lt(y, z))),
@@ -288,20 +288,20 @@ def oracle_laws(s, suite, left="deltahat1", right="delta1", perp="Delta_star"):
         "leibniz": [(
             "leibniz",
             lambda x, y, z: br(br(x, y), z),
-            lambda x, y, z: vec_add(br(br(x, z), y), br(x, br(y, z))),
+            lambda x, y, z: tensor_add(br(br(x, z), y), br(x, br(y, z))),
         )],
         "poisson": [(
             "poisson",
             lambda x, y, z: br(pp(x, y), z),
-            lambda x, y, z: vec_add(pp(x, br(y, z)), pp(br(x, z), y)),
+            lambda x, y, z: tensor_add(pp(x, br(y, z)), pp(br(x, z), y)),
         )],
         "dendriform_algebra": [
             ("dendriform1", lambda x, y, z: lt(lt(x, y), z),
-             lambda x, y, z: lt(x, vec_add(lt(y, z), succ(y, z)))),
+             lambda x, y, z: lt(x, tensor_add(lt(y, z), succ(y, z)))),
             ("dendriform2", lambda x, y, z: lt(succ(x, y), z),
              lambda x, y, z: succ(x, lt(y, z))),
             ("dendriform3", lambda x, y, z: succ(x, succ(y, z)),
-             lambda x, y, z: succ(vec_add(lt(x, y), succ(x, y)), z)),
+             lambda x, y, z: succ(tensor_add(lt(x, y), succ(x, y)), z)),
         ],
     }[suite]
     duals = dual_basis(s.space)

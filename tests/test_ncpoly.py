@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcoalg.coalgebra import AxiomReport
-from lcoalg.linalg import tensor_add, tensor_scale
+from lcoalg.linalg import add_scaled, tensor_add, tensor_product, tensor_scale, tensor_sub
 from lcoalg.ncpoly import (
     AntipodeData,
     RewriteError,
@@ -14,15 +14,10 @@ from lcoalg.ncpoly import (
     check_bridge_homomorphism,
     check_l_hopf,
     coproduct_of_poly,
-    poly_add,
     poly_letter,
-    poly_mul,
     poly_one,
-    poly_scale,
-    poly_sub,
     relation_set,
     tensor_poly_mul,
-    tensor_poly_normalize,
 )
 from lcoalg.scalars import MINUS_ONE, ONE, Q, Scalar
 
@@ -32,22 +27,22 @@ def word(text):
 
 
 def test_poly_arithmetic():
-    p = poly_add(poly_letter("a"), poly_letter("b"))
-    q = poly_mul(p, p)
+    p = tensor_add(poly_letter("a"), poly_letter("b"))
+    q = tensor_product(p, p)
     assert q == {
         ("a", "a"): ONE, ("a", "b"): ONE, ("b", "a"): ONE, ("b", "b"): ONE,
     }
-    assert poly_sub(p, p) == {}
-    assert poly_mul(poly_one(), p) == p
-    assert poly_scale(p, Scalar.zero()) == {}
+    assert tensor_sub(p, p) == {}
+    assert tensor_product(poly_one(), p) == p
+    assert tensor_scale(p, Scalar.zero()) == {}
 
 
 def test_quantum_determinant_normalizes_to_zero(qm_data):
     rs = qm_data["rewrite1"]
-    det = poly_sub(
-        poly_sub(
-            poly_mul(poly_letter("a"), poly_letter("d")),
-            poly_scale(poly_mul(poly_letter("b"), poly_letter("c")), Q ** -1),
+    det = tensor_sub(
+        tensor_sub(
+            tensor_product(poly_letter("a"), poly_letter("d")),
+            tensor_scale(tensor_product(poly_letter("b"), poly_letter("c")), Q ** -1),
         ),
         poly_one(),
     )
@@ -57,9 +52,9 @@ def test_quantum_determinant_normalizes_to_zero(qm_data):
 def test_commutation_reductions(qm_data):
     rs = qm_data["rewrite1"]
     # -q ab + ba -> 0: the reduction the x-generator identity relies on.
-    p = poly_add(
-        poly_scale(poly_mul(poly_letter("a"), poly_letter("b")), -Q),
-        poly_mul(poly_letter("b"), poly_letter("a")),
+    p = tensor_add(
+        tensor_scale(tensor_product(poly_letter("a"), poly_letter("b")), -Q),
+        tensor_product(poly_letter("b"), poly_letter("a")),
     )
     assert rs.normalize(p) == {}
     assert rs.normalize(word("cb")) == word("bc")
@@ -71,8 +66,8 @@ def test_normalize_idempotent_and_linear(qm_data):
     p = rs.normalize(word("dcba"))
     assert rs.normalize(p) == p
     a, b = word("adad"), word("bcda")
-    together = rs.normalize(poly_add(a, b))
-    split = poly_add(rs.normalize(a), rs.normalize(b))
+    together = rs.normalize(tensor_add(a, b))
+    split = tensor_add(rs.normalize(a), rs.normalize(b))
     assert together == split
 
 
@@ -98,7 +93,7 @@ def test_normalization_is_multiplicative(left, right):
     rs = relation_set("quantum_matrix")
     direct = rs.normalize(word(left + right))
     staged = rs.normalize(
-        poly_mul(rs.normalize(word(left)), rs.normalize(word(right)))
+        tensor_product(rs.normalize(word(left)), rs.normalize(word(right)))
     )
     assert direct == staged
 
@@ -111,7 +106,7 @@ def test_each_rule_is_consistent_under_right_multiplication():
         for letter in LETTERS:
             lhs = rs.normalize({pattern + (letter,): ONE})
             rhs = rs.normalize(
-                poly_mul(dict(replacement), poly_letter(letter))
+                tensor_product(dict(replacement), poly_letter(letter))
             )
             assert lhs == rhs, pattern
 
@@ -153,10 +148,10 @@ def test_generator_coproducts_are_homomorphisms(qm_data):
 def test_coproduct_extension_on_determinant(qm_data):
     # The multiplicative extension sends ad - bc/q - 1 to zero in both legs.
     rs1, rs2 = qm_data["rewrite1"], qm_data["rewrite2"]
-    det = poly_sub(
-        poly_sub(
-            poly_mul(poly_letter("a"), poly_letter("d")),
-            poly_scale(poly_mul(poly_letter("b"), poly_letter("c")), Q ** -1),
+    det = tensor_sub(
+        tensor_sub(
+            tensor_product(poly_letter("a"), poly_letter("d")),
+            tensor_scale(tensor_product(poly_letter("b"), poly_letter("c")), Q ** -1),
         ),
         poly_one(),
     )
@@ -189,8 +184,20 @@ def test_l_hopf_reports_wrong_counit(qm_data):
 # -- the rebuild loops that in-place accumulation replaced -------------------
 
 
+def tensor_poly_normalize(a, left_rs, right_rs):
+    """Each leg of every term of ``a`` normalized, the terms summed."""
+    out = {}
+    for (lw0, rw0), c0 in a.items():
+        left = left_rs.normalize({lw0: ONE})
+        right = right_rs.normalize({rw0: ONE})
+        for lw, lc in left.items():
+            add_scaled(out, (((lw, rw), rc) for rw, rc in right.items()), c0 * lc)
+    return out
+
+
 def rebuilding_coproduct_of_poly(poly, generator_images, left_rs, right_rs):
-    """coproduct_of_poly as it was: the sum is copied once per term."""
+    """coproduct_of_poly as it was: the sum is copied once per term, and
+    both legs of the sum are normalized once more at the end."""
     out = {}
     for w, coeff in poly.items():
         acc = {((), ()): ONE}
@@ -208,10 +215,10 @@ def rebuilding_check_l_hopf(data, labels):
         for (lw, rw), c in data.coproducts[x].items():
             left, right = poly_one(), poly_one()
             for letter in lw:
-                left = poly_mul(left, data.first[letter])
+                left = tensor_product(left, data.first[letter])
             for letter in rw:
-                right = poly_mul(right, data.second[letter])
-            total = poly_add(total, poly_scale(poly_mul(left, right), c))
+                right = tensor_product(right, data.second[letter])
+            total = tensor_add(total, tensor_scale(tensor_product(left, right), c))
         value = data.rewrite.normalize(total)
         eps = data.counit.get(x, Scalar.zero())
         target = {} if eps.is_zero() else {(): eps}

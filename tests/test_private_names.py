@@ -1,6 +1,7 @@
 """Code with no caller is deleted: every module-level private name of the
 package (one that starts with a single underscore) must be read somewhere
-in the package besides its own definition."""
+in the package besides its own definition, and every name a module imports
+must be read in that module."""
 
 import ast
 from pathlib import Path
@@ -65,6 +66,33 @@ def unread_private_names(package: Path = PACKAGE):
     ]
 
 
+def _imported(tree: ast.Module, lines):
+    """Each name a module imports, less ``__future__``
+    features and the names on a line marked ``# noqa: F401``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    yield (alias.asname or alias.name).split(".")[0]
+
+
+def unused_imports(package: Path = PACKAGE):
+    """(module, name) of each import that its module never reads; the
+    package's ``__init__.py`` re-exports what it imports and is exempt."""
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text)
+        reads = set(_reads(tree))
+        unused += [(path.stem, name) for name in _imported(tree, text.splitlines())
+                   if name not in reads]
+    return unused
+
+
 def test_every_private_name_has_a_reader():
     assert unread_private_names() == []
 
@@ -80,3 +108,17 @@ def test_an_unread_private_name_is_found(tmp_path):
     assert sorted(unread_private_names(tmp_path)) == [
         ("a", "_dead"), ("a", "_unread"), ("b", "_Gone"), ("b", "_imported_only"),
     ]
+
+
+def test_every_import_is_read():
+    assert unused_imports() == []
+
+
+def test_an_unused_import_is_found(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import x\n", encoding="utf-8")
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\nimport os.path\n"
+        "from typing import (\n    Dict,\n    List,\n)\n"
+        "from .b import kept  # noqa: F401\nfrom .b import y as z\n"
+        "x: Dict = {}\n", encoding="utf-8")
+    assert unused_imports(tmp_path) == [("a", "os"), ("a", "List"), ("a", "z")]

@@ -347,6 +347,13 @@ def test_scalar_equality_is_on_the_canonical_form(a, b):
     assert (a != b) == ((a.num, a.den) != (b.num, b.den))
 
 
+def test_equality_with_a_non_number():
+    # Only an int (bool included), a Fraction or a Scalar compares by value.
+    assert (ONE == "1") is False and ONE != "1"
+    assert ONE.__eq__(None) is NotImplemented
+    assert ONE == True and ZERO == False  # noqa: E712
+
+
 # -- scaling and monomial products against the loops they replaced ----------
 
 
