@@ -377,6 +377,12 @@ def transcript(workdir: str):
         Path(path(f"repeat_{name}.doc")).write_text(text, encoding="utf-8")
         run("check", f"@repeat_{name}.doc", *args)
     run("check", "@E0.doc", "--axiom", "coassoc", "--bind", "Delta=Delta_star")
+    # An overlapping channel is refused before any coproduct is looked up.
+    for channel in ("Bad", "Phi"):
+        base = ("entangle", "@F_fixed.doc", "--space", "F", "--coproduct", "Nope",
+                "--channel", channel)
+        run(*base)
+        run(*base, "--kind", "achiral", "--cotilde", "Deltatilde")
     return rows
 
 
