@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
-from .coalgebra import AXIOMS, AxiomReport, check_axiom
+from .coalgebra import AXIOMS, AxiomReport, LStructure, check_axiom
 from .complexes import check_boundary_forms_agree, check_complex
 from .constructions import achiral_entangle, self_entangle
 from .convolution import structure_constants
@@ -61,9 +61,13 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _read_document(path: str) -> SpecDocument:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_document(handle.read())
+def _open_structure(args) -> Tuple[SpecDocument, str, LStructure]:
+    """The document ``args.file``, the space that ``args.space`` picks in it,
+    and the structure on that space."""
+    with open(args.file, "r", encoding="utf-8") as handle:
+        doc = parse_document(handle.read())
+    space = _pick_space(doc, args.space)
+    return doc, space, doc.structure(space)
 
 
 def _pick_space(doc: SpecDocument, requested: Optional[str]) -> str:
@@ -118,9 +122,7 @@ def _parse_bindings(raw: Sequence[str]) -> Dict[str, str]:
 
 
 def cmd_check(args) -> int:
-    doc = _read_document(args.file)
-    space = _pick_space(doc, args.space)
-    structure = doc.structure(space)
+    _, _, structure = _open_structure(args)
     bindings = _parse_bindings(args.bind or [])
     report = check_axiom(structure, args.axiom, bindings)
     print_report(report)
@@ -128,9 +130,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_support(args) -> int:
-    doc = _read_document(args.file)
-    space = _pick_space(doc, args.space)
-    structure = doc.structure(space)
+    _, space, structure = _open_structure(args)
     names = [n.strip() for n in args.coproducts.split(",") if n.strip()]
     graph = geometric_support(structure, names)
     if args.dot:
@@ -142,9 +142,7 @@ def cmd_support(args) -> int:
 
 
 def cmd_entangle(args) -> int:
-    doc = _read_document(args.file)
-    space = _pick_space(doc, args.space)
-    structure = doc.structure(space)
+    doc, _, structure = _open_structure(args)
     channel = doc.channel(args.channel)
     if args.kind == "achiral" and not args.cotilde:
         raise ValueError("--kind achiral needs --cotilde NAME")
@@ -172,9 +170,7 @@ def cmd_entangle(args) -> int:
 
 
 def cmd_bracket(args) -> int:
-    doc = _read_document(args.file)
-    space = _pick_space(doc, args.space)
-    structure = doc.structure(space)
+    _, _, structure = _open_structure(args)
     labels = structure.space.labels
     table = structure_constants(
         structure, labels, labels, left_name=args.left, right_name=args.right
@@ -213,9 +209,7 @@ def _check_complex_size(dim: int, max_degree: int) -> None:
 
 
 def cmd_complex(args) -> int:
-    doc = _read_document(args.file)
-    space = _pick_space(doc, args.space)
-    structure = doc.structure(space)
+    _, _, structure = _open_structure(args)
     _check_complex_size(structure.space.dim, args.max_degree)
     report = check_complex(
         structure, args.coproduct, args.unit,

@@ -5,16 +5,20 @@ coderivatives.
 
 All constructions glue two disjoint boundaries inside one ambient space and
 return total coproducts on it; the defining identities are verified exactly
-at construction time and a failure raises with witnesses.
+at construction time and a failure raises with witnesses.  Each of the four
+channel entanglements is data: a table of its glued coproducts, each part
+read on C1 or C2 directly or across the channel, plus the entanglements
+that they must satisfy, both handed to one builder, ``_entangle``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .coalgebra import AxiomReport, LStructure, check_axiom, solve_right_counit
 from .complexes import flower_coproducts
+from .graphs import de_bruijn_graph, markov_coalgebra
 from .linalg import (
     BasisSpace,
     FiniteAlgebra,
@@ -142,27 +146,48 @@ class ChannelMap:
 class EntangledStructure:
     """Output of a gluing construction: an ambient structure whose
     coproducts carry canonical names (Delta_star plus the bridges the
-    construction defines), the two boundaries, and the channel."""
+    construction defines), and the channel between its two boundaries."""
 
     structure: LStructure
-    c1: BasisSpace
-    c2: BasisSpace
     channel: ChannelMap
-    counits: Dict[str, Vector] = field(default_factory=dict)
+
+    @property
+    def c1(self) -> BasisSpace:
+        return self.channel.c1
+
+    @property
+    def c2(self) -> BasisSpace:
+        return self.channel.c2
+
+    @property
+    def counits(self) -> Dict[str, Vector]:
+        return self.structure.counits
 
     def coproduct(self, name: str) -> MultiLinearMap:
         return self.structure.coproduct(name)
 
 
-def _require_disjoint(c1: BasisSpace, c2: BasisSpace):
+def _ambient(channel: ChannelMap) -> BasisSpace:
+    """The union of the channel's two boundaries, which must be disjoint."""
+    c1, c2 = channel.c1, channel.c2
     overlap = set(c1.labels) & set(c2.labels)
     if overlap:
         raise ValueError(f"boundaries overlap: {sorted(overlap)}")
+    return c1.union(c2)
+
+
+def _require(s: LStructure, axiom: str, bindings: Dict[str, str], message: str) -> None:
+    """Raise ``message`` followed by the witness labels unless ``axiom``
+    holds on ``s`` under ``bindings``."""
+    report = check_axiom(s, axiom, bindings)
+    if not report.passed:
+        raise ValueError(message + ", ".join(report.witness_labels()))
 
 
 # One boundary's part of a glued coproduct: (cp, None) is cp itself;
 # (cp, legs) is cp read across the channel with the channel on each leg.
-Part = Tuple[MultiLinearMap, Optional[Tuple[int, ...]]]
+# In a construction's table, cp may name a coproduct listed before it.
+Part = Tuple[Union[MultiLinearMap, str], Optional[Tuple[int, ...]]]
 
 
 def _glue(
@@ -184,21 +209,35 @@ def _glue(
     return MultiLinearMap(ambient, 2, table)
 
 
-def _check_entangles(
-    s: LStructure, first: str, second: str, tag: str
-) -> None:
-    """Require (first x id) second = (id x second) first, exactly."""
-    report = check_axiom(s, "entanglement", {"Deltatilde": first, "Delta": second})
-    if not report.passed:
-        labels = ", ".join(report.witness_labels())
-        raise ValueError(f"{tag} fails at {labels}")
+def _entangle(
+    ambient: BasisSpace,
+    channel: ChannelMap,
+    coproducts: Dict[str, Union[MultiLinearMap, Tuple[Part, Part]]],
+    checks: Sequence[Tuple[str, str, str]],
+    algebra: Optional[FiniteAlgebra] = None,
+) -> EntangledStructure:
+    """The structure whose coproducts are the table's maps, in order, each
+    one given or glued from its (on_c1, on_c2) parts; each (first, second,
+    tag) check requires (first x id) second = (id x second) first."""
+    built: Dict[str, MultiLinearMap] = {}
+    for name, entry in coproducts.items():
+        if isinstance(entry, MultiLinearMap):
+            built[name] = entry
+        else:
+            on_c1, on_c2 = ((built[cp] if isinstance(cp, str) else cp, legs)
+                            for cp, legs in entry)
+            built[name] = _glue(ambient, channel, on_c1, on_c2)
+    structure = LStructure(ambient, built, algebra=algebra)
+    for first, second, tag in checks:
+        _require(structure, "entanglement", {"Deltatilde": first, "Delta": second},
+                 f"{tag} fails at ")
+    return EntangledStructure(structure, channel)
 
 
 def self_entangle(
     c1_structure: LStructure,
     delta_name: str,
     channel: ChannelMap,
-    ambient: Optional[BasisSpace] = None,
     eps_name: Optional[str] = None,
     algebra: Optional[FiniteAlgebra] = None,
 ) -> EntangledStructure:
@@ -208,50 +247,32 @@ def self_entangle(
     deltahat2, then verifies the self-entanglement equation and, when a
     counit is available, the one-sided counit laws of the bridges.
     """
-    c1, c2 = channel.c1, channel.c2
-    _require_disjoint(c1, c2)
-    if ambient is None:
-        ambient = c1.union(c2)
-    delta1_c1 = c1_structure.coproduct(delta_name)
-    # Delta_star is Delta1 over C1 and Delta2 = (Phi x Phi) Delta1 Phi^-1 over C2.
-    delta_star = _glue(ambient, channel, (delta1_c1, None), (delta1_c1, (1, 2)))
-    structure = LStructure(
-        ambient,
-        {
-            "Delta_star": delta_star,
-            "delta1": _glue(ambient, channel, (delta1_c1, None), (delta1_c1, (2,))),
-            "deltahat1": _glue(ambient, channel, (delta1_c1, None), (delta1_c1, (1,))),
-            "delta2": _glue(ambient, channel, (delta_star, (2,)), (delta_star, None)),
-            "deltahat2": _glue(ambient, channel, (delta_star, (1,)), (delta_star, None)),
-        },
-        algebra=algebra,
-    )
-    # Self-entanglement: (delta1 x id) delta2 = (id x delta2) delta1.
-    _check_entangles(structure, "delta1", "delta2", "self-entanglement")
+    ambient = _ambient(channel)
+    delta1 = c1_structure.coproduct(delta_name)
+    entangled = _entangle(ambient, channel, {
+        # Delta_star is Delta1 over C1 and Delta2 = (Phi x Phi) Delta1 Phi^-1 over C2.
+        "Delta_star": ((delta1, None), (delta1, (1, 2))),
+        "delta1": ((delta1, None), (delta1, (2,))),
+        "deltahat1": ((delta1, None), (delta1, (1,))),
+        "delta2": (("Delta_star", (2,)), ("Delta_star", None)),
+        "deltahat2": (("Delta_star", (1,)), ("Delta_star", None)),
+    }, [("delta1", "delta2", "self-entanglement")], algebra)
 
-    counits: Dict[str, Vector] = {}
-    eps1 = None
-    if eps_name is not None:
-        eps1 = c1_structure.counits.get(eps_name)
+    structure = entangled.structure
+    eps1 = c1_structure.counits.get(eps_name)
     if eps1 is None:
-        probe = LStructure(ambient, {"d": delta_star})
-        eps1 = _restrict_counit(solve_right_counit(probe, "d"), c1)
-    if eps1 is not None and _bridge_counits_hold(structure, eps1):
-        eps_star = dict(eps1)
-        for w in c2.labels:
-            value = functional_value(eps1, channel.inverse[w])
-            if not value.is_zero():
-                eps_star[w] = value
-        counits["eps_star"] = eps_star
-    if counits:
-        structure = LStructure(ambient, structure.coproducts, counits, algebra)
-
+        probe = LStructure(ambient, {"d": structure.coproduct("Delta_star")})
+        eps1 = _restrict_counit(solve_right_counit(probe, "d"), channel.c1)
+    if eps1 is None or not _bridge_counits_hold(structure, eps1):
+        return entangled
+    eps_star = dict(eps1)
+    for w in channel.c2.labels:
+        value = functional_value(eps1, channel.inverse[w])
+        if not value.is_zero():
+            eps_star[w] = value
+    counits = {"eps_star": eps_star}
     return EntangledStructure(
-        structure=structure,
-        c1=c1,
-        c2=c2,
-        channel=channel,
-        counits=counits,
+        LStructure(ambient, structure.coproducts, counits, algebra), channel
     )
 
 
@@ -279,7 +300,6 @@ def achiral_entangle(
     deltatilde_name: str,
     channel: ChannelMap,
     transported: str = "Delta",
-    ambient: Optional[BasisSpace] = None,
 ) -> EntangledStructure:
     """Entangle an achiral pair with its channel copy.
 
@@ -289,56 +309,30 @@ def achiral_entangle(
     deltatilde2, the hat bridge deltatildehat2, and the two auxiliary glued
     coproducts Delta_star_plain / Deltatilde_star used by the Ito variant.
     """
-    c1, c2 = channel.c1, channel.c2
-    _require_disjoint(c1, c2)
-    if ambient is None:
-        ambient = c1.union(c2)
-
-    achiral = check_axiom(
-        g, "achiral", {"Delta": delta_name, "Deltatilde": deltatilde_name}
-    )
-    if not achiral.passed:
-        raise ValueError(
-            "input pair is not achiral: " + ", ".join(achiral.witness_labels())
-        )
-
+    ambient = _ambient(channel)
+    _require(g, "achiral", {"Delta": delta_name, "Deltatilde": deltatilde_name},
+             "input pair is not achiral: ")
     delta = g.coproduct(delta_name)
     deltatilde = g.coproduct(deltatilde_name)
     source = delta if transported == "Delta" else deltatilde
-    # Delta_star is Delta1 over C1 and the transported Deltatilde2 over C2.
-    delta_star = _glue(ambient, channel, (delta, None), (source, (1, 2)))
-    structure = LStructure(
-        ambient,
-        {
-            "Delta_star": delta_star,
-            # Delta1 over C1, delta1 Phi = (id x Phi) Delta1 over C2.
-            "delta1": _glue(ambient, channel, (delta, None), (delta, (2,))),
-            # Deltatilde2 over C2; over C1 the resolved orientation
-            # (id x Phi^-1) Deltatilde2 Phi (the printed one contradicts the
-            # worked example and breaks the asserted entanglement).
-            "deltatilde2": _glue(ambient, channel, (delta_star, (2,)), (delta_star, None)),
-            "deltatildehat2": _glue(
-                ambient, channel, (delta_star, (1,)), (delta_star, None)
-            ),
-            # Auxiliary glued pairs for the Ito variant: transports of Delta1
-            # and Deltatilde1 respectively.
-            "Delta_star_plain": _glue(ambient, channel, (delta, None), (delta, (1, 2))),
-            "Deltatilde_star": _glue(
-                ambient, channel, (deltatilde, None), (deltatilde, (1, 2))
-            ),
-        },
-    )
-    # (deltatilde2 x id) delta1 = (id x delta1) deltatilde2.
-    _check_entangles(structure, "deltatilde2", "delta1", "achiral entanglement")
-    # Hat variant: (delta1 x id) deltatildehat2 = (id x deltatildehat2) delta1.
-    _check_entangles(structure, "delta1", "deltatildehat2", "hat entanglement")
-
-    return EntangledStructure(
-        structure=structure,
-        c1=c1,
-        c2=c2,
-        channel=channel,
-    )
+    return _entangle(ambient, channel, {
+        # Delta_star is Delta1 over C1 and the transported Deltatilde2 over C2.
+        "Delta_star": ((delta, None), (source, (1, 2))),
+        # Delta1 over C1, delta1 Phi = (id x Phi) Delta1 over C2.
+        "delta1": ((delta, None), (delta, (2,))),
+        # Deltatilde2 over C2; over C1 the resolved orientation
+        # (id x Phi^-1) Deltatilde2 Phi (the printed one contradicts the
+        # worked example and breaks the asserted entanglement).
+        "deltatilde2": (("Delta_star", (2,)), ("Delta_star", None)),
+        "deltatildehat2": (("Delta_star", (1,)), ("Delta_star", None)),
+        # Auxiliary glued pairs for the Ito variant: transports of Delta1
+        # and Deltatilde1 respectively.
+        "Delta_star_plain": ((delta, None), (delta, (1, 2))),
+        "Deltatilde_star": ((deltatilde, None), (deltatilde, (1, 2))),
+    }, [
+        ("deltatilde2", "delta1", "achiral entanglement"),
+        ("delta1", "deltatildehat2", "hat entanglement"),
+    ])
 
 
 def sum_codipterous(
@@ -351,11 +345,8 @@ def sum_codipterous(
 
     Both inputs must pass codipterous; the result does too (verified)."""
     for s, (cp, br) in ((d1, names1), (d2, names2)):
-        report = check_axiom(s, "codipterous", {"Delta": cp, "delta": br})
-        if not report.passed:
-            raise ValueError(
-                "input is not codipterous at " + ", ".join(report.witness_labels())
-            )
+        _require(s, "codipterous", {"Delta": cp, "delta": br},
+                 "input is not codipterous at ")
     ambient = d1.space.union(d2.space)
 
     def glue(i: int) -> MultiLinearMap:
@@ -372,24 +363,8 @@ def sum_codipterous(
 
 def de_bruijn_codialgebra(n: int, prefix: str = "x") -> LStructure:
     """The (n,1)-De Bruijn codialgebra: DeltaM x_i = x_i @ Sigma,
-    DeltatildeM x_i = Sigma @ x_i."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    labels = [f"{prefix}{i}" for i in range(1, n + 1)]
-    space = BasisSpace(labels)
-    right = {
-        x: {(x, y): ONE for y in labels} for x in labels
-    }
-    left = {
-        x: {(y, x): ONE for y in labels} for x in labels
-    }
-    return LStructure(
-        space,
-        {
-            "DeltaM": MultiLinearMap(space, 2, right),
-            "DeltatildeM": MultiLinearMap(space, 2, left),
-        },
-    )
+    DeltatildeM x_i = Sigma @ x_i, the Markov pair of the De Bruijn graph."""
+    return markov_coalgebra(de_bruijn_graph(n, prefix))
 
 
 def markov_entangle_de_bruijn(
@@ -400,38 +375,21 @@ def markov_entangle_de_bruijn(
 ) -> EntangledStructure:
     """Entangle a De Bruijn codialgebra with a coassociative coalgebra via
     a channel G -> C, producing the bridges delta_M, deltatilde_M, delta."""
-    c1, c2 = channel.c1, channel.c2
-    _require_disjoint(c1, c2)
-    ambient = c1.union(c2)
-    delta_m_g = g.coproduct("DeltaM")
-    deltatilde_m_g = g.coproduct("DeltatildeM")
+    ambient = _ambient(channel)
+    delta_m = g.coproduct("DeltaM")
+    deltatilde_m = g.coproduct("DeltatildeM")
     delta_c = c.coproduct(delta_name)
-    structure = LStructure(
-        ambient,
-        {
-            "Delta_star": _glue(ambient, channel, (delta_m_g, None), (delta_c, None)),
-            "Delta_star_tilde": _glue(
-                ambient, channel, (deltatilde_m_g, None), (delta_c, None)
-            ),
-            # bridge Phi-image: bridge(Phi v) = (id x Phi) cp(v)
-            "delta_M": _glue(ambient, channel, (delta_m_g, None), (delta_m_g, (2,))),
-            "deltatilde_M": _glue(
-                ambient, channel, (deltatilde_m_g, None), (deltatilde_m_g, (2,))
-            ),
-            "delta": _glue(ambient, channel, (delta_c, (2,)), (delta_c, None)),
-        },
-    )
-    # (delta x id) delta_M = (id x delta_M) delta.
-    _check_entangles(structure, "delta", "delta_M", "De Bruijn entanglement")
-    # (deltatilde_M x id) delta = (id x delta) deltatilde_M.
-    _check_entangles(structure, "deltatilde_M", "delta", "De Bruijn tilde entanglement")
-
-    return EntangledStructure(
-        structure=structure,
-        c1=c1,
-        c2=c2,
-        channel=channel,
-    )
+    return _entangle(ambient, channel, {
+        "Delta_star": ((delta_m, None), (delta_c, None)),
+        "Delta_star_tilde": ((deltatilde_m, None), (delta_c, None)),
+        # bridge Phi-image: bridge(Phi v) = (id x Phi) cp(v)
+        "delta_M": ((delta_m, None), (delta_m, (2,))),
+        "deltatilde_M": ((deltatilde_m, None), (deltatilde_m, (2,))),
+        "delta": ((delta_c, (2,)), (delta_c, None)),
+    }, [
+        ("delta", "delta_M", "De Bruijn entanglement"),
+        ("deltatilde_M", "delta", "De Bruijn tilde entanglement"),
+    ])
 
 
 def markov_entangle_flower(
@@ -443,37 +401,22 @@ def markov_entangle_flower(
 ) -> EntangledStructure:
     """Entangle the flower structure on an algebra side with a bialgebra
     side, producing the bridges delta_f, deltatilde_f and delta."""
-    c1, c2 = channel.c1, channel.c2
-    if c1 != a_space:
+    if channel.c1 != a_space:
         raise ValueError("channel source must be the algebra side")
-    _require_disjoint(c1, c2)
+    ambient = _ambient(channel)
     if unit_label not in a_space:
         raise ValueError("unit label must belong to the algebra side")
-    ambient = c1.union(c2)
     delta_c = c.coproduct(delta_name)
     flowers = flower_coproducts(ambient, unit_label)
-    structure = LStructure(
-        ambient,
-        {
-            "Delta_star": _glue(
-                ambient, channel, (flowers["Delta_f"], None), (delta_c, None)
-            ),
-            "delta_f": flowers["delta_f"],
-            "deltatilde_f": flowers["deltatilde_f"],
-            "delta": _glue(ambient, channel, (delta_c, (2,)), (delta_c, None)),
-        },
-    )
-    # (deltatilde_f x id) delta = (id x delta) deltatilde_f.
-    _check_entangles(structure, "deltatilde_f", "delta", "flower tilde entanglement")
-    # (delta x id) delta_f = (id x delta_f) delta.
-    _check_entangles(structure, "delta", "delta_f", "flower entanglement")
-
-    return EntangledStructure(
-        structure=structure,
-        c1=c1,
-        c2=c2,
-        channel=channel,
-    )
+    return _entangle(ambient, channel, {
+        "Delta_star": ((flowers["Delta_f"], None), (delta_c, None)),
+        "delta_f": flowers["delta_f"],
+        "deltatilde_f": flowers["deltatilde_f"],
+        "delta": ((delta_c, (2,)), (delta_c, None)),
+    }, [
+        ("deltatilde_f", "delta", "flower tilde entanglement"),
+        ("delta", "delta_f", "flower entanglement"),
+    ])
 
 
 def cibils_structures(n: int, q: Scalar) -> Dict[str, object]:

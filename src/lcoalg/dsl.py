@@ -431,10 +431,7 @@ def unparse_document(doc: SpecDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def document_from_structure(
-    space_name: str, s: LStructure,
-    channels: Optional[Dict[str, Tuple[str, str, Dict[str, Vector]]]] = None,
-) -> SpecDocument:
+def document_from_structure(space_name: str, s: LStructure) -> SpecDocument:
     """Wrap a runtime structure back into a document (for emission).  The
     document shares each coproduct map's table entries, in basis order, so
     it must not be written to while the structure is in use."""
@@ -452,6 +449,4 @@ def document_from_structure(
             dict(s.algebra.unit),
             {key: dict(vec) for key, vec in s.algebra.product.items()},
         )
-    if channels:
-        doc.channels.update(channels)
     return doc

@@ -16,7 +16,6 @@ from .constructions import (
     EntangledStructure,
     achiral_entangle,
     cibils_structures,
-    de_bruijn_codialgebra,
     self_entangle,
 )
 from .graphs import UndirectedGraph, WeightedDigraph, de_bruijn_graph, markov_coalgebra
@@ -268,12 +267,11 @@ def fixture_cibils(n: int, q: Scalar = Q) -> Dict[str, object]:
 
 
 def fixture_debruijn(n: int) -> Dict[str, object]:
+    """The De Bruijn graph and its Markov pair, which is the De Bruijn
+    codialgebra: one structure under both keys."""
     graph = de_bruijn_graph(n)
-    return {
-        "graph": graph,
-        "markov": markov_coalgebra(graph),
-        "codialgebra": de_bruijn_codialgebra(n),
-    }
+    pair = markov_coalgebra(graph)
+    return {"graph": graph, "markov": pair, "codialgebra": pair}
 
 
 def fixture_petersen() -> UndirectedGraph:
@@ -336,7 +334,4 @@ def fixture_group_split() -> EntangledStructure:
         for j in range(6)
     }
     algebra = FiniteAlgebra(ambient, product, {"t0": ONE})
-    return self_entangle(
-        c1_structure, "Delta", channel, ambient=ambient, eps_name="eps",
-        algebra=algebra,
-    )
+    return self_entangle(c1_structure, "Delta", channel, eps_name="eps", algebra=algebra)

@@ -68,12 +68,8 @@ class UndirectedGraph:
             self.edges.add(key)
 
 
-def markov_coalgebra(
-    g: WeightedDigraph,
-    right_name: str = "DeltaM",
-    left_name: str = "DeltatildeM",
-) -> LStructure:
-    """The finite Markov pair of a weighted digraph:
+def markov_coalgebra(g: WeightedDigraph) -> LStructure:
+    """The finite Markov pair (DeltaM, DeltatildeM) of a weighted digraph:
     Delta(v) = sum w(v->t) v @ t, Deltatilde(v) = sum w(s->v) s @ v."""
     space = BasisSpace(g.vertices)
     right: Dict[str, Tensor] = {}
@@ -84,8 +80,8 @@ def markov_coalgebra(
     return LStructure(
         space,
         {
-            right_name: MultiLinearMap(space, 2, right),
-            left_name: MultiLinearMap(space, 2, left),
+            "DeltaM": MultiLinearMap(space, 2, right),
+            "DeltatildeM": MultiLinearMap(space, 2, left),
         },
     )
 

@@ -1,7 +1,8 @@
 """Code with no caller is deleted: every module-level private name of the
 package (one that starts with a single underscore) must be read somewhere
-in the package besides its own definition, and every name a module imports
-must be read in that module."""
+in the package besides its own definition, every public module-level
+function or class must be named somewhere in the repository, and every name
+a module imports must be read in that module."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import lcoalg
 
 PACKAGE = Path(lcoalg.__file__).parent
+REPO_ROOTS = tuple(PACKAGE.parents[1] / d for d in ("src", "tests", "perfbench"))
 
 
 def _private(name: str) -> bool:
@@ -63,6 +65,29 @@ def unread_private_names(package: Path = PACKAGE):
         for module, tree in trees.items()
         for name in _defined(tree)
         if not any(name in reads[m] for m in [module, *importers.get((module, name), [])])
+    ]
+
+
+def unnamed_public_definitions(package: Path = PACKAGE, roots=REPO_ROOTS):
+    """(module, name) of each public module-level function or class of the
+    package that no file under ``roots`` names, that is, reads as a bare
+    name or an attribute or holds as a string (the benchmark's tracer finds
+    what it wraps by name).  An import alone is not a use, and the package's
+    ``__init__.py``, which only re-exports, is not read."""
+    named = set()
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            if path != package / "__init__.py":
+                tree = ast.parse(path.read_text(encoding="utf-8"))
+                named.update(_reads(tree))
+                named.update(node.value for node in ast.walk(tree)
+                             if isinstance(node, ast.Constant) and isinstance(node.value, str))
+    return [
+        (path.stem, node.name)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in named
     ]
 
 
@@ -122,3 +147,25 @@ def test_an_unused_import_is_found(tmp_path):
         "from .b import kept  # noqa: F401\nfrom .b import y as z\n"
         "x: Dict = {}\n", encoding="utf-8")
     assert unused_imports(tmp_path) == [("a", "os"), ("a", "List"), ("a", "z")]
+
+
+def test_every_public_definition_is_named():
+    assert unnamed_public_definitions() == []
+
+
+def test_an_unnamed_public_definition_is_found(tmp_path):
+    package, tests = tmp_path / "src" / "pkg", tmp_path / "tests"
+    package.mkdir(parents=True)
+    tests.mkdir()
+    (package / "__init__.py").write_text(
+        "from .a import exported\n__all__ = ['exported']\n", encoding="utf-8")
+    (package / "a.py").write_text(
+        "def called():\n    pass\ndef exported():\n    pass\nclass Gone:\n    pass\n"
+        "def by_string():\n    pass\ndef imported():\n    pass\n"
+        "def _private():\n    pass\n", encoding="utf-8")
+    (tests / "t.py").write_text(
+        "from pkg.a import called, imported\ncalled()\nLAYERS = ['by_string']\n",
+        encoding="utf-8")
+    assert unnamed_public_definitions(package, (tmp_path / "src", tests)) == [
+        ("a", "exported"), ("a", "Gone"), ("a", "imported"),
+    ]
