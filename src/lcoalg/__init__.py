@@ -9,10 +9,8 @@ from .linalg import (
     FiniteAlgebra,
     MultiLinearMap,
     kernel_basis,
-    map_equal,
     rref,
     solve_linear,
-    zero_map,
 )
 from .coalgebra import (
     AXIOMS,

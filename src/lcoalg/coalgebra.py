@@ -8,8 +8,10 @@ glued from others (a cotrialgebra from a codialgebra) shares their
 equations rather than repeating them.  A single evaluator expands both
 sides of every equation on every basis label where either side can be
 nonzero and compares the canonical tensors; finite bases make this
-complete.  The convolution law suites are equations of the same
-kind, read through the transpose.
+complete.  A counit law is an equation of the same kind: a counit is a
+map into the 0-th tensor power, so applied at a slot it contracts that leg.
+The convolution law suites are equations of the same kind, read through the
+transpose.
 """
 
 from __future__ import annotations
@@ -27,13 +29,13 @@ from .linalg import (
     kernel_basis,
     solve_linear,
 )
-from .scalars import ONE, Scalar
+from .scalars import ONE, ZERO, Scalar
 
-# A role is a coproduct slot in an axiom schema: either a plain role name,
-# a sum of two roles, or a transposed role.
+# A role is a map slot in an axiom schema: either a plain role name, a sum
+# of two roles, a transposed role, or the identity on the space of a role.
 Role = Union[str, Tuple[str, "Role", "Role"], Tuple[str, "Role"]]
-# One term of a side: coeff times a chain (the first coproduct applied to
-# the input label, then (role, slot) applications) whose output legs carry
+# One term of a side: coeff times a chain (the first map applied to the
+# input label, then (role, slot) applications) whose output legs carry
 # the equation variables given by the output order (order[p] is the
 # variable of leg p; the identity for every catalogue entry).
 SideTerm = Tuple[Scalar, Role, Tuple[Tuple[Role, int], ...], Tuple[int, ...]]
@@ -73,6 +75,13 @@ class LStructure:
         if name not in self.coproducts:
             raise KeyError(f"unknown coproduct {name!r}")
         return self.coproducts[name]
+
+    def counit(self, name: str) -> MultiLinearMap:
+        """The counit ``name`` as a map into the 0-th tensor power."""
+        if name not in self.counits:
+            raise KeyError(f"unknown counit {name!r}")
+        eps = self.counits[name]
+        return MultiLinearMap(self.space, 0, {lab: {(): c} for lab, c in eps.items()})
 
     def with_coproduct(self, name: str, cp: MultiLinearMap) -> "LStructure":
         cps = dict(self.coproducts)
@@ -142,7 +151,12 @@ EQUATIONS: Dict[str, Tuple[Side, Side]] = {
     "cotri5": (_side("Delta", ("deltahat", 1)), _side("Delta", ("delta", 2))),
     "cotri6": (_side("Delta", ("delta", 1)), _side("delta", ("Delta", 2))),
     "cotri7": (_side("delta", ("Delta", 1)), _side("delta", ("delta", 2))),
+    # (id x eps) Delta = id and (epstilde x id) Deltatilde = id
+    "right_counit": (_side("Delta", ("eps", 2)), _side(("id", "Delta"))),
+    "left_counit": (_side("Deltatilde", ("epstilde", 1)), _side(("id", "Deltatilde"))),
 }
+# The roles bound to counits rather than coproducts.
+_COUNIT_ROLES = ("eps", "epstilde")
 
 
 def _system(roles: Tuple[str, ...], *tags: str) -> Dict:
@@ -155,13 +169,12 @@ _CODIALGEBRA = (
     "coassoc(delta)", "coassoc(deltahat)", "codialg2", "codialg3", "codialg4"
 )
 
-# Each system: its roles and its equations, listed by tag.  A counit
-# system names instead the side ("right" or "left") its counit acts on.
+# Each system: its roles and its equations, listed by tag.
 AXIOMS: Dict[str, Dict] = {
     "coassoc": _system(("Delta",), "coassoc(Delta)"),
     "entanglement": _system(("Delta", "Deltatilde"), "entangle(Deltatilde,Delta)"),
-    "right_counit": {"roles": ("Delta", "eps"), "counit": "right"},
-    "left_counit": {"roles": ("Deltatilde", "epstilde"), "counit": "left"},
+    "right_counit": _system(("Delta", "eps"), "right_counit"),
+    "left_counit": _system(("Deltatilde", "epstilde"), "left_counit"),
     "L_cocommutative": _system(("Delta", "Deltatilde"), "cocommutative"),
     "bidirected": _system(("Delta", "Deltatilde"), "bidirected"),
     "codipterous": _system(("Delta", "delta"), "coassoc(Delta)", "codip"),
@@ -181,7 +194,7 @@ AXIOMS: Dict[str, Dict] = {
 
 def _resolve(role: Role, memo: Dict[Role, MultiLinearMap]) -> MultiLinearMap:
     """The map of a role.  ``memo`` starts as the role bindings and keeps
-    every sum or tau role it builds, so each is built once per check."""
+    every sum, tau or id role it builds, so each is built once per check."""
     got = memo.get(role)
     if got is not None:
         return got
@@ -191,6 +204,9 @@ def _resolve(role: Role, memo: Dict[Role, MultiLinearMap]) -> MultiLinearMap:
         got = _resolve(role[1], memo).add(_resolve(role[2], memo))
     elif role[0] == "tau":
         got = _resolve(role[1], memo).tau()
+    elif role[0] == "id":
+        space = _resolve(role[1], memo).domain
+        got = MultiLinearMap(space, 1, {lab: {(lab,): ONE} for lab in space.labels})
     else:
         raise ValueError(f"bad role {role!r}")
     memo[role] = got
@@ -246,15 +262,6 @@ def _eval_side(side, label: str) -> Tensor:
     return out
 
 
-def _apply_counit(eps: Vector, tensor: Tensor, slot: int) -> Tensor:
-    out: Tensor = {}
-    for term, coeff in tensor.items():
-        weight = eps.get(term[slot - 1])
-        if weight is not None:
-            add_scaled(out, [(term[: slot - 1] + term[slot:], coeff)], weight)
-    return out
-
-
 def check_axiom(
     s: LStructure, axiom: str, bindings: Dict[str, str]
 ) -> AxiomReport:
@@ -264,30 +271,12 @@ def check_axiom(
         raise KeyError(f"unknown axiom {axiom!r}")
     schema = AXIOMS[axiom]
     report = AxiomReport(axiom=axiom)
-
-    if "counit" in schema:
-        for role in schema["roles"]:
-            if role not in bindings:
-                raise KeyError(f"missing binding for role {role!r}")
-        cp_role, eps_role = schema["roles"]
-        cp = s.coproduct(bindings[cp_role])
-        eps_name = bindings[eps_role]
-        if eps_name not in s.counits:
-            raise KeyError(f"unknown counit {eps_name!r}")
-        eps = s.counits[eps_name]
-        slot = 2 if schema["counit"] == "right" else 1
-        for label in s.space.labels:
-            lhs = _apply_counit(eps, cp.of_label(label), slot)
-            rhs: Tensor = {(label,): ONE}
-            if lhs != rhs:
-                report.witnesses.append((label, axiom, lhs, rhs))
-        return report
-
     memo: Dict[Role, MultiLinearMap] = {}
     for role in schema["roles"]:
         if role not in bindings:
             raise KeyError(f"missing binding for role {role!r}")
-        memo[role] = s.coproduct(bindings[role])
+        name = bindings[role]
+        memo[role] = s.counit(name) if role in _COUNIT_ROLES else s.coproduct(name)
     for equation in schema["equations"]:
         for label, lhs, rhs in _expand(equation, memo, s.space.labels):
             if lhs != rhs:
@@ -306,7 +295,7 @@ def cocommutator_space(s: LStructure, right: str, left: str) -> List[Vector]:
             key = (term[0], term[1])
             if key not in row_index:
                 row_index[key] = len(rows)
-                rows.append([Scalar.zero()] * len(labels))
+                rows.append([ZERO] * len(labels))
             rows[row_index[key]][j] = coeff
     vectors = kernel_basis(rows, ncols=len(labels))
     out = []
@@ -340,11 +329,11 @@ def _solve_counit(s: LStructure, coproduct: str, slot: int) -> Optional[Vector]:
         for term, c in cp.of_label(v).items():
             keep = term[0] if slot == 2 else term[1]
             unknown = term[1] if slot == 2 else term[0]
-            row = coeffs.setdefault(keep, [Scalar.zero()] * n)
+            row = coeffs.setdefault(keep, [ZERO] * n)
             row[index[unknown]] = row[index[unknown]] + c
         for keep in set(list(coeffs) + [v]):
-            rows.append(coeffs.get(keep, [Scalar.zero()] * n))
-            rhs.append(ONE if keep == v else Scalar.zero())
+            rows.append(coeffs.get(keep, [ZERO] * n))
+            rhs.append(ONE if keep == v else ZERO)
     solution = solve_linear(rows, rhs)
     if solution is None:
         return None

@@ -32,7 +32,7 @@ from .linalg import (
     tensor_sub,
     unit_vector,
 )
-from .scalars import ONE, Scalar
+from .scalars import ONE, ZERO, Scalar
 
 
 def subst_leg(tensor: Tensor, slot: int, table: Dict[str, Vector]) -> Tensor:
@@ -87,10 +87,10 @@ class ChannelMap:
         rows = []
         for i, out_lab in enumerate(self.c2.labels):
             row = [
-                self.forward[in_lab].get(out_lab, Scalar.zero())
+                self.forward[in_lab].get(out_lab, ZERO)
                 for in_lab in self.c1.labels
             ]
-            row += [ONE if j == i else Scalar.zero() for j in range(n)]
+            row += [ONE if j == i else ZERO for j in range(n)]
             rows.append(row)
         reduced, pivots = rref(rows)
         if pivots[:n] != list(range(n)):
@@ -138,7 +138,7 @@ class ChannelMap:
         """Labels of C1 where eps2 Phi != eps1."""
         return [
             lab for lab in self.c1.labels
-            if functional_value(eps2, self.forward[lab]) != eps1.get(lab, Scalar.zero())
+            if functional_value(eps2, self.forward[lab]) != eps1.get(lab, ZERO)
         ]
 
 
@@ -261,8 +261,7 @@ def self_entangle(
     structure = entangled.structure
     eps1 = c1_structure.counits.get(eps_name)
     if eps1 is None:
-        probe = LStructure(ambient, {"d": structure.coproduct("Delta_star")})
-        eps1 = _restrict_counit(solve_right_counit(probe, "d"), channel.c1)
+        eps1 = _restrict_counit(solve_right_counit(structure, "Delta_star"), channel.c1)
     if eps1 is None or not _bridge_counits_hold(structure, eps1):
         return entangled
     eps_star = dict(eps1)

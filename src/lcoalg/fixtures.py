@@ -19,17 +19,13 @@ from .constructions import (
     self_entangle,
 )
 from .graphs import UndirectedGraph, WeightedDigraph, de_bruijn_graph, markov_coalgebra
-from .linalg import BasisSpace, FiniteAlgebra, MultiLinearMap, Tensor
+from .linalg import BasisSpace, FiniteAlgebra, MultiLinearMap
 from .ncpoly import NCPoly, NCTensor, AntipodeData, RewriteSystem, relation_set
 from .scalars import ONE, Q, Scalar
 
 _MINUS_Q = -Q
 _Q_INV = ONE / Q
 _MINUS_Q_INV = -_Q_INV
-
-
-def _t(entries: Dict[Tuple[str, str], Scalar]) -> Tensor:
-    return dict(entries)
 
 
 # -- F: the matrix-type coalgebra ------------------------------------------
@@ -44,20 +40,20 @@ def fixture_f() -> Dict[str, object]:
         space,
         2,
         {
-            "a": _t({("a", "a"): ONE, ("b", "c"): ONE}),
-            "b": _t({("a", "b"): ONE, ("b", "d"): ONE}),
-            "c": _t({("c", "a"): ONE, ("d", "c"): ONE}),
-            "d": _t({("c", "b"): ONE, ("d", "d"): ONE}),
+            "a": {("a", "a"): ONE, ("b", "c"): ONE},
+            "b": {("a", "b"): ONE, ("b", "d"): ONE},
+            "c": {("c", "a"): ONE, ("d", "c"): ONE},
+            "d": {("c", "b"): ONE, ("d", "d"): ONE},
         },
     )
     deltatilde = MultiLinearMap(
         space,
         2,
         {
-            "a": _t({("b", "a"): ONE, ("a", "c"): ONE}),
-            "b": _t({("b", "b"): ONE, ("a", "d"): ONE}),
-            "c": _t({("c", "c"): ONE, ("d", "a"): ONE}),
-            "d": _t({("c", "d"): ONE, ("d", "b"): ONE}),
+            "a": {("b", "a"): ONE, ("a", "c"): ONE},
+            "b": {("b", "b"): ONE, ("a", "d"): ONE},
+            "c": {("c", "c"): ONE, ("d", "a"): ONE},
+            "d": {("c", "d"): ONE, ("d", "b"): ONE},
         },
     )
     structure = LStructure(
@@ -74,10 +70,9 @@ def fixture_f() -> Dict[str, object]:
             ("c", "b", ONE), ("d", "d", ONE),
         ],
     )
-    c2 = BasisSpace(["x", "y", "z", "u"])
     channel = ChannelMap(
         space,
-        c2,
+        BasisSpace(["x", "y", "z", "u"]),
         {
             "a": {"x": ONE},
             "b": {"y": ONE},
@@ -85,12 +80,7 @@ def fixture_f() -> Dict[str, object]:
             "d": {"u": ONE},
         },
     )
-    return {
-        "structure": structure,
-        "digraph": digraph,
-        "channel": channel,
-        "c2": c2,
-    }
+    return {"structure": structure, "digraph": digraph, "channel": channel}
 
 
 def fixture_f_entangled() -> EntangledStructure:
@@ -172,8 +162,6 @@ def fixture_quantum_matrix() -> Dict[str, object]:
             out.append(("".join(pattern), {pattern: ONE}, dict(replacement)))
         return out
 
-    channel_letters = {"a": "y", "b": "x", "c": "u", "d": "z"}
-
     # sigma1: the antipode on the first alphabet, pulled back through the
     # channel on the second; values are polynomials in the first alphabet.
     sigma1: Dict[str, NCPoly] = {
@@ -186,7 +174,6 @@ def fixture_quantum_matrix() -> Dict[str, object]:
         "z": {("a",): ONE},
         "u": {("c",): _MINUS_Q_INV},
     }
-    eps1 = {"a": ONE, "d": ONE}
     # eps_star extends eps1 by the left counit of the transported coproduct.
     eps_star = {"a": ONE, "d": ONE, "y": ONE, "z": ONE}
 
@@ -209,11 +196,7 @@ def fixture_quantum_matrix() -> Dict[str, object]:
         "bridge1_nc": bridge1_nc,
         "relations1": rules_as_relations(rs1),
         "relations2": rules_as_relations(rs2),
-        "channel_letters": channel_letters,
-        "sigma1": sigma1,
         "antipode": antipode,
-        "eps1": eps1,
-        "eps_star": eps_star,
     }
 
 
@@ -228,27 +211,26 @@ def fixture_quantum_sphere() -> Dict[str, object]:
         space,
         2,
         {
-            "a": _t({("a", "a"): ONE, ("cs", "c"): _MINUS_Q}),
-            "c": _t({("c", "a"): ONE, ("as", "c"): ONE}),
-            "as": _t({("as", "as"): ONE, ("c", "cs"): _MINUS_Q}),
-            "cs": _t({("cs", "as"): ONE, ("a", "cs"): ONE}),
+            "a": {("a", "a"): ONE, ("cs", "c"): _MINUS_Q},
+            "c": {("c", "a"): ONE, ("as", "c"): ONE},
+            "as": {("as", "as"): ONE, ("c", "cs"): _MINUS_Q},
+            "cs": {("cs", "as"): ONE, ("a", "cs"): ONE},
         },
     )
     deltatilde1 = MultiLinearMap(
         space,
         2,
         {
-            "a": _t({("cs", "a"): ONE, ("a", "c"): ONE}),
-            "c": _t({("c", "c"): ONE, ("as", "a"): _MINUS_Q_INV}),
-            "as": _t({("c", "as"): ONE, ("as", "cs"): ONE}),
-            "cs": _t({("cs", "cs"): ONE, ("a", "as"): _MINUS_Q_INV}),
+            "a": {("cs", "a"): ONE, ("a", "c"): ONE},
+            "c": {("c", "c"): ONE, ("as", "a"): _MINUS_Q_INV},
+            "as": {("c", "as"): ONE, ("as", "cs"): ONE},
+            "cs": {("cs", "cs"): ONE, ("a", "as"): _MINUS_Q_INV},
         },
     )
     structure = LStructure(space, {"Delta1": delta1, "Deltatilde1": deltatilde1})
-    c2 = BasisSpace(["x", "z", "xs", "zs"])
     channel = ChannelMap(
         space,
-        c2,
+        BasisSpace(["x", "z", "xs", "zs"]),
         {
             "a": {"zs": ONE},
             "as": {"z": ONE},
@@ -256,7 +238,7 @@ def fixture_quantum_sphere() -> Dict[str, object]:
             "cs": {"x": _MINUS_Q_INV},
         },
     )
-    return {"structure": structure, "channel": channel, "c2": c2}
+    return {"structure": structure, "channel": channel}
 
 
 # -- composition gluing, De Bruijn, Petersen, cyclic groups ----------------
@@ -267,11 +249,8 @@ def fixture_cibils(n: int, q: Scalar = Q) -> Dict[str, object]:
 
 
 def fixture_debruijn(n: int) -> Dict[str, object]:
-    """The De Bruijn graph and its Markov pair, which is the De Bruijn
-    codialgebra: one structure under both keys."""
-    graph = de_bruijn_graph(n)
-    pair = markov_coalgebra(graph)
-    return {"graph": graph, "markov": pair, "codialgebra": pair}
+    """The De Bruijn codialgebra: the Markov pair of the De Bruijn graph."""
+    return {"codialgebra": markov_coalgebra(de_bruijn_graph(n))}
 
 
 def fixture_petersen() -> UndirectedGraph:

@@ -38,7 +38,7 @@ class WeightedDigraph:
         self.arrows = merged
 
     def weight(self, source: str, target: str) -> Scalar:
-        return self.arrows.get((source, target), Scalar.zero())
+        return self.arrows.get((source, target), ZERO)
 
     def is_bidirected(self) -> bool:
         return all((t, s) in self.arrows for (s, t) in self.arrows)

@@ -11,7 +11,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .coalgebra import AxiomReport
 from .linalg import add_scaled, tensor_product
-from .scalars import ONE, Scalar
+from .scalars import ONE, Q, ZERO, Scalar
 
 Word = Tuple[str, ...]
 # Canonical: no zero coefficients.  Words concatenate as tensor terms do,
@@ -82,9 +82,6 @@ class RewriteSystem:
                        coeff)
         return done
 
-    def equal(self, a: NCPoly, b: NCPoly) -> bool:
-        return self.normalize(a) == self.normalize(b)
-
 
 def relation_set(name: str, n: int = 0) -> RewriteSystem:
     """Named confluent rewrite systems.
@@ -96,29 +93,22 @@ def relation_set(name: str, n: int = 0) -> RewriteSystem:
     (order x, u, y, z) under a -> y, b -> x, c -> u, d -> z.
     "cyclic": one generator g with g^n = 1.
     """
-    q = Scalar.q()
-    qi = ONE / q
-    if name == "quantum_matrix":
+    qi = ONE / Q
+    if name in ("quantum_matrix", "quantum_matrix_tilde"):
         rules: Dict[Word, NCPoly] = {
             ("a", "b"): {("b", "a"): qi},
             ("a", "c"): {("c", "a"): qi},
             ("c", "b"): {("b", "c"): ONE},
-            ("d", "c"): {("c", "d"): q},
-            ("d", "b"): {("b", "d"): q},
+            ("d", "c"): {("c", "d"): Q},
+            ("d", "b"): {("b", "d"): Q},
             ("a", "d"): {(): ONE, ("b", "c"): qi},
-            ("d", "a"): {(): ONE, ("b", "c"): q},
+            ("d", "a"): {(): ONE, ("b", "c"): Q},
         }
-        return RewriteSystem.from_rules(rules)
-    if name == "quantum_matrix_tilde":
-        rules = {
-            ("y", "x"): {("x", "y"): qi},
-            ("y", "u"): {("u", "y"): qi},
-            ("u", "x"): {("x", "u"): ONE},
-            ("z", "u"): {("u", "z"): q},
-            ("z", "x"): {("x", "z"): q},
-            ("y", "z"): {(): ONE, ("x", "u"): qi},
-            ("z", "y"): {(): ONE, ("x", "u"): q},
-        }
+        if name == "quantum_matrix_tilde":
+            letter = {"a": "y", "b": "x", "c": "u", "d": "z"}.get
+            rules = {tuple(map(letter, pattern)): {tuple(map(letter, w)): c
+                                                   for w, c in replacement.items()}
+                     for pattern, replacement in rules.items()}
         return RewriteSystem.from_rules(rules)
     if name == "cyclic":
         if n < 1:
@@ -229,7 +219,7 @@ def check_l_hopf(data: AntipodeData, labels: Sequence[str]) -> AxiomReport:
                 _substitute(lw, data.first), _substitute(rw, data.second))
             add_scaled(total, piece.items(), c)
         value = data.rewrite.normalize(total)
-        eps = data.counit.get(x, Scalar.zero())
+        eps = data.counit.get(x, ZERO)
         target = {} if eps.is_zero() else {(): eps}
         if value != target:
             report.witnesses.append(

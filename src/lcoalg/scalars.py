@@ -153,18 +153,6 @@ class Scalar:
         return Scalar((f,), _UNIT, _canonical=True)
 
     @staticmethod
-    def zero() -> "Scalar":
-        return ZERO
-
-    @staticmethod
-    def one() -> "Scalar":
-        return ONE
-
-    @staticmethod
-    def q() -> "Scalar":
-        return Scalar((_ZERO, _ONE), (_ONE,), _canonical=True)
-
-    @staticmethod
     def q_power(n: int) -> "Scalar":
         if n >= 0:
             return Scalar((_ZERO,) * n + (_ONE,), (_ONE,), _canonical=True)
@@ -407,7 +395,7 @@ def _poly_str(p: Poly) -> str:
 ZERO = Scalar((), _UNIT, _canonical=True)
 ONE = Scalar(_UNIT, _UNIT, _canonical=True)
 MINUS_ONE = Scalar((-_ONE,), _UNIT, _canonical=True)
-Q = Scalar.q()
+Q = Scalar.q_power(1)
 
 
 class ScalarSyntaxError(ValueError):
@@ -511,7 +499,7 @@ class _ScalarParser:
         ch = self._peek()
         if ch == "q":
             self.pos += 1
-            return Scalar.q()
+            return Q
         if ch == "(":
             self.pos += 1
             value = self.expr()

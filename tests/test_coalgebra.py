@@ -22,7 +22,7 @@ from lcoalg.coalgebra import (
 )
 from lcoalg.graphs import markov_coalgebra, parse_digraph_edges
 from lcoalg.fixtures import fixture_cibils
-from lcoalg.linalg import BasisSpace, MultiLinearMap
+from lcoalg.linalg import BasisSpace, MultiLinearMap, add_scaled
 from lcoalg.scalars import MINUS_ONE, ONE, Q, ZERO, Scalar
 
 
@@ -46,7 +46,7 @@ def test_readme_catalogue_table_matches_the_catalogue():
             rows[name[0]] = {"roles": tuple(roles), "tags": tags}
     assert rows == {
         name: {"roles": schema["roles"],
-               "tags": [eq[0] for eq in schema.get("equations", ())] or [name]}
+               "tags": [eq[0] for eq in schema["equations"]]}
         for name, schema in AXIOMS.items()
     }
     assert list(rows) == list(AXIOMS)
@@ -324,8 +324,19 @@ OLD_AXIOMS = {
         "roles": ("Delta", "Deltatilde"),
         "equations": [_ENTANGLE("Delta", "Deltatilde")],
     },
-    "right_counit": {"roles": ("Delta", "eps"), "counit": "right"},
-    "left_counit": {"roles": ("Deltatilde", "epstilde"), "counit": "left"},
+    "right_counit": {
+        "roles": ("Delta", "eps"),
+        "equations": [
+            ("right_counit", _side("Delta", ("eps", 2)), _side(("id", "Delta")))
+        ],
+    },
+    "left_counit": {
+        "roles": ("Deltatilde", "epstilde"),
+        "equations": [
+            ("left_counit", _side("Deltatilde", ("epstilde", 1)),
+             _side(("id", "Deltatilde")))
+        ],
+    },
     "L_cocommutative": {
         "roles": ("Delta", "Deltatilde"),
         "equations": [
@@ -485,10 +496,87 @@ def test_catalogue_matches_the_written_out_systems():
 def test_every_system_equation_is_the_table_entry():
     listed = set()
     for schema in AXIOMS.values():
-        for tag, lhs, rhs in schema.get("equations", ()):
+        for tag, lhs, rhs in schema["equations"]:
             assert lhs is EQUATIONS[tag][0] and rhs is EQUATIONS[tag][1], tag
             listed.add(tag)
-    assert listed == set(EQUATIONS) and len(EQUATIONS) == 23
+    assert listed == set(EQUATIONS) and len(EQUATIONS) == 25
+
+
+def test_every_system_runs_each_equation_through_the_one_evaluator(f_data):
+    s = f_data["structure"]
+    calls = []
+
+    def counted(equation, memo, labels):
+        calls.append(equation[0])
+        return expand(equation, memo, labels)
+
+    expand = coalgebra._expand
+    with mock.patch.object(coalgebra, "_expand", counted):
+        for axiom, schema in AXIOMS.items():
+            calls.clear()
+            roles = {role: "eps" if role in ("eps", "epstilde") else "Delta"
+                     for role in schema["roles"]}
+            check_axiom(s, axiom, roles)
+            assert calls == [equation[0] for equation in schema["equations"]], axiom
+
+
+# -- the counit equations against the loop they replaced: the oracle ----------
+
+
+def counit_branch(s, axiom, bindings):
+    """The witnesses of a counit system as ``check_axiom`` found them with
+    its own loop: the counit applied to one leg of the coproduct's image,
+    against the label itself, on every label."""
+    cp_role, eps_role, slot = {"right_counit": ("Delta", "eps", 2),
+                               "left_counit": ("Deltatilde", "epstilde", 1)}[axiom]
+    for role in (cp_role, eps_role):
+        if role not in bindings:
+            raise KeyError(f"missing binding for role {role!r}")
+    cp = s.coproduct(bindings[cp_role])
+    eps_name = bindings[eps_role]
+    if eps_name not in s.counits:
+        raise KeyError(f"unknown counit {eps_name!r}")
+    eps = s.counits[eps_name]
+    witnesses = []
+    for label in s.space.labels:
+        lhs = {}
+        for term, coeff in cp.of_label(label).items():
+            weight = eps.get(term[slot - 1])
+            if weight is not None:
+                add_scaled(lhs, [(term[: slot - 1] + term[slot:], coeff)], weight)
+        rhs = {(label,): ONE}
+        if lhs != rhs:
+            witnesses.append((label, axiom, lhs, rhs))
+    return witnesses
+
+
+def _in_term_order(witnesses):
+    return [(label, tag, list(lhs.items()), list(rhs.items()))
+            for label, tag, lhs, rhs in witnesses]
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=sparse_structures(), name=st.sampled_from(NAMES),
+       axiom=st.sampled_from(["right_counit", "left_counit"]))
+def test_counit_equations_match_the_counit_branch(s, name, axiom):
+    bindings = dict(zip(AXIOMS[axiom]["roles"], (name, "e")))
+    report = check_axiom(s, axiom, bindings)
+    assert _in_term_order(report.witnesses) == _in_term_order(
+        counit_branch(s, axiom, bindings))
+
+
+@pytest.mark.parametrize("bindings, message", [
+    ({"Delta": "P"}, "missing binding for role 'eps'"),
+    ({"Delta": "P", "eps": "nope"}, "unknown counit 'nope'"),
+    ({"Delta": "nope", "eps": "e"}, "unknown coproduct 'nope'"),
+])
+def test_counit_refusals_match_the_counit_branch(bindings, message):
+    s = LStructure(BasisSpace(["a"]), {"P": MultiLinearMap(BasisSpace(["a"]), 2, {})},
+                   {"e": {"a": ONE}})
+    for check in (check_axiom, counit_branch):
+        with pytest.raises(KeyError) as err:
+            check(s, "right_counit", bindings)
+        assert err.value.args == (message,)
 
 
 def test_witnesses_share_nothing_with_the_maps():

@@ -155,7 +155,7 @@ def reference_conv_product(s, name, f, g):
     cp = s.coproduct(name)
     out = {}
     for lab in s.space.labels:
-        value = Scalar.zero()
+        value = ZERO
         for (a, b), c in cp.of_label(lab).items():
             fa = f.get(a)
             gb = g.get(b)

@@ -306,7 +306,7 @@ def test_round_trip_matrix_coalgebra():
 def test_round_trip_quantum_sphere_with_channel():
     data = fixture_quantum_sphere()
     doc = document_from_structure("S", data["structure"])
-    doc.spaces["T"] = data["c2"].labels
+    doc.spaces["T"] = data["channel"].c2.labels
     doc.channels["phi"] = ("S", "T", data["channel"].forward)
     reparsed = round_trip(doc)
     channel = reparsed.channel("phi")

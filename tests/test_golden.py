@@ -383,6 +383,10 @@ def transcript(workdir: str):
                 "--channel", channel)
         run(*base)
         run(*base, "--kind", "achiral", "--cotilde", "Deltatilde")
+    # Roles are bound one at a time, so an unknown coproduct is named
+    # before a counit role that is not bound.
+    run("check", "@F.doc", "--space", "F", "--axiom", "right_counit", "--bind", "Delta=Nope")
+    run("check", "@F.doc", "--space", "F", "--axiom", "codialgebra", "--bind", "delta=Nope")
     return rows
 
 

@@ -19,7 +19,7 @@ from lcoalg.graphs import (
 )
 from lcoalg.fixtures import fixture_petersen
 from lcoalg.linalg import BasisSpace, MultiLinearMap
-from lcoalg.scalars import ONE, Q, Scalar
+from lcoalg.scalars import ONE, Q, ZERO, Scalar
 
 
 def test_digraph_merges_duplicate_arrows():
@@ -217,8 +217,8 @@ def pairwise_covering_check(g, s, family):
             si, sj = supports[names[i]], supports[names[j]]
             for arrow in set(si) & set(sj):
                 u, w = arrow
-                ci = s.coproduct(names[i]).of_label(u).get((u, w), Scalar.zero())
-                cj = s.coproduct(names[j]).of_label(u).get((u, w), Scalar.zero())
+                ci = s.coproduct(names[i]).of_label(u).get((u, w), ZERO)
+                cj = s.coproduct(names[j]).of_label(u).get((u, w), ZERO)
                 if ci != cj:
                     overlaps.append(((i, j, rank[u], rank[w]), (
                         u, f"overlap({names[i]},{names[j]})@{u}->{w}",

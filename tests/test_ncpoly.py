@@ -19,7 +19,7 @@ from lcoalg.ncpoly import (
     relation_set,
     tensor_poly_mul,
 )
-from lcoalg.scalars import MINUS_ONE, ONE, Q, Scalar
+from lcoalg.scalars import MINUS_ONE, ONE, Q, ZERO, Scalar
 
 
 def word(text):
@@ -34,7 +34,7 @@ def test_poly_arithmetic():
     }
     assert tensor_sub(p, p) == {}
     assert tensor_product(poly_one(), p) == p
-    assert tensor_scale(p, Scalar.zero()) == {}
+    assert tensor_scale(p, ZERO) == {}
 
 
 def test_quantum_determinant_normalizes_to_zero(qm_data):
@@ -109,6 +109,22 @@ def test_each_rule_is_consistent_under_right_multiplication():
                 tensor_product(dict(replacement), poly_letter(letter))
             )
             assert lhs == rhs, pattern
+
+
+def test_tilde_relation_set_is_the_written_out_table():
+    """The second alphabet's presentation, written out letter for letter: the
+    quantum matrix rules under a -> y, b -> x, c -> u, d -> z."""
+    qi = ONE / Q
+    written = {
+        ("y", "x"): {("x", "y"): qi},
+        ("y", "u"): {("u", "y"): qi},
+        ("u", "x"): {("x", "u"): ONE},
+        ("z", "u"): {("u", "z"): Q},
+        ("z", "x"): {("x", "z"): Q},
+        ("y", "z"): {(): ONE, ("x", "u"): qi},
+        ("z", "y"): {(): ONE, ("x", "u"): Q},
+    }
+    assert relation_set("quantum_matrix_tilde") == RewriteSystem.from_rules(written)
 
 
 def test_cyclic_relation_set():
@@ -220,7 +236,7 @@ def rebuilding_check_l_hopf(data, labels):
                 right = tensor_product(right, data.second[letter])
             total = tensor_add(total, tensor_scale(tensor_product(left, right), c))
         value = data.rewrite.normalize(total)
-        eps = data.counit.get(x, Scalar.zero())
+        eps = data.counit.get(x, ZERO)
         target = {} if eps.is_zero() else {(): eps}
         if value != target:
             report.witnesses.append((x, "antipode", dict(value), dict(target)))

@@ -1,8 +1,9 @@
 """Code with no caller is deleted: every module-level private name of the
 package (one that starts with a single underscore) must be read somewhere
 in the package besides its own definition, every public module-level
-function or class must be named somewhere in the repository, and every name
-a module imports must be read in that module."""
+function or class must be named somewhere in the repository, every public
+method of a package class must be read somewhere in the repository, and
+every name a module imports must be read in that module."""
 
 import ast
 from pathlib import Path
@@ -68,6 +69,19 @@ def unread_private_names(package: Path = PACKAGE):
     ]
 
 
+def _parsed(roots, skip=None):
+    """The syntax tree of every Python file under ``roots`` but ``skip``."""
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            if path != skip:
+                yield ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _strings(tree: ast.Module):
+    return (node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str))
+
+
 def unnamed_public_definitions(package: Path = PACKAGE, roots=REPO_ROOTS):
     """(module, name) of each public module-level function or class of the
     package that no file under ``roots`` names, that is, reads as a bare
@@ -75,19 +89,36 @@ def unnamed_public_definitions(package: Path = PACKAGE, roots=REPO_ROOTS):
     what it wraps by name).  An import alone is not a use, and the package's
     ``__init__.py``, which only re-exports, is not read."""
     named = set()
-    for root in roots:
-        for path in sorted(root.rglob("*.py")):
-            if path != package / "__init__.py":
-                tree = ast.parse(path.read_text(encoding="utf-8"))
-                named.update(_reads(tree))
-                named.update(node.value for node in ast.walk(tree)
-                             if isinstance(node, ast.Constant) and isinstance(node.value, str))
+    for tree in _parsed(roots, skip=package / "__init__.py"):
+        named.update(_reads(tree))
+        named.update(_strings(tree))
     return [
         (path.stem, node.name)
         for path in sorted(package.glob("*.py"))
         for node in ast.parse(path.read_text(encoding="utf-8")).body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not node.name.startswith("_") and node.name not in named
+    ]
+
+
+def unread_public_methods(package: Path = PACKAGE, roots=REPO_ROOTS):
+    """(class, method) of each public method of a module-level package class
+    that no file under ``roots`` reads as an attribute or holds as a string
+    equal to its name (the benchmark's tracer reads ``is_rational`` by
+    name).  A bare name is not a read, so a variable that happens to share a
+    method's name does not keep the method."""
+    read = set()
+    for tree in _parsed(roots):
+        read.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+        read.update(_strings(tree))
+    return [
+        (cls.name, node.name)
+        for path in sorted(package.glob("*.py"))
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_") and node.name not in read
     ]
 
 
@@ -168,4 +199,28 @@ def test_an_unnamed_public_definition_is_found(tmp_path):
         encoding="utf-8")
     assert unnamed_public_definitions(package, (tmp_path / "src", tests)) == [
         ("a", "exported"), ("a", "Gone"), ("a", "imported"),
+    ]
+
+
+def test_every_public_method_is_read():
+    assert unread_public_methods() == []
+
+
+def test_an_unread_public_method_is_found(tmp_path):
+    package, tests = tmp_path / "src" / "pkg", tmp_path / "tests"
+    package.mkdir(parents=True)
+    tests.mkdir()
+    (package / "a.py").write_text(
+        "class Kept:\n    def called(self):\n        pass\n"
+        "    def by_string(self):\n        pass\n"
+        "    def bare_only(self):\n        pass\n"
+        "    def unread(self):\n        pass\n"
+        "    def _private(self):\n        pass\n"
+        "    def __repr__(self):\n        pass\n"
+        "def function():\n    pass\n", encoding="utf-8")
+    (tests / "t.py").write_text(
+        "from pkg.a import Kept\nKept().called()\nbare_only = 1\n"
+        "getattr(Kept(), 'by_string')()\n", encoding="utf-8")
+    assert unread_public_methods(package, (tmp_path / "src", tests)) == [
+        ("Kept", "bare_only"), ("Kept", "unread"),
     ]

@@ -29,7 +29,6 @@ def test_constants():
     assert ZERO.is_zero()
     assert not ONE.is_zero()
     assert ONE + ZERO == ONE
-    assert Q == Scalar.q()
 
 
 def test_basic_arithmetic():
@@ -99,8 +98,6 @@ def test_negative_power_of_zero_is_a_syntax_error():
 
 
 def test_constants_are_shared():
-    assert Scalar.zero() is ZERO
-    assert Scalar.one() is ONE
     assert Scalar.from_rational(0) is ZERO
     assert Scalar.from_rational(Fraction(1)) is ONE
     assert Scalar.from_rational(-1) is MINUS_ONE
