@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .coalgebra import AxiomReport, LStructure, check_axiom, solve_right_counit
+from .coalgebra import (AxiomReport, LStructure, _bind, _eval_side, _expand, _side,
+                        check_axiom, solve_right_counit)
 from .complexes import flower_coproducts
 from .graphs import de_bruijn_graph, markov_coalgebra
 from .linalg import (
@@ -45,13 +46,6 @@ def subst_leg(tensor: Tensor, slot: int, table: Dict[str, Vector]) -> Tensor:
         head, tail = term[: slot - 1], term[slot:]
         add_scaled(out, ((head + (lab,) + tail, c) for lab, c in image.items()), coeff)
     return out
-
-
-def _on_legs(tensor: Tensor, legs: Sequence[int], table: Dict[str, Vector]) -> Tensor:
-    """Apply a label -> vector substitution to each leg in ``legs``."""
-    for leg in legs:
-        tensor = subst_leg(tensor, leg, table)
-    return tensor
 
 
 class ChannelMap:
@@ -131,7 +125,7 @@ class ChannelMap:
         return [
             lab for lab in self.c1.labels
             if delta2.of_vector(self.forward[lab])
-            != _on_legs(delta1.of_label(lab), (1, 2), self.forward)
+            != subst_leg(subst_leg(delta1.of_label(lab), 1, self.forward), 2, self.forward)
         ]
 
     def check_counit(self, eps1: Vector, eps2: Vector) -> List[str]:
@@ -190,22 +184,30 @@ def _require(s: LStructure, axiom: str, bindings: Dict[str, str], message: str) 
 Part = Tuple[Union[MultiLinearMap, str], Optional[Tuple[int, ...]]]
 
 
+def _linear(ambient: BasisSpace, table: Dict[str, Vector]) -> MultiLinearMap:
+    """The arity-1 map on the ambient that sends each label to its vector."""
+    return MultiLinearMap(ambient, 1, {
+        lab: {(k,): c for k, c in vec.items()} for lab, vec in table.items()})
+
+
 def _glue(
-    ambient: BasisSpace, channel: ChannelMap, on_c1: Part, on_c2: Part
+    ambient: BasisSpace, channel: ChannelMap, phis: Dict[str, MultiLinearMap],
+    on_c1: Part, on_c2: Part,
 ) -> MultiLinearMap:
     """The coproduct that is ``on_c1`` over C1 and ``on_c2`` over C2.  A part
-    read across the channel is (Phi^-1 on legs) cp Phi over C1 and
-    (Phi on legs) cp Phi^-1 over C2."""
+    read across the channel is the chain Phi, cp at slot 1, then Phi^-1 at
+    each of its legs over C1, and the mirror chain over C2; ``phis`` holds
+    Phi and Phi^-1 as arity-1 maps on the ambient."""
     table: Dict[str, Tensor] = {}
     for labels, (cp, legs), there, back in (
-        (channel.c1.labels, on_c1, channel.forward, channel.inverse),
-        (channel.c2.labels, on_c2, channel.inverse, channel.forward),
+        (channel.c1.labels, on_c1, "Phi", "Phi^-1"),
+        (channel.c2.labels, on_c2, "Phi^-1", "Phi"),
     ):
+        side = (_side("cp") if legs is None
+                else _side(there, ("cp", 1), *((back, leg) for leg in legs)))
+        bound = _bind(side, {**phis, "cp": cp})
         for lab in labels:
-            if legs is None:
-                table[lab] = cp.of_label(lab)
-            else:
-                table[lab] = _on_legs(cp.of_vector(there[lab]), legs, back)
+            table[lab] = _eval_side(bound, lab)
     return MultiLinearMap(ambient, 2, table)
 
 
@@ -219,6 +221,8 @@ def _entangle(
     """The structure whose coproducts are the table's maps, in order, each
     one given or glued from its (on_c1, on_c2) parts; each (first, second,
     tag) check requires (first x id) second = (id x second) first."""
+    phis = {"Phi": _linear(ambient, channel.forward),
+            "Phi^-1": _linear(ambient, channel.inverse)}
     built: Dict[str, MultiLinearMap] = {}
     for name, entry in coproducts.items():
         if isinstance(entry, MultiLinearMap):
@@ -226,7 +230,7 @@ def _entangle(
         else:
             on_c1, on_c2 = ((built[cp] if isinstance(cp, str) else cp, legs)
                             for cp, legs in entry)
-            built[name] = _glue(ambient, channel, on_c1, on_c2)
+            built[name] = _glue(ambient, channel, phis, on_c1, on_c2)
     structure = LStructure(ambient, built, algebra=algebra)
     for first, second, tag in checks:
         _require(structure, "entanglement", {"Deltatilde": first, "Delta": second},
@@ -582,59 +586,38 @@ def leibniz_coderivative(e: EntangledStructure) -> Tuple[Dict[str, Vector], Axio
     when the ambient structure carries an algebra, the D_I(1)=0 and Ito
     sub-checks reported (witnesses, never raised)."""
     report = AxiomReport(axiom="leibniz_coderivative")
-    channel = e.channel
-    table: Dict[str, Vector] = {}
-    for v in e.c1.labels:
-        table[v] = tensor_sub(channel.forward[v], unit_vector(v))
-
+    table = {v: tensor_sub(e.channel.forward[v], unit_vector(v)) for v in e.c1.labels}
+    # (delta1 + deltahat1) D = (D x id + id x D) Delta_star over C1, where
+    # Delta_star is Delta1
     s = e.structure
-    delta1 = s.coproduct("delta1")
-    deltahat1 = s.coproduct("deltahat1")
-    both = delta1.add(deltahat1)
-    delta_star = s.coproduct("Delta_star")
-    for v in e.c1.labels:
-        lhs = both.of_vector(table[v])
-        delta1_v = delta_star.of_label(v)  # = Delta1 on C1
-        rhs = tensor_add(
-            subst_leg(delta1_v, 1, table), subst_leg(delta1_v, 2, table)
-        )
+    memo = {name: s.coproduct(name) for name in ("delta1", "deltahat1", "Delta_star")}
+    d = memo["D"] = _linear(s.space, table)
+    identity = ("coderivative",
+                _side("D", ("delta1", 1)) + _side("D", ("deltahat1", 1)),
+                _side("Delta_star", ("D", 1)) + _side("Delta_star", ("D", 2)))
+    for label, lhs, rhs in _expand(identity, memo, e.c1.labels):
         if lhs != rhs:
-            report.witnesses.append((v, "coderivative", lhs, rhs))
+            report.witnesses.append((label, "coderivative", lhs, rhs))
 
     algebra = s.algebra
     if algebra is not None:
-        def d_of(vec: Vector) -> Vector:
-            out: Vector = {}
-            for lab, c in vec.items():
-                if lab in table:
-                    add_scaled(out, table[lab].items(), c)
-            return out
-
-        d_unit = d_of(algebra.unit)
+        d_unit = d.of_vector(algebra.unit)
         if d_unit:
-            report.witnesses.append(
-                ("1", "unit_annihilation", {(k,): c for k, c in d_unit.items()}, {})
-            )
-
+            report.witnesses.append(("1", "unit_annihilation", d_unit, {}))
         for a in e.c1.labels:
             for b in e.c1.labels:
-                ab = algebra.mul_labels(a, b)
-                lhs_v = tensor_sub(
-                    d_of(ab), algebra.mul_vectors(table[a], table[b])
-                )
+                d_ab = {k: c for (k,), c in d.of_vector(algebra.mul_labels(a, b)).items()}
+                lhs_v = tensor_sub(d_ab, algebra.mul_vectors(table[a], table[b]))
                 rhs_v = tensor_add(
                     algebra.mul_vectors(unit_vector(a), table[b]),
                     algebra.mul_vectors(table[a], unit_vector(b)),
                 )
                 if lhs_v != rhs_v:
-                    report.witnesses.append(
-                        (
-                            f"{a}*{b}",
-                            "ito_property",
-                            {(k,): c for k, c in lhs_v.items()},
-                            {(k,): c for k, c in rhs_v.items()},
-                        )
-                    )
+                    report.witnesses.append((
+                        f"{a}*{b}", "ito_property",
+                        {(k,): c for k, c in lhs_v.items()},
+                        {(k,): c for k, c in rhs_v.items()},
+                    ))
     return table, report
 
 

@@ -16,9 +16,10 @@ from .constructions import (
     EntangledStructure,
     achiral_entangle,
     cibils_structures,
+    de_bruijn_codialgebra,
     self_entangle,
 )
-from .graphs import UndirectedGraph, WeightedDigraph, de_bruijn_graph, markov_coalgebra
+from .graphs import UndirectedGraph, WeightedDigraph
 from .linalg import BasisSpace, FiniteAlgebra, MultiLinearMap
 from .ncpoly import NCPoly, NCTensor, AntipodeData, RewriteSystem, relation_set
 from .scalars import ONE, Q, Scalar
@@ -250,7 +251,7 @@ def fixture_cibils(n: int, q: Scalar = Q) -> Dict[str, object]:
 
 def fixture_debruijn(n: int) -> Dict[str, object]:
     """The De Bruijn codialgebra: the Markov pair of the De Bruijn graph."""
-    return {"codialgebra": markov_coalgebra(de_bruijn_graph(n))}
+    return {"codialgebra": de_bruijn_codialgebra(n)}
 
 
 def fixture_petersen() -> UndirectedGraph:

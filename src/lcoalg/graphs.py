@@ -235,44 +235,32 @@ def dot_export(g: WeightedDigraph, name: str = "G") -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_digraph_edges(text: str) -> WeightedDigraph:
-    """One arrow per line: "u v [weight]"; vertices in order of appearance."""
-    vertices: List[str] = []
-    seen: Set[str] = set()
-    arrows: List[Tuple[str, str, Scalar]] = []
+def _edge_lines(text: str, split, arity: Tuple[int, ...], expected: str, row=tuple):
+    """(vertices in order of appearance, ``row`` of each line's words), one
+    edge per line, with ``#`` comments and blank lines skipped; a line that
+    ``split`` does not cut into a number of words in ``arity`` is refused."""
+    vertices: Dict[str, None] = {}
+    rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise ValueError(f"line {lineno}: expected 'u v [weight]'")
-        u, v = parts[0], parts[1]
-        w = parse_scalar(parts[2]) if len(parts) == 3 else ONE
-        for vertex in (u, v):
-            if vertex not in seen:
-                seen.add(vertex)
-                vertices.append(vertex)
-        arrows.append((u, v, w))
-    return WeightedDigraph(vertices, arrows)
+        parts = split(line)
+        if len(parts) not in arity:
+            raise ValueError(f"line {lineno}: expected {expected!r}")
+        rows.append(row(parts))
+        vertices.update(dict.fromkeys(parts[:2]))
+    return list(vertices), rows
+
+
+def parse_digraph_edges(text: str) -> WeightedDigraph:
+    """One arrow per line: "u v [weight]"; vertices in order of appearance."""
+    return WeightedDigraph(*_edge_lines(
+        text, str.split, (2, 3), "u v [weight]",
+        lambda p: (p[0], p[1], parse_scalar(p[2]) if len(p) == 3 else ONE)))
 
 
 def parse_undirected_edges(text: str) -> UndirectedGraph:
     """One edge per line: "u -- v"; vertices in order of appearance."""
-    vertices: List[str] = []
-    seen: Set[str] = set()
-    edges: List[Tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = [p for p in line.replace("--", " ").split() if p]
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u -- v'")
-        u, v = parts
-        for vertex in (u, v):
-            if vertex not in seen:
-                seen.add(vertex)
-                vertices.append(vertex)
-        edges.append((u, v))
-    return UndirectedGraph(vertices, edges)
+    return UndirectedGraph(*_edge_lines(
+        text, lambda line: line.replace("--", " ").split(), (2,), "u -- v"))

@@ -4,7 +4,11 @@ exit codes, report lines, document emission, and error handling."""
 import contextlib
 import functools
 import io
+import os
 import re
+import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -655,3 +659,38 @@ def test_every_subcommand_keeps_the_exit_code_contract(data):
         assert sum("error:" in line for line in err.splitlines()) == 1
     else:
         assert err == ""
+
+
+# -- the README's command-line examples, run as real processes ---------------
+
+
+def readme_commands():
+    """Each ``lcoalg ...`` line of the README's ``sh`` blocks, with ``\\``
+    continuations joined, as (argv, file its stdout is redirected to or None)."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] != ["lcoalg"]:
+                continue
+            out = None
+            if ">" in words:
+                at = words.index(">")
+                words, out = words[:at], words[at + 1]
+            commands.append((words[1:], out))
+    return commands
+
+
+def test_readme_commands_exit_zero(tmp_path):
+    commands = readme_commands()
+    assert len(commands) >= 10
+    env = dict(os.environ)
+    src = str(Path(__file__).parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv, out in commands:
+        done = subprocess.run([sys.executable, "-m", "lcoalg.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, (argv, done.stderr)
+        if out is not None:
+            (tmp_path / out).write_text(done.stdout, encoding="utf-8")

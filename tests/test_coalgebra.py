@@ -13,8 +13,9 @@ from lcoalg.coalgebra import (
     AXIOMS,
     EQUATIONS,
     LStructure,
+    _bind,
     _eval_side,
-    _resolve,
+    _expand,
     check_axiom,
     cocommutator_space,
     solve_left_counit,
@@ -219,16 +220,7 @@ def test_with_coproduct_returns_new_structure(f_data):
 def all_labels_expand(equation, memo, labels):
     """The evaluator before it skipped labels outside the support: both
     sides of the equation on every label."""
-    def bind(side):
-        bound = []
-        for coeff, first, steps, order in side:
-            chain = [(_resolve(role, memo), slot) for role, slot in steps]
-            pick = tuple(map(order.index, range(len(order))))
-            identity = pick == tuple(range(len(pick)))
-            bound.append((coeff, _resolve(first, memo), chain, None if identity else pick))
-        return bound
-
-    lhs, rhs = bind(equation[1]), bind(equation[2])
+    lhs, rhs = _bind(equation[1], memo), _bind(equation[2], memo)
     for label in labels:
         yield label, _eval_side(lhs, label), _eval_side(rhs, label)
 
@@ -298,7 +290,7 @@ def test_support_only_expand_matches_all_labels(s, names):
 
 
 def _side(first, *steps):
-    return ((ONE, first, tuple(steps), tuple(range(len(steps) + 2))),)
+    return ((ONE, first, tuple(steps), None),)
 
 
 # Equation shorthand: _side(B, (A, i)) encodes (A at slot i) after B, i.e.
@@ -596,3 +588,46 @@ def test_witnesses_share_nothing_with_the_maps():
             lhs.clear()
             rhs.clear()
     assert {name: cp.table for name, cp in s.coproducts.items()} == tables
+
+
+# -- chains whose maps are not all coproducts: degrees follow the arities -----
+
+
+def hand_chains(cp, d, eps, label):
+    """Delta D and Delta (eps x id) Delta on ``label``, composed by hand."""
+    after_d, after_eps = {}, {}
+    for (k,), c in d.table.get(label, {}).items():
+        add_scaled(after_d, cp.table.get(k, {}).items(), c)
+    for (a, b), c in cp.table.get(label, {}).items():
+        if a in eps:
+            add_scaled(after_eps, cp.table.get(b, {}).items(), c * eps[a])
+    return after_d, after_eps
+
+
+def assert_chains_follow_arities(s, cp_name, eps_name, d):
+    memo = {"Delta": s.coproduct(cp_name), "eps": s.counit(eps_name), "D": d}
+    chains = (_side("D", ("Delta", 1)), _side("Delta", ("eps", 1), ("Delta", 1)))
+    for i, side in enumerate(chains):
+        got = {label: lhs for label, lhs, _ in _expand(("t", side, side), memo,
+                                                       s.space.labels)}
+        for label in s.space.labels:
+            want = hand_chains(memo["Delta"], d, s.counits[eps_name], label)[i]
+            assert got.get(label, {}) == want, (i, label)
+
+
+def test_expand_follows_arity_1_and_arity_0_maps(f_data):
+    s = f_data["structure"]
+    d = MultiLinearMap(s.space, 1, {"a": {("b",): ONE, ("d",): Q}, "b": {("a",): MINUS_ONE},
+                                    "c": {("c",): Scalar.from_rational(2)}})
+    assert_chains_follow_arities(s, "Delta", "eps", d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=sparse_structures(), data=st.data())
+def test_expand_follows_arities_on_random_maps(s, data):
+    labels = s.space.labels
+    d = MultiLinearMap(s.space, 1, data.draw(st.dictionaries(
+        st.sampled_from(labels),
+        st.dictionaries(st.sampled_from([(x,) for x in labels]), st.sampled_from(VALUES),
+                        max_size=2), max_size=len(labels))))
+    assert_chains_follow_arities(s, "P", "e", d)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from lcoalg.coalgebra import LStructure, check_axiom, solve_right_counit
 from lcoalg.constructions import (
     ChannelMap,
+    EntangledStructure,
     achiral_entangle,
     check_ito_derivative,
     cibils_structures,
@@ -25,7 +26,7 @@ from lcoalg.constructions import (
 from lcoalg.complexes import flower_coproducts
 from lcoalg.fixtures import fixture_group
 from lcoalg.graphs import de_bruijn_graph, geometric_support
-from lcoalg.linalg import BasisSpace, MultiLinearMap, tensor_add
+from lcoalg.linalg import BasisSpace, MultiLinearMap, tensor_add, tensor_sub, unit_vector
 from lcoalg.scalars import ONE, Q, ZERO, Scalar, parse_scalar
 from test_convolution import VALUES
 
@@ -643,3 +644,54 @@ def test_glued_bridges_match_hand_transports(f_data, data):
         lambda: markov_entangle_flower(c1, unit, c, "Delta", channel),
         lambda: hand_markov_entangle_flower(c1, unit, c, "Delta", channel),
     )
+
+
+# -- the coderivative identity against the loop it replaced: the oracle -------
+
+
+def coderivative_loop(e):
+    """The coderivative witnesses as ``leibniz_coderivative`` found them with
+    its own loop: (delta1 + deltahat1) applied to D(v), against D substituted
+    on each leg of Delta_star(v) in turn, for every v in C1."""
+    table = {v: tensor_sub(e.channel.forward[v], unit_vector(v)) for v in e.c1.labels}
+    s = e.structure
+    both = s.coproduct("delta1").add(s.coproduct("deltahat1"))
+    witnesses = []
+    for v in e.c1.labels:
+        lhs = both.of_vector(table[v])
+        delta1_v = s.coproduct("Delta_star").of_label(v)
+        rhs = tensor_add(subst_leg(delta1_v, 1, table), subst_leg(delta1_v, 2, table))
+        if lhs != rhs:
+            witnesses.append((v, "coderivative", lhs, rhs))
+    return table, witnesses
+
+
+def assert_coderivative_matches_loop(e):
+    table, report = leibniz_coderivative(e)
+    want_table, want = coderivative_loop(e)
+    assert table == want_table
+    assert [w for w in report.witnesses if w[1] == "coderivative"] == want
+    return want
+
+
+def test_coderivative_matches_the_loop_on_fixtures(f_entangled, group_split):
+    for e in (f_entangled, group_split):
+        assert assert_coderivative_matches_loop(e) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_coderivative_matches_the_loop_on_random_channels(f_data, data):
+    s1, channel, broken = data.draw(_channel_inputs(f_data["structure"]))
+    try:
+        e = self_entangle(s1, "Delta", channel)
+    except ValueError:
+        assert broken
+        return
+    cps = e.structure.coproducts
+    if data.draw(st.booleans()):  # other bridges in the roles, so that it fails
+        roles = dict(zip(("delta1", "deltahat1", "Delta_star"),
+                         data.draw(st.permutations(sorted(cps)))))
+        e = EntangledStructure(LStructure(e.structure.space, {
+            **cps, **{role: cps[name] for role, name in roles.items()}}), channel)
+    assert_coderivative_matches_loop(e)

@@ -17,7 +17,7 @@ from lcoalg.convolution import (
     functional_value,
     structure_constants,
 )
-from lcoalg.coalgebra import LStructure
+from lcoalg.coalgebra import LStructure, solve_right_counit
 from lcoalg.fixtures import fixture_cibils
 from lcoalg.linalg import BasisSpace, MultiLinearMap, tensor_add, tensor_sub
 from lcoalg.scalars import ONE, ZERO, Scalar, parse_scalar
@@ -386,3 +386,61 @@ def random_structures(draw):
                                              max_size=3))
 def test_law_suites_match_triple_loop(suite, s, roles):
     assert_matches_oracle(s, suite, *roles)
+
+
+# -- the bar unit against the convolution loop it replaced: the oracle --------
+
+
+def bar_unit_loop(s, eps_star, left_name="deltahat1", right_name="delta1"):
+    """The witnesses of ``check_bar_unit`` as it found them with its own loop:
+    f left e and e right f by ``conv_product``, against f, for every dual
+    functional f in basis order."""
+    witnesses = []
+    for name, f in dual_basis(s.space).items():
+        f_tensor = {(k,): c for k, c in f.items()}
+        for tag, value in (("left_absorb", conv_product(s, left_name, f, eps_star)),
+                           ("right_absorb", conv_product(s, right_name, eps_star, f))):
+            if value != f:
+                witnesses.append((name, tag, {(k,): c for k, c in value.items()},
+                                  dict(f_tensor)))
+    return witnesses
+
+
+def _in_term_order(witnesses):
+    return [(label, tag, list(lhs.items()), list(rhs.items()))
+            for label, tag, lhs, rhs in witnesses]
+
+
+@settings(max_examples=150, deadline=None)
+@given(s=random_structures(), data=st.data())
+def test_bar_unit_matches_the_convolution_loop(s, data):
+    labels = s.space.labels
+    if data.draw(st.booleans()):  # a group-like P, so that a bar unit exists
+        scale = {x: data.draw(st.sampled_from(VALUES)) for x in labels}
+        group_like = MultiLinearMap(s.space, 2, {x: {(x, x): scale[x]} for x in labels})
+        s = s.with_coproduct("P", group_like)
+    left, right = data.draw(st.lists(st.sampled_from(NAMES), min_size=2, max_size=2))
+    kind = data.draw(st.sampled_from(["zero", "random", "solved"]))
+    if kind == "zero":
+        eps = data.draw(st.sampled_from([{}, {labels[0]: ZERO}]))
+    elif kind == "random":
+        eps = data.draw(functionals(labels))
+    else:
+        eps = solve_right_counit(s, left) or {}
+    report = check_bar_unit(s, eps, left, right)
+    assert _in_term_order(report.witnesses) == _in_term_order(
+        bar_unit_loop(s, eps, left, right))
+
+
+def test_bar_unit_matches_the_convolution_loop_on_f(f_entangled):
+    s = f_entangled.structure
+    for eps in (f_entangled.counits["eps_star"], {"a": ONE}, {}):
+        report = check_bar_unit(s, eps)
+        assert _in_term_order(report.witnesses) == _in_term_order(bar_unit_loop(s, eps))
+    assert check_bar_unit(s, f_entangled.counits["eps_star"]).passed
+
+
+def test_bar_unit_refuses_a_functional_off_the_space(f_entangled):
+    # The convolution loop skipped such a label; a counit may not name one.
+    with pytest.raises(ValueError, match="counit 'eps_star' mentions unknown label 'nope'"):
+        check_bar_unit(f_entangled.structure, {"a": ONE, "nope": ONE})
