@@ -1,11 +1,13 @@
 """Exact scalars: rational functions in one parameter q over the rationals.
 
-A scalar is a reduced fraction num/den of polynomials in q with Fraction
-coefficients.  Polynomials are coefficient tuples (index = power of q) with
-no trailing zeros; the zero polynomial is the empty tuple.  The denominator
-is monic and coprime to the numerator, so equality and hashing are
-structural.  Plain rationals are the degree-zero case; they hash as their
-Fraction value, so a scalar equal to an int or a Fraction hashes like it.
+A scalar is a reduced fraction num/den of polynomials in q.  A coefficient
+is an int when it is integral, else a Fraction; every true division of
+coefficients goes through the exact ``_div``.  Polynomials are coefficient
+tuples (index = power of q) with no trailing zeros; the zero polynomial is
+the empty tuple.  The denominator is monic and coprime to the numerator, so
+equality and hashing are structural.  Plain rationals are the degree-zero
+case; they hash as their value, so a scalar equal to an int or a Fraction
+hashes like it.
 
 Arithmetic dispatches on the shape of its operands, so that only the
 shapes that need it pay the Euclidean gcd of the general constructor:
@@ -22,7 +24,8 @@ shapes that need it pay the Euclidean gcd of the general constructor:
 Every path yields exactly the canonical form the general constructor
 yields, and that constructor stays the reference the tests compare the
 fast paths against.  Each of the two sum paths was measured alone against
-the code without it; ``_add_constant`` and ``_add`` give the figures.
+the code without it, on Fraction coefficients; ``_add_constant`` and
+``_add`` give the figures.
 Powers use repeated squaring, and a monomial base c*q^k goes straight to
 ``Scalar.q_power``.  ``ZERO``, ``ONE`` and ``MINUS_ONE`` are shared
 instances, since scalars are immutable; a product with ``ONE`` returns the
@@ -39,15 +42,26 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Tuple, Union
 
-Poly = Tuple[Fraction, ...]
+Coeff = Union[int, Fraction]
+Poly = Tuple[Coeff, ...]  # an int where integral, else a Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 _UNIT: Poly = (_ONE,)
 
 
+def _coeff(c: Coeff) -> Coeff:
+    """c in canonical form: an int when it is integral, else a Fraction."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(a: Coeff, b: Coeff) -> Coeff:
+    return _coeff(Fraction(a) / b)  # int / int would be a float
+
+
 def _trim(coeffs) -> Poly:
-    coeffs = list(coeffs)
+    """The coefficients, each by ``_coeff``, less the trailing zeros."""
+    coeffs = [c.numerator if c.denominator == 1 else c for c in coeffs]
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
@@ -79,10 +93,11 @@ def _pmul(a: Poly, b: Poly) -> Poly:
     return _trim(out)
 
 
-def _pscale(a: Poly, c: Fraction) -> Poly:
+def _pscale(a: Poly, c: Coeff) -> Poly:
+    """a*c; zero coefficients stay the shared ``_ZERO``."""
     if c == 0:
         return ()
-    return tuple(x * c if x else _ZERO for x in a)
+    return _trim(x * c if x else _ZERO for x in a)
 
 
 def _pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -94,7 +109,7 @@ def _pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         r = list(_trim(r))
         if len(r) < len(b):
             break
-        coeff = r[-1] / b[-1]
+        coeff = _div(r[-1], b[-1])
         deg = len(r) - len(b)
         q[deg] = coeff
         for i, cb in enumerate(b):
@@ -108,7 +123,7 @@ def _pgcd(a: Poly, b: Poly) -> Poly:
         a, b = b, _pdivmod(a, b)[1]
     if not a:
         return ()
-    return _pscale(a, _ONE / a[-1])  # monic
+    return _pscale(a, _div(_ONE, a[-1]))  # monic
 
 
 def _q_order(den: Poly) -> int:
@@ -125,32 +140,34 @@ class Scalar:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly, *, _canonical: bool = False):
-        if not den:
-            raise ZeroDivisionError("scalar with zero denominator")
         if not _canonical:
+            num, den = _trim(num), _trim(den)
+            if not den:
+                raise ZeroDivisionError("scalar with zero denominator")
             g = _pgcd(num, den)
             if g and g != (_ONE,):
                 num = _pdivmod(num, g)[0]
                 den = _pdivmod(den, g)[0]
             lead = den[-1]
             if lead != 1:
-                num = _pscale(num, _ONE / lead)
-                den = _pscale(den, _ONE / lead)
+                num = _pscale(num, _div(_ONE, lead))
+                den = _pscale(den, _div(_ONE, lead))
         self.num = num
         self.den = den
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_rational(value: Union[int, Fraction]) -> "Scalar":
-        f = Fraction(value)
-        if f == 0:
+    def from_rational(value: Coeff) -> "Scalar":
+        if type(value) is not int:
+            value = _coeff(Fraction(value))
+        if value == 0:
             return ZERO
-        if f == 1:
+        if value == 1:
             return ONE
-        if f == -1:
+        if value == -1:
             return MINUS_ONE
-        return Scalar((f,), _UNIT, _canonical=True)
+        return Scalar((value,), _UNIT, _canonical=True)
 
     @staticmethod
     def q_power(n: int) -> "Scalar":
@@ -262,27 +279,28 @@ def _neg(a: Scalar) -> Scalar:
     return Scalar(_pneg(a.num), a.den, _canonical=True)
 
 
-def _scale(a: Scalar, c: Fraction) -> Scalar:
+def _scale(a: Scalar, c: Coeff) -> Scalar:
     """a*c for a nonzero rational c; the numerator stays coprime to den.
-    Zero coefficients stay the shared ``_ZERO``."""
+    Zero coefficients stay the shared ``_ZERO``, the small int 0."""
     if c == 1:
         return a
     if c == -1:
         return _neg(a)
-    return Scalar(tuple(x * c if x else _ZERO for x in a.num), a.den, _canonical=True)
+    return Scalar(_pscale(a.num, c), a.den, _canonical=True)
 
 
-def _add_constant(a: Scalar, c: Fraction) -> Scalar:
+def _add_constant(a: Scalar, c: Coeff) -> Scalar:
     """a + c for a nonzero a and rational c, as (num + c*den)/den: the gcd
     of num + c*den and den is the gcd of num and den, which is 1, and the
-    sum vanishes only when den is 1.  On ``laws``, 10 alternating pairs of
-    20-s seed-1 runs: 1,147.4 ops/s median with it, 1,039.5 without; it
-    won 10 of 10, and the runs with it had quartiles 1,109.8-1,155.9."""
+    sum vanishes only when den is 1.  On ``laws``, on Fraction coefficients,
+    10 alternating pairs of 20-s seed-1 runs: 1,147.4 ops/s median with it,
+    1,039.5 without; it won 10 of 10, and the runs with it had quartiles
+    1,109.8-1,155.9."""
     num, den = a.num, a.den
     if len(den) > 1:
         return Scalar(_padd(num, _pscale(den, c)), den, _canonical=True)
     # Only the constant term changes.
-    num = (num[0] + c,) + num[1:]
+    num = (_coeff(num[0] + c),) + num[1:]
     if not num[-1]:
         return ZERO
     return Scalar(num, den, _canonical=True)
@@ -309,15 +327,16 @@ def _inverse(a: Scalar) -> Scalar:
     lead = num[-1]
     if lead == 1:
         return Scalar(den, num, _canonical=True)
-    inv = _ONE / lead
+    inv = _div(_ONE, lead)
     return Scalar(_pscale(den, inv), _pscale(num, inv), _canonical=True)
 
 
 def _add(a: Scalar, b: Scalar) -> Scalar:
     """a + b.  When both denominators are powers of q, the sum is taken over
-    the larger one with no gcd.  On ``laws``, 10 alternating pairs of 20-s
-    seed-1 runs: 1,151.9 ops/s median with that branch, 944.8 without; it
-    won 10 of 10, and the runs with it had quartiles 1,143.5-1,164.1."""
+    the larger one with no gcd.  On ``laws``, on Fraction coefficients, 10
+    alternating pairs of 20-s seed-1 runs: 1,151.9 ops/s median with that
+    branch, 944.8 without; it won 10 of 10, and the runs with it had
+    quartiles 1,143.5-1,164.1."""
     an, ad, bn, bd = a.num, a.den, b.num, b.den
     if not an:
         return b
@@ -338,12 +357,12 @@ def _add(a: Scalar, b: Scalar) -> Scalar:
 
 def _mul(a: Scalar, b: Scalar) -> Scalar:
     """a * b.  Two monomials over powers of q multiply with one coefficient
-    product.  Alone on ``verify``, 10 alternating pairs of 20-s seed-1 runs:
-    382.3 ops/s median with that branch, 371.2 without; it won 7 of 10,
-    inside the quartiles 372.5-396.4 of the runs with it.  It stays because
-    a tree without it, ``MultiLinearMap._trusted``, the exact-class branch
-    of ``Scalar.__eq__`` and the zero skips of ``rref`` lost ``verify`` 10
-    of 10 pairs (380.5 against 353.5)."""
+    product.  Alone on ``verify``, on Fraction coefficients, 10 alternating
+    pairs of 20-s seed-1 runs: 382.3 ops/s median with that branch, 371.2
+    without; it won 7 of 10, inside the quartiles 372.5-396.4 of the runs
+    with it.  It stays because a tree without it, ``MultiLinearMap._trusted``,
+    the exact-class branch of ``Scalar.__eq__`` and the zero skips of
+    ``rref`` lost ``verify`` 10 of 10 pairs (380.5 against 353.5)."""
     if a is ONE:
         return b
     if b is ONE:
@@ -359,13 +378,13 @@ def _mul(a: Scalar, b: Scalar) -> Scalar:
     if ka >= 0 and kb >= 0:
         if an.count(_ZERO) == len(an) - 1 and bn.count(_ZERO) == len(bn) - 1:
             # c*q^i times d*q^j is c*d*q^(i+j): one product, no _pmul.
-            num = (_ZERO,) * (len(an) + len(bn) - 2) + (an[-1] * bn[-1],)
+            num = (_ZERO,) * (len(an) + len(bn) - 2) + (_coeff(an[-1] * bn[-1]),)
             return _over_q_power(num, ka + kb)
         return _over_q_power(_pmul(an, bn), ka + kb)
     return Scalar(_pmul(an, bn), _pmul(ad, bd))
 
 
-def _mono_str(coeff: Fraction, power: int) -> str:
+def _mono_str(coeff: Coeff, power: int) -> str:
     if power == 0:
         return str(coeff)
     if power == 1:
@@ -382,7 +401,8 @@ def _mono_str(coeff: Fraction, power: int) -> str:
 def _poly_str(p: Poly) -> str:
     """The nonzero terms from the highest power down, each after ' + ', or
     after ' ' when it starts with '-'.  Most zero coefficients are the
-    shared ``_ZERO``, which the identity test passes over without a call."""
+    shared ``_ZERO``, the small int 0, which the identity test passes over
+    without a call."""
     if not p:
         return "0"
     terms = [_mono_str(c, power) for power, c in enumerate(p) if c is not _ZERO and c]

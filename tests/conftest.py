@@ -1,6 +1,7 @@
 """Shared session fixtures: the expensive glued structures are built once."""
 
 import pytest
+from hypothesis import settings
 
 from lcoalg.fixtures import (
     fixture_f,
@@ -11,6 +12,9 @@ from lcoalg.fixtures import (
     fixture_quantum_matrix,
     fixture_quantum_sphere,
 )
+
+# A longer search for the properties, chosen with --hypothesis-profile=ci.
+settings.register_profile("ci", max_examples=1000)
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,10 @@
 """Field arithmetic and parsing of exact rational functions in q."""
 
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lcoalg import scalars as scalars_module
 from lcoalg.scalars import (
@@ -228,11 +229,19 @@ shaped_scalars = st.one_of(
 )
 
 
+def assert_canonical(coeffs):
+    """Each coefficient is exactly an int when it is integral and exactly a
+    Fraction otherwise: never a bool, a float or an integral Fraction."""
+    for c in coeffs:
+        assert type(c) in (int, Fraction), repr(c)
+        assert (type(c) is int) == (c.denominator == 1), repr(c)
+
+
 def _same(fast, reference):
     assert fast.num == reference.num
     assert fast.den == reference.den
     assert str(fast) == str(reference)
-    assert all(type(c) is Fraction for c in fast.num + fast.den)
+    assert_canonical(fast.num + fast.den)
 
 
 @given(shaped_scalars, shaped_scalars)
@@ -311,7 +320,7 @@ sparse_polys = st.one_of(
 def test_sparse_pmul_matches_dense(a, b):
     product = _pmul(a, b)
     assert product == dense_pmul(a, b)
-    assert all(type(c) is Fraction for c in product)
+    assert_canonical(product)
 
 
 # -- rendering over the nonzero powers against the dense walk -----------------
@@ -390,3 +399,90 @@ MONOMIAL_SCALARS = st.one_of(
 @given(MONOMIAL_SCALARS, MONOMIAL_SCALARS)
 def test_monomial_products_match_the_general_constructor(a, b):
     _same(a * b, Scalar(_pmul(a.num, b.num), _pmul(a.den, b.den)))
+
+
+# -- canonical coefficients: an int where integral, else a Fraction ----------
+
+fraction_polys = st.lists(small_rationals, min_size=1, max_size=4)
+
+
+def test_integral_coefficients_are_ints():
+    for value in (parse_scalar("1/2 + 1/2"), parse_scalar("3/2*q + 1/2*q"),
+                  parse_scalar("(2*q + 4)/(2*q^2 - 2)"),
+                  Scalar((Fraction(4), Fraction(2)), (Fraction(2),)),
+                  Scalar.from_rational(Fraction(6, 3)), Scalar.from_rational(True)):
+        assert_canonical(value.num + value.den)
+        assert all(type(c) is int for c in value.num + value.den), repr(value)
+
+
+@given(shaped_scalars, shaped_scalars, st.integers(min_value=-3, max_value=3),
+       fraction_polys, fraction_polys)
+def test_every_result_has_canonical_coefficients(a, b, n, num, den):
+    results = [a, b, a + b, a - b, a * b, -a, parse_scalar(str(a)),
+               parse_scalar(f"({a}) * ({b}) - ({b})")]
+    if not b.is_zero():
+        results.append(a / b)
+    if not a.is_zero() or n >= 0:
+        results.append(a ** n)
+    if any(den):
+        results.append(Scalar(tuple(num), tuple(den)))
+    for value in results:
+        assert_canonical(value.num + value.den)
+
+
+# -- the field operations against plain Fraction arithmetic at points --------
+#
+# An expression tree is "q", a Fraction, ("neg", x), ("^", x, n) or
+# (op, x, y) for op in + - * /.  It is evaluated once over Scalar and once
+# over Fraction at rational values of q; this oracle uses no code of
+# lcoalg.scalars besides the operators it checks.
+
+expressions = st.recursive(
+    st.one_of(st.just("q"), small_rationals),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from("+-*/"), sub, sub),
+        st.tuples(st.just("neg"), sub),
+        st.tuples(st.just("^"), sub, st.integers(min_value=-3, max_value=3)),
+    ),
+    max_leaves=8,
+)
+BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv}
+
+
+def evaluate(tree, q, constant):
+    if isinstance(tree, str):
+        return q
+    if isinstance(tree, Fraction):
+        return constant(tree)
+    op, x, *rest = tree
+    x = evaluate(x, q, constant)
+    if op == "neg":
+        return -x
+    if op == "^":
+        return x ** rest[0]
+    return BINARY[op](x, evaluate(rest[0], q, constant))
+
+
+def at(poly, v):
+    return sum((Fraction(c) * v ** i for i, c in enumerate(poly)), Fraction(0))
+
+
+@settings(deadline=None)
+@given(expressions, st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=7),
+                             min_size=3, max_size=3, unique=True))
+def test_scalar_arithmetic_matches_fraction_arithmetic_at_points(tree, points):
+    try:
+        value = evaluate(tree, Q, Scalar.from_rational)
+    except ZeroDivisionError:
+        assume(False)  # a division by an identically zero expression
+    checked = 0
+    for v in points:
+        try:
+            expected = evaluate(tree, v, Fraction)
+        except ZeroDivisionError:
+            continue  # v is a pole of some subexpression
+        assert at(value.den, v) != 0
+        assert at(value.num, v) / at(value.den, v) == expected
+        checked += 1
+    assume(checked)
