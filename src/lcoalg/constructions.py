@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .coalgebra import (AxiomReport, LStructure, _bind, _eval_side, _expand, _side,
                         check_axiom, solve_right_counit)
 from .complexes import flower_coproducts
+from .convolution import _bar_unit_laws
 from .graphs import de_bruijn_graph, markov_coalgebra
 from .linalg import (
     BasisSpace,
@@ -287,14 +288,8 @@ def _restrict_counit(eps: Optional[Vector], c1: BasisSpace) -> Optional[Vector]:
 
 def _bridge_counits_hold(structure: LStructure, eps1: Vector) -> bool:
     """(eps1 x id) delta1 = id and (id x eps1) deltahat1 = id."""
-    counits = {"eps1": _restrict_counit(eps1, structure.space)}
-    probe = LStructure(structure.space, structure.coproducts, counits)
-    left = {"Deltatilde": "delta1", "epstilde": "eps1"}
-    right = {"Delta": "deltahat1", "eps": "eps1"}
-    return (
-        check_axiom(probe, "left_counit", left).passed
-        and check_axiom(probe, "right_counit", right).passed
-    )
+    eps1 = _restrict_counit(eps1, structure.space)
+    return _bar_unit_laws(structure, eps1, "deltahat1", "delta1").passed
 
 
 def achiral_entangle(

@@ -226,6 +226,16 @@ def check_dendriform_algebra(
                        {"left": left_name, "right": right_name})
 
 
+def _bar_unit_laws(s: LStructure, eps: Functional, left: str, right: str) -> AxiomReport:
+    """(id x eps) left = id and (eps x id) right = id, eps a counit of ``s``:
+    not a traced law suite, so a construction checks its bridges with it."""
+    probe = LStructure(s.space, s.coproducts, {"eps_star": eps})
+    return _check_laws(probe, "bar_unit", [
+        ("left_absorb", *EQUATIONS["right_counit"]),
+        ("right_absorb", *EQUATIONS["left_counit"]),
+    ], {"Delta": left, "eps": "eps_star", "Deltatilde": right, "epstilde": "eps_star"})
+
+
 def check_bar_unit(
     s: LStructure,
     eps_star: Functional,
@@ -234,15 +244,8 @@ def check_bar_unit(
 ) -> AxiomReport:
     """eps_star is a bar-unit: f left e = f = e right f for every dual
     functional f (e absorbed on the inner side of each bridge product).
-
-    Read through the transpose these are the counit laws (id x e) left = id
-    and (e x id) right = id, e bound as a counit of ``s``, so a label outside
-    the space is refused; the witnesses come functional by functional."""
-    probe = LStructure(s.space, s.coproducts, {"eps_star": eps_star})
-    report = _check_laws(probe, "bar_unit", [
-        ("left_absorb", *EQUATIONS["right_counit"]),
-        ("right_absorb", *EQUATIONS["left_counit"]),
-    ], {"Delta": left_name, "eps": "eps_star",
-        "Deltatilde": right_name, "epstilde": "eps_star"})
+    Read through the transpose these are the counit laws of ``_bar_unit_laws``
+    (a label outside the space is refused); witnesses come by functional."""
+    report = _bar_unit_laws(s, eps_star, left_name, right_name)
     report.witnesses.sort(key=lambda w: s.space.index[w[0]])
     return report

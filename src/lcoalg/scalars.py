@@ -101,21 +101,19 @@ def _pscale(a: Poly, c: Coeff) -> Poly:
 
 
 def _pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Of trimmed a and b: a step cancels the lead, and one ``_trim`` drops it."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     q = [_ZERO] * max(len(a) - len(b) + 1, 0)
     r = list(a)
-    while len(r) >= len(b) and _trim(r):
-        r = list(_trim(r))
-        if len(r) < len(b):
-            break
+    while len(r) >= len(b):
         coeff = _div(r[-1], b[-1])
         deg = len(r) - len(b)
         q[deg] = coeff
         for i, cb in enumerate(b):
             r[deg + i] -= coeff * cb
         r = list(_trim(r))
-    return _trim(q), _trim(r)
+    return tuple(q), tuple(r)
 
 
 def _pgcd(a: Poly, b: Poly) -> Poly:
@@ -159,8 +157,10 @@ class Scalar:
 
     @staticmethod
     def from_rational(value: Coeff) -> "Scalar":
-        if type(value) is not int:
-            value = _coeff(Fraction(value))
+        if type(value) is not int:  # a Fraction is neither copied nor compared
+            value = _coeff(value if type(value) is Fraction else Fraction(value))
+            if type(value) is not int:
+                return Scalar((value,), _UNIT, _canonical=True)
         if value == 0:
             return ZERO
         if value == 1:

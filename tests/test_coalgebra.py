@@ -2,6 +2,7 @@
 structural implications between axiom systems."""
 
 import re
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -631,3 +632,84 @@ def test_expand_follows_arities_on_random_maps(s, data):
         st.dictionaries(st.sampled_from([(x,) for x in labels]), st.sampled_from(VALUES),
                         max_size=2), max_size=len(labels))))
     assert_chains_follow_arities(s, "P", "e", d)
+
+
+# -- multi-chain sides against the chain-by-chain loop: the oracle -----------
+
+
+def eval_side_by_chains(side, memo, label):
+    """A side on one label as ``_eval_side`` summed it before the one-pass
+    sum: each chain evaluated in full, its legs permuted through a tuple of
+    indices, and every output term scaled into the sum."""
+    out = {}
+    for coeff, first, steps, order in side:
+        first = memo[first]
+        if steps:
+            tensor, degree = first.table.get(label, {}), first.arity
+            for role, slot in steps:
+                tensor = memo[role].at_slot(tensor, slot, degree)
+                degree += memo[role].arity - 1
+        else:
+            tensor = first.of_label(label)
+        if order is not None:
+            pick = tuple(map(order.index, range(len(order))))
+            tensor = {tuple(term[p] for p in pick): c for term, c in tensor.items()}
+        add_scaled(out, tensor.items(), coeff)
+    return out
+
+
+COEFFS = [ONE, MINUS_ONE, Scalar.from_rational(2), Scalar.from_rational(Fraction(-1, 3)),
+          Q, -Q ** 2, Scalar.from_rational(Fraction(3, 2)) * Q ** -1, ZERO]
+
+
+@st.composite
+def multi_chain_sides(draw):
+    """A side of one to four chains over the roles of ``sparse_structures``,
+    all with ``degree`` output legs, some of them cancelled by a negated
+    copy."""
+    degree = draw(st.integers(1, 3))
+    cps = st.sampled_from(NAMES)
+    chains = []
+    for _ in range(draw(st.integers(1, 4))):
+        first = draw(cps)
+        steps = {  # (steps, ...) ending at ``degree`` legs
+            1: [(("e", draw(st.integers(1, 2))),),
+                (("e", draw(st.integers(1, 2))), (draw(cps), 1), ("e", draw(st.integers(1, 2))))],
+            2: [(), ((draw(cps), draw(st.integers(1, 2))), ("e", draw(st.integers(1, 3))))],
+            3: [((draw(cps), draw(st.integers(1, 2))),)],
+        }[degree]
+        order = draw(st.none() | st.permutations(range(degree)).map(tuple))
+        coeff = draw(st.just(ONE) | st.sampled_from(COEFFS))
+        chains.append((coeff, first, draw(st.sampled_from(steps)), order))
+    for i in draw(st.lists(st.integers(0, len(chains) - 1), max_size=2)):
+        chains.append((-chains[i][0],) + chains[i][1:])
+    return tuple(draw(st.permutations(chains)))
+
+
+@settings(deadline=None)
+@given(s=sparse_structures(), side=multi_chain_sides())
+def test_one_pass_sum_matches_the_chain_by_chain_loop(s, side):
+    memo = {**s.coproducts, "e": s.counit("e")}
+    tables = {name: {lab: dict(t) for lab, t in cp.table.items()} for name, cp in memo.items()}
+    bound = _bind(side, memo)
+    got = [_eval_side(bound, label) for label in s.space.labels]
+    for label, tensor in zip(s.space.labels, got):
+        want = eval_side_by_chains(side, memo, label)
+        assert list(tensor.items()) == list(want.items()), label
+        assert all(tensor is not entry for cp in memo.values() for entry in cp.table.values())
+    for tensor in got:
+        tensor.clear()
+    assert {name: cp.table for name, cp in memo.items()} == tables
+
+
+def test_a_one_leg_order_keeps_one_tuple_keys(f_data):
+    s = f_data["structure"]
+    memo = {"Delta": s.coproduct("Delta"), "eps": s.counit("eps")}
+    for side in (((ONE, "Delta", (("eps", 2),), (0,)),),
+                 ((MINUS_ONE, "Delta", (("eps", 2),), (0,)),
+                  (Q, "Delta", (("eps", 1),), (0,)))):
+        plain = _bind(tuple(chain[:3] + (None,) for chain in side), memo)
+        for label in s.space.labels:
+            tensor = _eval_side(_bind(side, memo), label)
+            assert tensor and all(type(term) is tuple and len(term) == 1 for term in tensor)
+            assert tensor == _eval_side(plain, label)
