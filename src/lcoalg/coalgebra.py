@@ -240,18 +240,55 @@ def _expand(
     catalogue, the convolution law suites and the coderivative identity.
     The support is the union of the tables of the first maps of both sides;
     every other label has both sides zero, so it can hold no witness and is
-    not yielded.
+    not yielded.  An equation c (A at slot i) B = c (C at slot i) B whose A
+    and C agree on every label that B puts on leg i yields nothing: by
+    linearity its sides agree on every label (``_same_by_tables``; on
+    cibils, ``codialg2``, ``codialg3``, ``inner_left`` and ``inner_right``).
 
     The support filter pays on ``build``, 10 alternating pairs of 20-s
     seed-1 runs: 397.7 ops/s median with it, 316.2 without; it won 10 of
     10, and the runs with it had quartiles 390.9-404.5."""
     lhs, rhs = _bind(equation[1], memo), _bind(equation[2], memo)
+    if _same_by_tables(lhs, rhs):
+        return
     support = set()
     for _, first, _, _ in lhs + rhs:
         support.update(first.table)
     for label in labels:
         if label in support:
             yield label, _eval_side(lhs, label), _eval_side(rhs, label)
+
+
+def _same_by_tables(lhs: List[Tuple], rhs: List[Tuple]) -> bool:
+    """Whether two bound sides (``_bind``) are equal on every label, read
+    from the map tables alone.  It holds when each side is one chain
+    c (A at slot i) B, with the same coefficient c, first map B, slot i and
+    degree on both sides and no leg order, and the step maps A and C agree
+    on every label that B puts on leg i: by linearity (A at i) and (C at i)
+    then agree on every term of B's table, so on B's image of every label.
+    Identical chains (A is C) are the trivial case.  The proof is only
+    sufficient: an equation it cannot decide is evaluated label by label.
+    It decides ``codialg2`` and ``codialg3`` on the glued cibils structures,
+    whose delta and deltahat agree where the inner legs land, and their
+    duals ``inner_left`` and ``inner_right`` in the dialgebra laws.
+
+    On ``laws``, 10 alternating pairs of 20-s seed-1 runs: latency p50
+    0.393 ms median with it, 0.506 without; it won 10 of 10, and the runs
+    with it had quartiles 0.387-0.399."""
+    if len(lhs) != 1 or len(rhs) != 1:
+        return False
+    (coeff, first, chain, pick), (coeff2, first2, chain2, pick2) = lhs[0], rhs[0]
+    if (first is not first2 or len(chain) != 1 or len(chain2) != 1
+            or chain[0][1:] != chain2[0][1:] or pick is not None or pick2 is not None
+            or coeff != coeff2):
+        return False
+    (a, slot, degree), c = chain[0], chain2[0][0]
+    if not 1 <= slot <= degree:
+        return False  # at_slot refuses a slot out of range
+    if a is c:
+        return True
+    legs = {term[slot - 1] for tensor in first.table.values() for term in tensor}
+    return all(a.table.get(leg) == c.table.get(leg) for leg in legs)
 
 
 def _eval_side(side, label: str) -> Tensor:

@@ -17,13 +17,14 @@ from lcoalg.coalgebra import (
     _bind,
     _eval_side,
     _expand,
+    _same_by_tables,
     check_axiom,
     cocommutator_space,
     solve_left_counit,
     solve_right_counit,
 )
 from lcoalg.graphs import markov_coalgebra, parse_digraph_edges
-from lcoalg.fixtures import fixture_cibils
+from lcoalg.fixtures import fixture_cibils, fixture_debruijn
 from lcoalg.linalg import BasisSpace, MultiLinearMap, add_scaled
 from lcoalg.scalars import MINUS_ONE, ONE, Q, ZERO, Scalar
 
@@ -609,11 +610,10 @@ def assert_chains_follow_arities(s, cp_name, eps_name, d):
     memo = {"Delta": s.coproduct(cp_name), "eps": s.counit(eps_name), "D": d}
     chains = (_side("D", ("Delta", 1)), _side("Delta", ("eps", 1), ("Delta", 1)))
     for i, side in enumerate(chains):
-        got = {label: lhs for label, lhs, _ in _expand(("t", side, side), memo,
-                                                       s.space.labels)}
+        bound = _bind(side, memo)
         for label in s.space.labels:
             want = hand_chains(memo["Delta"], d, s.counits[eps_name], label)[i]
-            assert got.get(label, {}) == want, (i, label)
+            assert _eval_side(bound, label) == want, (i, label)
 
 
 def test_expand_follows_arity_1_and_arity_0_maps(f_data):
@@ -713,3 +713,125 @@ def test_a_one_leg_order_keeps_one_tuple_keys(f_data):
             tensor = _eval_side(_bind(side, memo), label)
             assert tensor and all(type(term) is tuple and len(term) == 1 for term in tensor)
             assert tensor == _eval_side(plain, label)
+
+
+# -- equations decided from the map tables against the all-labels oracle -----
+
+
+def images(labels, arity):
+    """A nonzero image of one label under a map of the given arity."""
+    terms = st.tuples(*[st.sampled_from(labels)] * arity)
+    return st.dictionaries(terms, st.sampled_from(VALUES[:-1]), min_size=1, max_size=3)
+
+
+def tables(labels, arity, min_size=0):
+    return st.dictionaries(st.sampled_from(labels), images(labels, arity),
+                           min_size=min_size, max_size=len(labels))
+
+
+# How the right side of a one-step equation departs from c (A at slot i) B.
+CHANGES = ("none", "leg", "slot", "first", "coeff", "order")
+
+
+@st.composite
+def one_step_equations(draw, change):
+    """(memo, equation): the equation (A at slot i) B = (C at slot i) B,
+    where C is A changed only on labels that B never puts on leg i, so the
+    tables prove it; then, by ``change``, C also changed on one leg label,
+    or one side given another slot, first map, coefficient or leg order."""
+    labels = LABELS[:draw(st.integers(2, 4))]
+    space = BasisSpace(labels)
+    arity = draw(st.integers(2 if change == "slot" else 1, 3))
+    step_arity = draw(st.integers(max(0, 3 - arity) if change == "order" else 0, 2))
+    b = MultiLinearMap(space, arity, draw(tables(labels, arity, int(change == "leg"))))
+    a_table = draw(tables(labels, step_arity))
+    slot = draw(st.integers(1, arity))
+    legs = sorted({term[slot - 1] for tensor in b.table.values() for term in tensor})
+    c_table = dict(a_table)
+    for label in labels:
+        if label not in legs and draw(st.booleans()):
+            c_table[label] = draw(st.none() | images(labels, step_arity))
+    lhs, rhs = [ONE, "B", (("A", slot),), None], [ONE, "B", (("C", slot),), None]
+    memo = {"B": b}
+    if change == "leg":
+        leg = draw(st.sampled_from(legs))
+        c_table[leg] = draw(images(labels, step_arity).filter(
+            lambda image: image != a_table.get(leg)))
+    elif change == "slot":
+        rhs[2] = (("C", slot % arity + 1),)
+    elif change == "first":
+        memo["B2"], rhs[1] = MultiLinearMap(space, arity, draw(tables(labels, arity))), "B2"
+    elif change == "coeff":
+        rhs[0] = draw(st.sampled_from(VALUES[1:]))
+    elif change == "order":
+        degree = arity - 1 + step_arity
+        lhs[3] = draw(st.permutations(range(degree)).map(tuple).filter(
+            lambda order: order != tuple(range(degree))))
+    memo["A"] = MultiLinearMap(space, step_arity, a_table)
+    memo["C"] = MultiLinearMap(space, step_arity, {
+        label: image for label, image in c_table.items() if image is not None})
+    return memo, ("t", (tuple(lhs),), (tuple(rhs),))
+
+
+def _witness_rows(expand, equation, memo):
+    return [(label, list(lhs.items()), list(rhs.items()))
+            for label, lhs, rhs in expand(equation, memo, memo["B"].domain.labels)
+            if lhs != rhs]
+
+
+@pytest.mark.parametrize("change", CHANGES)
+@settings(deadline=None)
+@given(data=st.data())
+def test_table_proof_matches_the_all_labels_oracle(change, data):
+    memo, equation = data.draw(one_step_equations(change))
+    assert _witness_rows(_expand, equation, memo) == _witness_rows(
+        all_labels_expand, equation, memo)
+    proved = _same_by_tables(_bind(equation[1], memo), _bind(equation[2], memo))
+    assert proved == (change == "none")
+    if proved:
+        assert list(_expand(equation, memo, memo["B"].domain.labels)) == []
+
+
+def test_an_equation_the_tables_cannot_decide_still_passes_by_evaluation():
+    s = fixture_debruijn(2)["codialgebra"]
+    bindings = {"delta": "DeltatildeM", "deltahat": "DeltaM"}
+    memo = coalgebra._bind_roles(s, AXIOMS["codialgebra"]["roles"], bindings)
+    for tag in ("codialg2", "codialg3"):
+        lhs, rhs = EQUATIONS[tag]
+        assert not _same_by_tables(_bind(lhs, memo), _bind(rhs, memo)), tag
+        assert list(_expand((tag, lhs, rhs), memo, s.space.labels)), tag
+    assert check_axiom(s, "codialgebra", bindings).passed
+
+
+def _at_slot_calls_by_equation(check):
+    """The tags of the equations whose expansion made an ``at_slot`` call
+    while ``check()`` ran, each once per call."""
+    calls, current = [], [None]
+    expand, at_slot = coalgebra._expand, MultiLinearMap.at_slot
+
+    def traced_expand(equation, memo, labels):
+        current[0] = equation[0]
+        yield from expand(equation, memo, labels)
+
+    def traced_at_slot(self, tensor, slot, degree):
+        calls.append(current[0])
+        return at_slot(self, tensor, slot, degree)
+
+    with mock.patch.object(coalgebra, "_expand", traced_expand), \
+            mock.patch.object(convolution, "_expand", traced_expand), \
+            mock.patch.object(MultiLinearMap, "at_slot", traced_at_slot):
+        assert check().passed
+    return calls
+
+
+def test_the_glued_equations_make_no_at_slot_call_on_cibils():
+    s = fixture_cibils(4)["structure"]
+    calls = _at_slot_calls_by_equation(lambda: check_axiom(
+        s, "codialgebra", {"delta": "delta", "deltahat": "deltahat"}))
+    assert {"coassoc(delta)", "coassoc(deltahat)", "codialg4"} <= set(calls)
+    assert not {"codialg2", "codialg3"} & set(calls)
+    s = fixture_cibils(3)["structure"]
+    calls = _at_slot_calls_by_equation(
+        lambda: convolution.check_dialgebra_laws(s, "deltahat", "delta"))
+    assert {"left_assoc", "right_assoc", "middle"} <= set(calls)
+    assert not {"inner_left", "inner_right"} & set(calls)

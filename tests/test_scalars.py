@@ -212,6 +212,28 @@ def test_equality_is_canonical(a, b, r):
     assert len({Scalar.from_rational(1), 1, Fraction(1)}) == 1
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ONE * 0.1, lambda: Q + 0.5, lambda: 0.5 - ONE, lambda: ONE / 0.5,
+    lambda: Scalar.from_rational(0.5),
+], ids=["mul", "add", "rsub", "truediv", "from_rational"])
+def test_a_float_operand_is_refused(make):
+    """A float is an inexact number: taking it at its binary value would
+    make 0.1 the rational 3602879701896397/36028797018963968."""
+    with pytest.raises(TypeError, match=r"float is not an exact scalar: 0\.[15]"):
+        make()
+
+
+def test_ints_bools_and_fractions_stay_exact_operands():
+    half = Fraction(1, 2)
+    assert Scalar.from_rational(True) is ONE and Scalar.from_rational(False) is ZERO
+    assert Scalar.from_rational(3) == 3 and Scalar.from_rational(half) == half
+    assert (ONE * 2, Q + half, half - ONE, ONE / 2) == (
+        Scalar.from_rational(2), Q + Scalar.from_rational(half),
+        Scalar.from_rational(Fraction(-1, 2)), Scalar.from_rational(half))
+    assert ONE * True is ONE and ONE + False is ONE
+    assert (ONE == 0.5) is False and (ONE != 0.5) is True
+
+
 # -- fast paths against the general constructor ------------------------------
 
 small_polys = st.lists(small_rationals, min_size=1, max_size=4).map(_trim)
