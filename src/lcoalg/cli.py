@@ -28,8 +28,8 @@ from .fixtures import (
     fixture_f,
     fixture_group,
     fixture_petersen,
-    fixture_quantum_matrix,
     fixture_quantum_sphere,
+    fixture_slq2,
 )
 from .graphs import (
     covering_check,
@@ -257,7 +257,7 @@ def _check_cibils_work(n: int, q_text: str, q: Scalar) -> None:
 # documents is the fixture's structure, the target space and the channel
 _CHANNEL_FIXTURES = {
     "F": (fixture_f, "F", "F2", "Phi"),
-    "slq2": (fixture_quantum_matrix, "C1", "C2", "M"),
+    "slq2": (fixture_slq2, "C1", "C2", "M"),
     "su2q-coalg": (fixture_quantum_sphere, "C1", "C2", "M"),
 }
 
@@ -266,24 +266,20 @@ def _fixture_document(name: str, n: int, q_text: str) -> str:
     if name in _CHANNEL_FIXTURES:
         make, space, target, channel_name = _CHANNEL_FIXTURES[name]
         data = make()
-        # slq2 sits on the structure of its base fixture, F
-        structure = data.get("base", data)["structure"]
         channel = data["channel"]
-        doc = document_from_structure(space, structure)
+        doc = document_from_structure(space, data["structure"])
         doc.spaces[target] = channel.c2.labels
         doc.channels[channel_name] = (space, target, dict(channel.forward))
         return unparse_document(doc)
     if name == "cibils":
         q = parse_scalar(q_text)
         _check_cibils_work(n, q_text, q)
-        data = fixture_cibils(n, q)
         return unparse_document(
-            document_from_structure("E", data["structure"])
+            document_from_structure("E", fixture_cibils(n, q))
         )
     if name == "debruijn":
-        data = fixture_debruijn(n)
         return unparse_document(
-            document_from_structure("G", data["codialgebra"])
+            document_from_structure("G", fixture_debruijn(n))
         )
     if name == "petersen":
         graph = fixture_petersen()

@@ -108,18 +108,14 @@ def _nct(entries: Dict[Tuple[str, str], Scalar]) -> NCTensor:
     return {((a,), (b,)): c for (a, b), c in entries.items()}
 
 
-def fixture_quantum_matrix() -> Dict[str, object]:
-    """The quantum 2x2 presentation.  The finite coalgebra slice is F with
-    the channel lettering a -> y, b -> x, c -> u, d -> z; on top of it sit
-    the two rewrite systems, the generator-level coproducts on both
-    alphabets, the defining relations, the antipode sigma1, and the
-    convolution-identity data m(id x sigma1) delta1 = eps_star . 1."""
-    base = fixture_f()
-    structure: LStructure = base["structure"]  # type: ignore[assignment]
-    c2 = BasisSpace(["x", "y", "z", "u"])
+def fixture_slq2() -> Dict[str, object]:
+    """The finite coalgebra slice of the quantum 2x2 presentation: the
+    structure of F with the channel M lettering a -> y, b -> x, c -> u,
+    d -> z."""
+    structure: LStructure = fixture_f()["structure"]  # type: ignore[assignment]
     channel = ChannelMap(
         structure.space,
-        c2,
+        BasisSpace(["x", "y", "z", "u"]),
         {
             "a": {"y": ONE},
             "b": {"x": ONE},
@@ -127,6 +123,18 @@ def fixture_quantum_matrix() -> Dict[str, object]:
             "d": {"z": ONE},
         },
     )
+    return {"structure": structure, "channel": channel}
+
+
+def fixture_quantum_matrix() -> Dict[str, object]:
+    """The quantum 2x2 presentation.  On top of its finite coalgebra slice,
+    ``fixture_slq2``, sit the two rewrite systems, the generator-level
+    coproducts on both alphabets, the defining relations, the antipode
+    sigma1, and the convolution-identity data
+    m(id x sigma1) delta1 = eps_star . 1."""
+    base = fixture_slq2()
+    structure: LStructure = base["structure"]  # type: ignore[assignment]
+    channel: ChannelMap = base["channel"]  # type: ignore[assignment]
     entangled = self_entangle(structure, "Delta", channel, eps_name="eps")
     rs1 = relation_set("quantum_matrix")
     rs2 = relation_set("quantum_matrix_tilde")
@@ -187,7 +195,6 @@ def fixture_quantum_matrix() -> Dict[str, object]:
         rewrite=rs1,
     )
     return {
-        "base": base,
         "channel": channel,
         "entangled": entangled,
         "rewrite1": rs1,
@@ -245,13 +252,13 @@ def fixture_quantum_sphere() -> Dict[str, object]:
 # -- composition gluing, De Bruijn, Petersen, cyclic groups ----------------
 
 
-def fixture_cibils(n: int, q: Scalar = Q) -> Dict[str, object]:
+def fixture_cibils(n: int, q: Scalar = Q) -> LStructure:
     return cibils_structures(n, q)
 
 
-def fixture_debruijn(n: int) -> Dict[str, object]:
+def fixture_debruijn(n: int) -> LStructure:
     """The De Bruijn codialgebra: the Markov pair of the De Bruijn graph."""
-    return {"codialgebra": de_bruijn_codialgebra(n)}
+    return de_bruijn_codialgebra(n)
 
 
 def fixture_petersen() -> UndirectedGraph:

@@ -158,8 +158,8 @@ class Scalar:
     @staticmethod
     def from_rational(value: Coeff) -> "Scalar":
         if type(value) is not int:  # a Fraction is neither copied nor compared
-            if isinstance(value, float):
-                raise TypeError(f"a float is not an exact scalar: {value!r}")
+            if type(value) is not Fraction and not isinstance(value, (int, Fraction)):
+                raise TypeError(f"a {type(value).__name__} is not an exact scalar: {value!r}")
             value = _coeff(value if type(value) is Fraction else Fraction(value))
             if type(value) is not int:
                 return Scalar((value,), _UNIT, _canonical=True)

@@ -131,8 +131,7 @@ def test_criterion_05_bar_unit(f_entangled):
 @pytest.mark.parametrize("n", [3, 5])
 @pytest.mark.parametrize("q_text", ["q", "2"])
 def test_criterion_06_composition_gluing(n, q_text):
-    data = cibils_structures(n, parse_scalar(q_text))
-    s = data["structure"]
+    s = cibils_structures(n, parse_scalar(q_text))
     total = s.coproduct("delta").add(s.coproduct("deltahat_d"))
     probe = s.with_coproduct("Delta_bar", total)
     checks = [

@@ -135,8 +135,7 @@ def test_codialgebra_implies_both_dipterous_directions(f_entangled):
 def test_pre_dendriform_with_split_total_implies_dendriform():
     # When the coassociative coproduct is itself the sum of the bridges,
     # the pre-dendriform equations become the dendriform ones.
-    data = fixture_cibils(3)
-    s = data["structure"]
+    s = fixture_cibils(3)
     bar = s.coproduct("delta").add(s.coproduct("deltahat_d"))
     probe = LStructure(s.space, {**s.coproducts, "Delta_bar": bar})
     assert check_axiom(
@@ -160,7 +159,7 @@ def test_sum_and_tau_roles_are_built_once_per_check(
 ):
     # dendriform_coalgebra has two sum roles, L_cocommutative one tau role;
     # each is built once however many labels and sides use it.
-    s = fixture_cibils(4)["structure"]
+    s = fixture_cibils(4)
     calls = dict.fromkeys(built, 0)
     for name in calls:
         original = getattr(MultiLinearMap, name)
@@ -496,6 +495,13 @@ def test_every_system_equation_is_the_table_entry():
     assert listed == set(EQUATIONS) and len(EQUATIONS) == 25
 
 
+def test_an_equation_named_twice_is_one_object():
+    equations = list(EQUATIONS.values())
+    for i, first in enumerate(equations):
+        for second in equations[i + 1:]:
+            assert first is second or first != second
+
+
 def test_every_system_runs_each_equation_through_the_one_evaluator(f_data):
     s = f_data["structure"]
     calls = []
@@ -577,7 +583,7 @@ def test_witnesses_share_nothing_with_the_maps():
     """A side that is one map with no step returns a copy of its table
     entry, and a side with steps reads the entry in place without writing
     it: clearing every witness tensor leaves every map unchanged."""
-    s = fixture_cibils(2)["structure"]
+    s = fixture_cibils(2)
     tables = {name: {lab: dict(t) for lab, t in cp.table.items()}
               for name, cp in s.coproducts.items()}
     for axiom, bindings in (
@@ -793,7 +799,7 @@ def test_table_proof_matches_the_all_labels_oracle(change, data):
 
 
 def test_an_equation_the_tables_cannot_decide_still_passes_by_evaluation():
-    s = fixture_debruijn(2)["codialgebra"]
+    s = fixture_debruijn(2)
     bindings = {"delta": "DeltatildeM", "deltahat": "DeltaM"}
     memo = coalgebra._bind_roles(s, AXIOMS["codialgebra"]["roles"], bindings)
     for tag in ("codialg2", "codialg3"):
@@ -825,12 +831,12 @@ def _at_slot_calls_by_equation(check):
 
 
 def test_the_glued_equations_make_no_at_slot_call_on_cibils():
-    s = fixture_cibils(4)["structure"]
+    s = fixture_cibils(4)
     calls = _at_slot_calls_by_equation(lambda: check_axiom(
         s, "codialgebra", {"delta": "delta", "deltahat": "deltahat"}))
     assert {"coassoc(delta)", "coassoc(deltahat)", "codialg4"} <= set(calls)
     assert not {"codialg2", "codialg3"} & set(calls)
-    s = fixture_cibils(3)["structure"]
+    s = fixture_cibils(3)
     calls = _at_slot_calls_by_equation(
         lambda: convolution.check_dialgebra_laws(s, "deltahat", "delta"))
     assert {"left_assoc", "right_assoc", "middle"} <= set(calls)

@@ -159,7 +159,7 @@ def reference_boundary(s, name, unit_label, tensor, form):
 def boundary_structures(f_data):
     return {
         "group3": fixture_group(3),
-        "cibils2": fixture_cibils(2)["structure"],
+        "cibils2": fixture_cibils(2),
         "F": f_data["structure"],
         "noncoassoc": parse_document(NON_COASSOCIATIVE_DOC).structure("V"),
     }

@@ -20,13 +20,13 @@ from lcoalg.constructions import (
     markov_entangle_flower,
     self_entangle,
     self_tiling_dendriform,
-    subst_leg,
     sum_codipterous,
 )
 from lcoalg.complexes import flower_coproducts
 from lcoalg.fixtures import fixture_group
 from lcoalg.graphs import de_bruijn_graph, geometric_support
-from lcoalg.linalg import BasisSpace, MultiLinearMap, tensor_add, tensor_sub, unit_vector
+from lcoalg.linalg import (BasisSpace, MultiLinearMap, add_scaled, tensor_add, tensor_sub,
+                           unit_vector)
 from lcoalg.scalars import ONE, Q, ZERO, Scalar, parse_scalar
 from test_convolution import VALUES
 
@@ -254,8 +254,7 @@ def test_flower_requires_unit_on_algebra_side(group3):
 @pytest.mark.parametrize("n", [3, 5])
 @pytest.mark.parametrize("q_text", ["q", "2"])
 def test_cibils_axioms(n, q_text):
-    data = cibils_structures(n, parse_scalar(q_text))
-    s = data["structure"]
+    s = cibils_structures(n, parse_scalar(q_text))
     assert check_axiom(
         s, "codialgebra", {"delta": "delta", "deltahat": "deltahat"}
     ).passed
@@ -269,8 +268,7 @@ def test_cibils_axioms(n, q_text):
 
 
 def test_cibils_bridge_values():
-    data = cibils_structures(3, Q)
-    s = data["structure"]
+    s = cibils_structures(3, Q)
     assert s.coproduct("deltahat").of_label("x2") == {
         ("x2", "a0"): ONE, ("x1", "a1"): Q, ("x0", "a2"): Q * Q,
     }
@@ -374,6 +372,18 @@ def test_generated_subcoalgebra(f_entangled):
 # The oracle below is the bridge-building code the constructions used before
 # every bridge became one gluing of two parts read across the channel: each
 # pull-back and push-forward is written out by hand.
+
+
+def subst_leg(tensor, slot, table):
+    """Apply a label -> vector substitution to one leg of a tensor."""
+    out = {}
+    for term, coeff in tensor.items():
+        image = table.get(term[slot - 1])
+        if not image:
+            continue
+        head, tail = term[: slot - 1], term[slot:]
+        add_scaled(out, ((head + (lab,) + tail, c) for lab, c in image.items()), coeff)
+    return out
 
 
 def _hand_glue(ambient, part1, part1_labels, part2_table):
@@ -644,6 +654,31 @@ def test_glued_bridges_match_hand_transports(f_data, data):
         lambda: markov_entangle_flower(c1, unit, c, "Delta", channel),
         lambda: hand_markov_entangle_flower(c1, unit, c, "Delta", channel),
     )
+
+
+def morphism_loop(channel, delta1, delta2):
+    """The labels of ``check_coalgebra_morphism`` as its own loop found them:
+    Phi substituted by hand on each leg of Delta1."""
+    fwd = channel.forward
+    return [lab for lab in channel.c1.labels if delta2.of_vector(fwd[lab])
+            != subst_leg(subst_leg(delta1.of_label(lab), 1, fwd), 2, fwd)]
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_morphism_check_matches_the_leg_by_leg_loop(f_data, data):
+    s1, channel, _ = data.draw(_channel_inputs(f_data["structure"]))
+    c2, fwd = channel.c2, channel.forward
+    delta1 = s1.coproduct(data.draw(st.sampled_from(["Delta", "Deltatilde"])))
+    transported = MultiLinearMap(c2, 2, {
+        w: subst_leg(subst_leg(delta1.of_vector(channel.inverse[w]), 1, fwd), 2, fwd)
+        for w in c2.labels})
+    assert channel.check_coalgebra_morphism(delta1, transported) == []
+    for delta2 in (_relabelled(delta1, c2), _de_bruijn_on(c2).coproduct("DeltaM")):
+        assert (channel.check_coalgebra_morphism(delta1, delta2)
+                == morphism_loop(channel, delta1, delta2))
+    with pytest.raises(KeyError):  # Delta1 must be defined on C1
+        channel.check_coalgebra_morphism(transported, transported)
 
 
 # -- the coderivative identity against the loop it replaced: the oracle -------

@@ -168,7 +168,7 @@ def reference_conv_product(s, name, f, g):
 
 @pytest.fixture(scope="module")
 def conv_structures(f_entangled):
-    s = fixture_cibils(3)["structure"]
+    s = fixture_cibils(3)
     bar = s.coproduct("delta").add(s.coproduct("deltahat_d"))
     return {"F": f_entangled.structure, "cibils3": s.with_coproduct("Delta_bar", bar)}
 
@@ -357,7 +357,7 @@ def test_law_suites_match_triple_loop_on_f(f_entangled, suite, left, right, perp
     ("dendriform_algebra", "deltahat_d", "delta"),
 ])
 def test_law_suites_match_triple_loop_on_cibils(n, suite, left, right):
-    s = fixture_cibils(n)["structure"]
+    s = fixture_cibils(n)
     assert_matches_oracle(s, suite, left, right, "Delta_star")
 
 

@@ -1113,7 +1113,7 @@ def test_unparse_renders_each_coefficient_object_once(monkeypatch):
     equal.channels["P"] = ("V", "V", {"a": {"b": parse_scalar("-1")}})
     assert equal.coproducts["D"][1]["a"][("a", "b")] is not q3
     cibils = document_from_structure(
-        "E", fixture_cibils(24, parse_scalar("-9/2"))["structure"])
+        "E", fixture_cibils(24, parse_scalar("-9/2")))
     calls: List[Scalar] = []
     real = dsl._scalar_prefix
 

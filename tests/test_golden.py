@@ -242,8 +242,8 @@ def _witness_documents():
     yield "slq2 entangled", fixture_quantum_matrix()["entangled"].structure
     yield "su2q", fixture_quantum_sphere()["structure"]
     for n in (2, 3):
-        yield f"cibils {n}", fixture_cibils(n)["structure"]
-    yield "debruijn 3", fixture_debruijn(3)["codialgebra"]
+        yield f"cibils {n}", fixture_cibils(n)
+    yield "debruijn 3", fixture_debruijn(3)
     for n in (3, 4):
         yield f"group {n}", fixture_group(n)
     yield "noncoassoc", parsed(NON_COASSOCIATIVE_DOC)

@@ -87,7 +87,7 @@ def unnamed_public_definitions(package: Path = PACKAGE, roots=REPO_ROOTS):
     package that no file under ``roots`` names, that is, reads as a bare
     name or an attribute or holds as a string (the benchmark's tracer finds
     what it wraps by name).  An import alone is not a use, and the package's
-    ``__init__.py``, which only re-exports, is not read."""
+    ``__init__.py`` is not read, so a name listed there is not a use."""
     named = set()
     for tree in _parsed(roots, skip=package / "__init__.py"):
         named.update(_reads(tree))
@@ -135,12 +135,11 @@ def _imported(tree: ast.Module, lines):
 
 
 def unused_imports(package: Path = PACKAGE):
-    """(module, name) of each import that its module never reads; the
-    package's ``__init__.py`` re-exports what it imports and is exempt."""
+    """(module, name) of each import that its module never reads.  The
+    package's ``__init__.py`` is no exception: a name is imported from the
+    module that defines it, not re-exported."""
     unused = []
     for path in sorted(package.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         text = path.read_text(encoding="utf-8")
         tree = ast.parse(text)
         reads = set(_reads(tree))
@@ -177,7 +176,8 @@ def test_an_unused_import_is_found(tmp_path):
         "from typing import (\n    Dict,\n    List,\n)\n"
         "from .b import kept  # noqa: F401\nfrom .b import y as z\n"
         "x: Dict = {}\n", encoding="utf-8")
-    assert unused_imports(tmp_path) == [("a", "os"), ("a", "List"), ("a", "z")]
+    assert unused_imports(tmp_path) == [
+        ("__init__", "x"), ("a", "os"), ("a", "List"), ("a", "z")]
 
 
 def test_every_public_definition_is_named():

@@ -1,6 +1,7 @@
 """Field arithmetic and parsing of exact rational functions in q."""
 
 import operator
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -221,6 +222,20 @@ def test_a_float_operand_is_refused(make):
     make 0.1 the rational 3602879701896397/36028797018963968."""
     with pytest.raises(TypeError, match=r"float is not an exact scalar: 0\.[15]"):
         make()
+
+
+@pytest.mark.parametrize("value", ["1/2", " 3 ", Decimal("0.1")],
+                         ids=["str", "padded-str", "Decimal"])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv],
+                         ids=["add", "sub", "mul", "truediv"])
+def test_a_str_or_decimal_operand_is_refused(op, value):
+    """Only an int, a bool or a Fraction is an exact operand: a str is not
+    parsed and a Decimal is not converted, on either side of an operator."""
+    refused = f"a {type(value).__name__} is not an exact scalar"
+    for make in (lambda: op(Q, value), lambda: op(value, Q),
+                 lambda: Scalar.from_rational(value)):
+        with pytest.raises(TypeError, match=refused):
+            make()
 
 
 def test_ints_bools_and_fractions_stay_exact_operands():
