@@ -254,11 +254,12 @@ def _check_cibils_work(n: int, q_text: str, q: Scalar) -> None:
 
 
 # name -> (fixture, space, channel target space, channel): each of these
-# documents is the fixture's structure, the target space and the channel
+# documents is the fixture's structure, the target space and the channel.
+# A fixture is looked up by name when called, so that a tracer's wrapper runs.
 _CHANNEL_FIXTURES = {
-    "F": (fixture_f, "F", "F2", "Phi"),
-    "slq2": (fixture_slq2, "C1", "C2", "M"),
-    "su2q-coalg": (fixture_quantum_sphere, "C1", "C2", "M"),
+    "F": (lambda: fixture_f(), "F", "F2", "Phi"),
+    "slq2": (lambda: fixture_slq2(), "C1", "C2", "M"),
+    "su2q-coalg": (lambda: fixture_quantum_sphere(), "C1", "C2", "M"),
 }
 
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lcoalg import cli
 from lcoalg.cli import FIXTURE_NAMES, MAX_FIXTURE_N, main
 from lcoalg.coalgebra import AXIOMS
 from lcoalg.dsl import document_from_structure, parse_document, unparse_document
@@ -263,6 +264,22 @@ def test_each_fixture_document_parses(name, capsys):
     code, out, _ = run(capsys, "fixtures", name)
     assert code == 0
     parse_document(out)  # must not raise
+
+
+@pytest.mark.parametrize("name, function", [
+    ("F", "fixture_f"), ("slq2", "fixture_slq2"),
+    ("su2q-coalg", "fixture_quantum_sphere"),
+])
+def test_a_channel_fixture_runs_the_function_bound_to_its_name(name, function,
+                                                               monkeypatch, capsys):
+    """A wrapper bound to the fixture's name in ``lcoalg.cli``, as a tracer
+    binds one, is the function that the ``fixtures`` command calls."""
+    calls = []
+    real = getattr(cli, function)
+    monkeypatch.setattr(cli, function, lambda: calls.append(name) or real())
+    code, out, _ = run(capsys, "fixtures", name)
+    assert code == 0 and calls == [name]
+    parse_document(out)
 
 
 def test_fixtures_with_numeric_q(capsys):

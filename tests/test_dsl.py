@@ -1129,4 +1129,4 @@ def test_unparse_renders_each_coefficient_object_once(monkeypatch):
             assert unparse_document(doc) == expected
         coefficients = _coefficients(doc)
         assert sorted(map(id, calls)) == sorted({id(c) for c in coefficients})
-    assert len(coefficients) == 2100 and len(calls) == 25
+    assert len(coefficients) == 2100 and len(calls) == 24

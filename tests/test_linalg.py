@@ -4,7 +4,7 @@ algebras."""
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lcoalg import linalg
 from lcoalg.linalg import (
@@ -444,19 +444,32 @@ def _count_sums(monkeypatch):
     return calls
 
 
+# One map sends a, b and c all to <a>, with the coefficients 1, -1 and q.
+# Two labels on leg 1 of each tensor below share every output key, so
+# at_slot sums all six terms of each; over a and b each pair cancels.
+_MERGING = MultiLinearMap(BasisSpace(["a", "b", "c"]), 1, {
+    "a": {("a",): ONE}, "b": {("a",): MINUS_ONE}, "c": {("a",): Q}})
+_REPEATED = {(x, y): ONE for x in "ac" for y in "abc"}
+_CANCELLING = {(x, y): TWO for x in "ab" for y in "abc"}
+
+
 def test_at_slot_matches_the_summing_loop(monkeypatch):
     sums = _count_sums(monkeypatch)
 
-    @settings(max_examples=400, deadline=None)
+    # 400 examples, or more under a longer profile (--hypothesis-profile=ci).
+    @settings(max_examples=max(400, settings.default.max_examples), deadline=None)
     @given(slot_cases())
+    @example((_MERGING, _REPEATED, 1, 2))
+    @example((_MERGING, _CANCELLING, 1, 2))
     def same_tensor_in_the_same_order(case):
         m, tensor, slot, degree = case
         assert _outcome(m.at_slot, tensor, slot, degree) == _outcome(
             summing_at_slot, m, tensor, slot, degree)
 
     same_tensor_in_the_same_order()
-    # Repeated keys and cancellations occurred, so the sums were checked.
-    assert len(sums) >= 10
+    # Repeated keys and cancellations occurred, so the sums were checked:
+    # the two examples alone make 12 calls.
+    assert len(sums) >= 12
 
 
 def test_at_slot_sums_only_on_a_repeated_key(monkeypatch):

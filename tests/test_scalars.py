@@ -360,6 +360,34 @@ def test_sparse_pmul_matches_dense(a, b):
     assert_canonical(product)
 
 
+# -- sum and negation against the generator versions they replaced -----------
+
+
+def generator_padd(a, b):
+    """_padd as it was: one generator over every power of the longer operand."""
+    n = max(len(a), len(b))
+    return _trim(
+        (a[i] if i < len(a) else _ZERO) + (b[i] if i < len(b) else _ZERO)
+        for i in range(n)
+    )
+
+
+def generator_pneg(a):
+    """_pneg as it was, a generator."""
+    return tuple(-c if c else _ZERO for c in a)
+
+
+@given(sparse_polys, sparse_polys)
+def test_padd_and_pneg_match_the_generator_versions(a, b):
+    for fast, reference in ((_padd(a, b), generator_padd(a, b)),
+                            (_padd(b, a), generator_padd(b, a)),
+                            (_padd(a, _pneg(a)), ()),
+                            (_pneg(a), generator_pneg(a))):
+        assert fast == reference
+        assert_canonical(fast)
+        assert all(c is _ZERO for c in fast if not c)
+
+
 # -- rendering over the nonzero powers against the dense walk -----------------
 
 
@@ -523,3 +551,59 @@ def test_scalar_arithmetic_matches_fraction_arithmetic_at_points(tree, points):
         assert at(value.num, v) / at(value.den, v) == expected
         checked += 1
     assume(checked)
+
+
+# -- the shared units: 0, 1 and -1 are always ZERO, ONE and MINUS_ONE --------
+
+SHARED_UNITS = ((0, ZERO), (1, ONE), (-1, MINUS_ONE))
+
+
+def subtrees(tree):
+    """The tree and each expression inside it; an exponent is not one."""
+    yield tree
+    if isinstance(tree, tuple):
+        for x in tree[1:]:
+            if not isinstance(x, int):
+                yield from subtrees(x)
+
+
+@settings(deadline=None)
+@given(expressions)
+def test_every_unit_valued_node_is_the_shared_object(tree):
+    for node in subtrees(tree):
+        try:
+            value = evaluate(node, Q, Scalar.from_rational)
+        except ZeroDivisionError:
+            continue
+        for number, shared in SHARED_UNITS:
+            if value == number:
+                assert value is shared, node
+
+
+@pytest.mark.parametrize("text, shared", [
+    ("3-2", ONE), ("2*1/2", ONE), ("q^0", ONE), ("(8/5)^0", ONE),
+    ("q*q^-1", ONE), ("(q+1)/(q+1)", ONE), ("(q+1)-q", ONE), ("1-2", MINUS_ONE),
+    ("q-q", ZERO), ("1/(q+1) - 1/(q+1)", ZERO), ("(1-q)/(q-1)", MINUS_ONE),
+])
+def test_a_parsed_unit_is_the_shared_object(text, shared):
+    assert parse_scalar(text) is shared
+
+
+rational_constants = st.one_of(
+    small_rationals,
+    st.fractions(min_value=-10 ** 12, max_value=10 ** 12, max_denominator=10 ** 6),
+)
+
+
+@given(rational_constants, rational_constants)
+def test_constant_arithmetic_matches_fraction_arithmetic(x, y):
+    a, b = Scalar.from_rational(x), Scalar.from_rational(y)
+    results = [(a + b, x + y), (a - b, x - y), (a * b, x * y)]
+    if y:
+        results.append((a / b, x / y))
+    for value, expected in results:
+        assert value.den == (1,) and value.num == ((expected,) if expected else ())
+        assert_canonical(value.num)
+        for number, shared in SHARED_UNITS:
+            if expected == number:
+                assert value is shared
