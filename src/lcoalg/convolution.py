@@ -19,7 +19,6 @@ from typing import Dict, List, Sequence, Tuple
 from .coalgebra import (EQUATIONS, AxiomReport, Equation, LStructure, Side, _bind_roles,
                         _expand)
 from .linalg import BasisSpace, Vector, add_scaled, tensor_sub
-from .linalg import functional_value  # noqa: F401  (re-exported: public here too)
 from .scalars import MINUS_ONE, ONE, Scalar
 
 Functional = Vector  # label -> value; the coefficient vector in the dual basis

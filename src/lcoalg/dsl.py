@@ -239,7 +239,8 @@ def _parse_chunks(rhs: str, line: int, column: int, kind: str,
 
 
 def parse_document(text: str) -> SpecDocument:
-    """The declarations of ``text``; a DslError names the first bad line.
+    """The declarations of ``text``; a DslError names the first bad line,
+    a left-hand side defined twice in one block included.
 
     Each distinct term line is read once per document: a line that repeats
     an earlier one of its kind (tensor or vector) reuses the terms read
@@ -253,6 +254,7 @@ def parse_document(text: str) -> SpecDocument:
     declared_sets: Dict[str, frozenset] = {}  # the labels of each space
     kind: Optional[str] = None  # of the open block, with its name, spaces and table
     name, spaces, table = "", [], {}
+    defined: set = set()  # the left-hand sides of the open block so far
 
     def check_labels(space_name: str, labels, lineno: int):
         declared = declared_sets[space_name]
@@ -278,6 +280,16 @@ def parse_document(text: str) -> SpecDocument:
         if not declared_sets[space_name] >= label_set:
             check_labels(space_name, labels, lineno)
         return terms
+
+    def define(key, lineno: int):
+        """Refuse a second definition in the open block of ``key``: a label,
+        ``unit`` or a product pair.  A zero counit value is dropped from its
+        table, so the keys are kept apart from the table."""
+        if key in defined:
+            what = (f"product '{key[0]} * {key[1]}'" if type(key) is tuple
+                    else "unit" if kind == "algebra" else f"label {key!r}")
+            raise DslError(f"{what} defined twice", lineno)
+        defined.add(key)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         code = raw.split("#", 1)[0]
@@ -307,7 +319,7 @@ def parse_document(text: str) -> SpecDocument:
                 doc.spaces[name] = tuple(labels)
                 declared_sets[name] = frozenset(labels)
                 continue
-            kind, (name, *spaces), table = word, m.groups(), {}
+            kind, (name, *spaces), table, defined = word, m.groups(), {}, set()
             for sp in spaces:
                 if sp not in doc.spaces:
                     raise DslError(f"unknown space {sp!r}", lineno)
@@ -329,17 +341,18 @@ def parse_document(text: str) -> SpecDocument:
         if kind == "coproduct":
             check_labels(spaces[0], [lhs], lineno)
             tensor = read_terms(rhs, lineno, column, "tensor", spaces[0])
-            if lhs in table:
-                raise DslError(f"label {lhs!r} defined twice", lineno)
+            define(lhs, lineno)
             table[lhs] = dict(tensor)
         elif kind == "counit":
             check_labels(spaces[0], [lhs], lineno)
             value = _scalar(rhs, lineno, seen)
+            define(lhs, lineno)
             if not value.is_zero():
                 table[lhs] = value
         elif kind == "algebra":
             vec = dict(read_terms(rhs, lineno, column, "vector", spaces[0]))
             if lhs == "unit":
+                define(lhs, lineno)
                 doc.algebras[name] = (spaces[0], vec, table)
             else:
                 factors = [p.strip() for p in lhs.split("*")]
@@ -348,10 +361,14 @@ def parse_document(text: str) -> SpecDocument:
                         "expected 'label * label -> ...' or 'unit -> ...'", lineno
                     )
                 check_labels(spaces[0], factors, lineno)
-                table[(factors[0], factors[1])] = vec
+                pair = (factors[0], factors[1])
+                define(pair, lineno)
+                table[pair] = vec
         else:  # channel
             check_labels(spaces[0], [lhs], lineno)
-            table[lhs] = dict(read_terms(rhs, lineno, column, "vector", spaces[1]))
+            vec = dict(read_terms(rhs, lineno, column, "vector", spaces[1]))
+            define(lhs, lineno)
+            table[lhs] = vec
     return doc
 
 

@@ -127,8 +127,9 @@ class MultiLinearMap:
 
     The table maps each domain label to a canonical tensor; absent labels
     map to zero.  For m = 0 the map is a functional, each image
-    ``{(): value}``, and ``at_slot`` contracts the leg it acts on.  All labels occurring in output terms must belong to the
-    domain space, which doubles as the ambient space for glued structures.
+    ``{(): value}``, and ``at_slot`` contracts the leg it acts on.  All
+    labels occurring in output terms must belong to the domain space, which
+    doubles as the ambient space for glued structures.
     """
 
     __slots__ = ("domain", "arity", "table", "_legs")

@@ -9,34 +9,33 @@ equality and hashing are structural.  Plain rationals are the degree-zero
 case; they hash as their value, so a scalar equal to an int or a Fraction
 hashes like it.
 
-Arithmetic dispatches on the shape of its operands, so that only the
+Arithmetic dispatches on three shapes of its operands, so that only the
 shapes that need it pay the Euclidean gcd of the general constructor:
 
 * two rational constants combine in one coefficient operation;
-* a nonzero rational constant scales the other operand's numerator in a
-  product, or adds a multiple of its denominator in a sum, and keeps that
-  denominator;
-* when both denominators are powers of q (``q^0 = 1`` included), the sum
-  or product is taken over ``q^max(ka, kb)`` or ``q^(ka + kb)`` and the
-  common power of q is stripped from the numerator;
+* when both denominators are powers of q, the sum or product is taken over
+  ``q^max(ka, kb)`` or ``q^(ka + kb)`` and the common power of q is
+  stripped from the numerator; a constant's denominator is ``q^0 = 1``, so
+  a constant and a polynomial or Laurent polynomial meet here;
 * every other shape goes through ``Scalar(num, den)``, which divides out
   the gcd and makes the denominator monic.
 
 Every path yields exactly the canonical form the general constructor
 yields, and that constructor stays the reference the tests compare the
-fast paths against.  Each of the two sum paths was measured alone against
-the code without it, on Fraction coefficients, and the constant step on
-int coefficients; ``_add_constant``, ``_add`` and ``_constant`` give the
+fast paths against.  The constant step, the power-of-q sum and the
+product of two monomials were each measured alone against the code without
+it, on int coefficients; ``_constant``, ``_add`` and ``_mul`` give the
 figures.
 Powers use repeated squaring, and a monomial base c*q^k goes straight to
-``Scalar.q_power``.  ``ZERO``, ``ONE`` and ``MINUS_ONE`` are shared
-instances, since scalars are immutable, and every result of this module
-whose value is 0, 1 or -1 is one of them (only ``Scalar(num, den)`` called
-directly builds a new one): ``_constant`` finishes every rational constant.
-So ``c is ONE`` tests for the value 1, and a caller that passes a factor
-``ONE`` through (``at_slot``, ``add_scaled``) sees every unit.  A product
-with ``ONE`` returns the other operand and negation swaps ``ONE`` and
-``MINUS_ONE``, so products and negations of these signs allocate nothing.
+``Scalar.q_power`` times the constant c^n.  ``ZERO``, ``ONE`` and
+``MINUS_ONE`` are shared instances, since scalars are immutable, and every
+result of this module whose value is 0, 1 or -1 is one of them (only
+``Scalar(num, den)`` called directly builds a new one): ``_constant``
+finishes every rational constant.  So ``c is ONE`` tests for the value 1,
+and a caller that passes a factor ``ONE`` through (``at_slot``,
+``add_scaled``) sees every unit.  A product with ``ONE`` returns the other
+operand and negation swaps ``ONE`` and ``MINUS_ONE``, so products and
+negations of these signs allocate nothing.
 
 A small recursive-descent parser reads expressions such as
 ``(q^2 - 1)/(q - 1)`` or ``-3/2 * q``; ``str`` emits a form the parser
@@ -230,7 +229,7 @@ class Scalar:
         if num and k >= 0 and not any(num[:-1]):
             # base = c*q^(i-k), c its only coefficient and i its degree.
             power = Scalar.q_power((len(num) - 1 - k) * n)
-            return _scale(power, num[-1] ** n)
+            return _mul(power, _constant(num[-1] ** n))
         out = ONE
         while n:
             if n & 1:
@@ -288,18 +287,6 @@ def _neg(a: Scalar) -> Scalar:
     return Scalar(_pneg(a.num), a.den, _canonical=True)
 
 
-def _scale(a: Scalar, c: Coeff) -> Scalar:
-    """a*c for a nonzero canonical coefficient c, which is 1 or -1 only as an
-    int; the numerator stays coprime to den.  Zero coefficients stay the
-    shared ``_ZERO``, the small int 0."""
-    if type(c) is int:
-        if c == 1:
-            return a
-        if c == -1:
-            return _neg(a)
-    return Scalar(_pscale(a.num, c), a.den, _canonical=True)
-
-
 def _constant(c: Coeff) -> Scalar:
     """The rational constant c: ``ZERO``, ``ONE`` or ``MINUS_ONE`` for 0, 1
     and -1, else a new scalar.  A sum, product or reciprocal of two constants
@@ -322,20 +309,6 @@ def _general(num: Poly, den: Poly) -> Scalar:
     if len(s.den) == 1 and len(s.num) <= 1:
         return _constant(s.num[0]) if s.num else ZERO
     return s
-
-
-def _add_constant(a: Scalar, c: Coeff) -> Scalar:
-    """a + c for a nonconstant a and rational c, as (num + c*den)/den: the
-    gcd of num + c*den and den is the gcd of num and den, which is 1, and
-    the sum is not constant either.  On ``laws``, on Fraction coefficients,
-    10 alternating pairs of 20-s seed-1 runs: 1,147.4 ops/s median with it,
-    1,039.5 without; it won 10 of 10, and the runs with it had quartiles
-    1,109.8-1,155.9."""
-    num, den = a.num, a.den
-    if len(den) > 1:
-        return Scalar(_padd(num, _pscale(den, c)), den, _canonical=True)
-    # Only the constant term of a polynomial of degree 1 or more changes.
-    return Scalar((_coeff(num[0] + c),) + num[1:], den, _canonical=True)
 
 
 def _over_q_power(num: Poly, k: int) -> Scalar:
@@ -369,21 +342,17 @@ def _inverse(a: Scalar) -> Scalar:
 
 def _add(a: Scalar, b: Scalar) -> Scalar:
     """a + b.  When both denominators are powers of q, the sum is taken over
-    the larger one with no gcd.  On ``laws``, on Fraction coefficients, 10
-    alternating pairs of 20-s seed-1 runs: 1,151.9 ops/s median with that
-    branch, 944.8 without; it won 10 of 10, and the runs with it had
-    quartiles 1,143.5-1,164.1."""
+    the larger one with no gcd.  On ``laws``, on int coefficients, 10
+    alternating pairs of 20-s seed-1 runs: 2,056.0 ops/s median with that
+    branch, 1,681.2 without; it won 10 of 10, and the runs with it had
+    quartiles 2,019.8-2,088.3."""
     an, ad, bn, bd = a.num, a.den, b.num, b.den
     if not an:
         return b
     if not bn:
         return a
-    if len(bd) == 1 and len(bn) == 1:
-        if len(ad) == 1 and len(an) == 1:
-            return _constant(an[0] + bn[0])
-        return _add_constant(a, bn[0])
-    if len(ad) == 1 and len(an) == 1:
-        return _add_constant(b, an[0])
+    if len(ad) == len(bd) == len(an) == len(bn) == 1:
+        return _constant(an[0] + bn[0])
     ka, kb = _q_order(ad), _q_order(bd)
     if ka >= 0 and kb >= 0:
         k = max(ka, kb)
@@ -394,13 +363,13 @@ def _add(a: Scalar, b: Scalar) -> Scalar:
 
 
 def _mul(a: Scalar, b: Scalar) -> Scalar:
-    """a * b.  Two monomials over powers of q multiply with one coefficient
-    product.  Alone on ``verify``, on Fraction coefficients, 10 alternating
-    pairs of 20-s seed-1 runs: 382.3 ops/s median with that branch, 371.2
-    without; it won 7 of 10, inside the quartiles 372.5-396.4 of the runs
-    with it.  It stays because a tree without it, ``MultiLinearMap._trusted``,
-    the exact-class branch of ``Scalar.__eq__`` and the zero skips of
-    ``rref`` lost ``verify`` 10 of 10 pairs (380.5 against 353.5)."""
+    """a * b.  When both denominators are powers of q, the product is taken
+    over q^(ka + kb) with no gcd, and two monomials multiply with one
+    coefficient product.  On ``build``, whose diagonal channels carry q^2
+    to q^50, on int coefficients, 10 alternating pairs of 20-s seed-1 runs:
+    476.9 ops/s median with that branch, 456.8 without; it won 10 of 10,
+    and the runs with it had quartiles 467.9-484.1.  On ``verify``, whose
+    monomials have low degree, it won 7 of 10 (447.9 against 434.9)."""
     if a is ONE:
         return b
     if b is ONE:
@@ -408,12 +377,8 @@ def _mul(a: Scalar, b: Scalar) -> Scalar:
     an, ad, bn, bd = a.num, a.den, b.num, b.den
     if not an or not bn:
         return ZERO
-    if len(bd) == 1 and len(bn) == 1:
-        if len(ad) == 1 and len(an) == 1:
-            return _constant(an[0] * bn[0])
-        return _scale(a, bn[0])
-    if len(ad) == 1 and len(an) == 1:
-        return _scale(b, an[0])
+    if len(ad) == len(bd) == len(an) == len(bn) == 1:
+        return _constant(an[0] * bn[0])
     ka, kb = _q_order(ad), _q_order(bd)
     if ka >= 0 and kb >= 0:
         if an.count(_ZERO) == len(an) - 1 and bn.count(_ZERO) == len(bn) - 1:

@@ -14,12 +14,11 @@ from lcoalg.convolution import (
     check_trialgebra_laws,
     conv_product,
     dual_basis,
-    functional_value,
     structure_constants,
 )
 from lcoalg.coalgebra import LStructure, solve_right_counit
 from lcoalg.fixtures import fixture_cibils
-from lcoalg.linalg import BasisSpace, MultiLinearMap, tensor_add, tensor_sub
+from lcoalg.linalg import BasisSpace, MultiLinearMap, functional_value, tensor_add, tensor_sub
 from lcoalg.scalars import ONE, ZERO, Scalar, parse_scalar
 
 C1 = ["a", "b", "c", "d"]

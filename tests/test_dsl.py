@@ -132,9 +132,12 @@ def oracle_parse_document(text: str) -> SpecDocument:
     # block: (kind, name, space or (src, dst), accumulating table)
     block: Optional[Tuple[str, ...]] = None
     block_data: Dict = {}
+    # Every left-hand side of the block so far, zero counit values included
+    defined: set = set()
 
     def close_block():
         nonlocal block, block_data
+        defined.clear()
         if block is None:
             return
         kind = block[0]
@@ -250,8 +253,9 @@ def oracle_parse_document(text: str) -> SpecDocument:
             check_labels(
                 space_name, [lab for term in tensor for lab in term], lineno
             )
-            if lhs in block_data:
+            if lhs in defined:
                 raise DslError(f"label {lhs!r} defined twice", lineno)
+            defined.add(lhs)
             block_data[lhs] = tensor
         elif kind == "counit":
             check_labels(block[2], [lhs], lineno)
@@ -259,6 +263,9 @@ def oracle_parse_document(text: str) -> SpecDocument:
                 value = parse_scalar(rhs)
             except ScalarSyntaxError as exc:
                 raise DslError(f"bad scalar {rhs!r}: {exc}", lineno) from exc
+            if lhs in defined:
+                raise DslError(f"label {lhs!r} defined twice", lineno)
+            defined.add(lhs)
             if not value.is_zero():
                 block_data[lhs] = value
         elif kind == "algebra":
@@ -266,6 +273,8 @@ def oracle_parse_document(text: str) -> SpecDocument:
             vec = _parse_vec_terms(rhs, lineno, column)
             check_labels(space_name, list(vec), lineno)
             if lhs == "unit":
+                if "__unit__" in block_data:
+                    raise DslError("unit defined twice", lineno)
                 block_data["__unit__"] = vec
             else:
                 factors = [p.strip() for p in lhs.split("*")]
@@ -274,12 +283,18 @@ def oracle_parse_document(text: str) -> SpecDocument:
                         "expected 'label * label -> ...' or 'unit -> ...'", lineno
                     )
                 check_labels(space_name, factors, lineno)
+                if (factors[0], factors[1]) in block_data:
+                    raise DslError(
+                        f"product '{factors[0]} * {factors[1]}' defined twice", lineno
+                    )
                 block_data[(factors[0], factors[1])] = vec
         else:  # channel
             src, dst = block[2], block[3]
             check_labels(src, [lhs], lineno)
             vec = _parse_vec_terms(rhs, lineno, column)
             check_labels(dst, list(vec), lineno)
+            if lhs in block_data:
+                raise DslError(f"label {lhs!r} defined twice", lineno)
             block_data[lhs] = vec
     close_block()
     return doc
@@ -439,6 +454,26 @@ def test_duplicate_labels_and_spaces():
         )
     assert err.value.line == 4
     assert str(err.value) == "line 4, column 1: label 'a' defined twice"
+
+
+@pytest.mark.parametrize("block, lines, message", [
+    ("counit e on V:", ("a -> 1", "a -> 5"), "label 'a'"),
+    ("counit e on V:", ("a -> 0", "a -> 5"), "label 'a'"),
+    ("channel P : V -> V:", ("a -> a", "b -> b", "a -> 2 * b"), "label 'a'"),
+    ("algebra A on V:", ("a * b -> a", "a*b -> b"), "product 'a * b'"),
+    ("algebra A on V:", ("unit -> a", "a * a -> a", "unit -> b"), "unit"),
+])
+def test_a_second_definition_in_a_block_is_refused(block, lines, message):
+    text = "space V = { a, b }\n" + block + "\n" + "".join(f"  {ln}\n" for ln in lines)
+    with pytest.raises(DslError) as err:
+        parse_document(text)
+    lineno = 2 + len(lines)
+    assert str(err.value) == f"line {lineno}, column 1: {message} defined twice"
+    with pytest.raises(DslError) as oracle_err:
+        oracle_parse_document(text)
+    assert str(oracle_err.value) == str(err.value)
+    # A repeat in another block of the same kind is no repeat.
+    parse_document(text.replace(lines[-1], block + "\n  " + lines[-1]))
 
 
 def test_bad_scalar_reports_line():
@@ -691,6 +726,7 @@ def per_line_parse_document(text: str) -> SpecDocument:
     declared_sets: Dict[str, frozenset] = {}
     kind: Optional[str] = None
     name, spaces, table = "", [], {}
+    defined: set = set()  # the left-hand sides of the block, zero counits too
 
     def check_labels(space_name: str, labels, lineno: int):
         declared = declared_sets[space_name]
@@ -730,7 +766,7 @@ def per_line_parse_document(text: str) -> SpecDocument:
                 doc.spaces[name] = tuple(labels)
                 declared_sets[name] = frozenset(labels)
                 continue
-            kind, (name, *spaces), table = word, m.groups(), {}
+            kind, (name, *spaces), table, defined = word, m.groups(), {}, set()
             for sp in spaces:
                 if sp not in doc.spaces:
                     raise DslError(f"unknown space {sp!r}", lineno)
@@ -753,18 +789,25 @@ def per_line_parse_document(text: str) -> SpecDocument:
             check_labels(spaces[0], [lhs], lineno)
             tensor = dsl._parse_terms(rhs, lineno, column, "tensor", seen)
             check_labels(spaces[0], [lab for term in tensor for lab in term], lineno)
-            if lhs in table:
+            if lhs in defined:
                 raise DslError(f"label {lhs!r} defined twice", lineno)
+            defined.add(lhs)
             table[lhs] = tensor
         elif kind == "counit":
             check_labels(spaces[0], [lhs], lineno)
             value = dsl._scalar(rhs, lineno, seen)
+            if lhs in defined:
+                raise DslError(f"label {lhs!r} defined twice", lineno)
+            defined.add(lhs)
             if not value.is_zero():
                 table[lhs] = value
         elif kind == "algebra":
             vec = dsl._parse_terms(rhs, lineno, column, "vector", seen)
             check_labels(spaces[0], vec, lineno)
             if lhs == "unit":
+                if "unit" in defined:
+                    raise DslError("unit defined twice", lineno)
+                defined.add("unit")
                 doc.algebras[name] = (spaces[0], vec, table)
             else:
                 factors = [p.strip() for p in lhs.split("*")]
@@ -773,11 +816,18 @@ def per_line_parse_document(text: str) -> SpecDocument:
                         "expected 'label * label -> ...' or 'unit -> ...'", lineno
                     )
                 check_labels(spaces[0], factors, lineno)
-                table[(factors[0], factors[1])] = vec
+                pair = (factors[0], factors[1])
+                if pair in defined:
+                    raise DslError(f"product '{pair[0]} * {pair[1]}' defined twice", lineno)
+                defined.add(pair)
+                table[pair] = vec
         else:
             check_labels(spaces[0], [lhs], lineno)
             vec = dsl._parse_terms(rhs, lineno, column, "vector", seen)
             check_labels(spaces[1], vec, lineno)
+            if lhs in defined:
+                raise DslError(f"label {lhs!r} defined twice", lineno)
+            defined.add(lhs)
             table[lhs] = vec
     return doc
 

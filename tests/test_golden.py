@@ -146,6 +146,11 @@ READER_ERRORS = (
     ("counit_power_too_large", _V + "counit e on V:\n  a -> q^100000\n"),
     ("counit_zero_inverse", _V + "counit e on V:\n  a -> 0^-1\n"),
     ("three_factors", _ALG + "  a * b * a -> a\n"),
+    ("counit_defined_twice", _V + "counit e on V:\n  a -> 1\n  a -> 5\n"),
+    ("zero_counit_defined_twice", _V + "counit e on V:\n  a -> 0\n  a -> 5\n"),
+    ("channel_defined_twice", _CH + "  a -> x\n  b -> x\n  a -> 2 * x\n"),
+    ("product_defined_twice", _ALG + "  a * b -> a\n  a*b -> b\n"),
+    ("unit_defined_twice", _ALG + "  unit -> a\n  unit -> b\n"),
 )
 
 # (name, document) of each coassociativity check whose expansion writes one

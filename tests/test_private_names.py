@@ -122,16 +122,14 @@ def unread_public_methods(package: Path = PACKAGE, roots=REPO_ROOTS):
     ]
 
 
-def _imported(tree: ast.Module, lines):
-    """Each name a module imports, less ``__future__``
-    features and the names on a line marked ``# noqa: F401``."""
+def _imported(tree: ast.Module):
+    """Each name a module imports, less ``__future__`` features."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                if "# noqa: F401" not in lines[alias.lineno - 1]:
-                    yield (alias.asname or alias.name).split(".")[0]
+                yield (alias.asname or alias.name).split(".")[0]
 
 
 def unused_imports(package: Path = PACKAGE):
@@ -140,11 +138,9 @@ def unused_imports(package: Path = PACKAGE):
     module that defines it, not re-exported."""
     unused = []
     for path in sorted(package.glob("*.py")):
-        text = path.read_text(encoding="utf-8")
-        tree = ast.parse(text)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         reads = set(_reads(tree))
-        unused += [(path.stem, name) for name in _imported(tree, text.splitlines())
-                   if name not in reads]
+        unused += [(path.stem, name) for name in _imported(tree) if name not in reads]
     return unused
 
 
@@ -177,7 +173,7 @@ def test_an_unused_import_is_found(tmp_path):
         "from .b import kept  # noqa: F401\nfrom .b import y as z\n"
         "x: Dict = {}\n", encoding="utf-8")
     assert unused_imports(tmp_path) == [
-        ("__init__", "x"), ("a", "os"), ("a", "List"), ("a", "z")]
+        ("__init__", "x"), ("a", "os"), ("a", "List"), ("a", "kept"), ("a", "z")]
 
 
 def test_every_public_definition_is_named():
