@@ -104,7 +104,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_bindings(raw: Sequence[str]) -> Dict[str, str]:
+def _parse_bindings(raw: Sequence[str], roles: Sequence[str]) -> Dict[str, str]:
+    """The role -> name bindings of the --bind arguments; a role bound twice
+    or outside ``roles`` is refused, so a check is about what was named."""
     bindings: Dict[str, str] = {}
     for item in raw:
         for piece in item.split(","):
@@ -113,8 +115,13 @@ def _parse_bindings(raw: Sequence[str]) -> Dict[str, str]:
                 continue
             if "=" not in piece:
                 raise ValueError(f"binding {piece!r} is not of the form role=name")
-            role, name = piece.split("=", 1)
-            bindings[role.strip()] = name.strip()
+            role, name = (part.strip() for part in piece.split("=", 1))
+            if role in bindings:
+                raise ValueError(f"role {role!r} is bound twice")
+            if role not in roles:
+                raise ValueError(
+                    f"unknown role {role!r} (expected {' | '.join(roles)})")
+            bindings[role] = name
     return bindings
 
 
@@ -123,7 +130,7 @@ def _parse_bindings(raw: Sequence[str]) -> Dict[str, str]:
 
 def cmd_check(args) -> int:
     _, _, structure = _open_structure(args)
-    bindings = _parse_bindings(args.bind or [])
+    bindings = _parse_bindings(args.bind or [], AXIOMS[args.axiom]["roles"])
     report = check_axiom(structure, args.axiom, bindings)
     print_report(report)
     return 0 if report.passed else 1

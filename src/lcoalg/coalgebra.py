@@ -11,7 +11,7 @@ nonzero and compares the canonical tensors; finite bases make this
 complete.  A counit law is an equation of the same kind: a counit is a
 map into the 0-th tensor power, so applied at a slot it contracts that leg.
 The convolution law suites are equations of the same kind, read through the
-transpose.
+transpose, and so is the associativity of a finite algebra's product table.
 """
 
 from __future__ import annotations
@@ -22,13 +22,14 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .linalg import (
     BasisSpace,
-    FiniteAlgebra,
     MultiLinearMap,
     Tensor,
     Vector,
     add_scaled,
     kernel_basis,
     solve_linear,
+    tensor_product,
+    unit_vector,
 )
 from .scalars import ONE, ZERO, Scalar
 
@@ -350,6 +351,91 @@ def check_axiom(
             if lhs != rhs:
                 report.witnesses.append((label, equation[0], lhs, rhs))
     return report
+
+
+class FiniteAlgebra:
+    """An associative unital algebra on a basis space, by table.
+
+    Associativity and the two-sided unit law are checked exhaustively at
+    construction: the fixtures are small and a wrong table should fail fast.
+    Associativity is the coassociativity of the product's transpose, run on
+    the evaluator (see ``_check_associative``).
+    """
+
+    __slots__ = ("space", "product", "unit")
+
+    def __init__(
+        self,
+        space: BasisSpace,
+        product: Dict[Tuple[str, str], Vector],
+        unit: Vector,
+    ):
+        self.space = space
+        clean: Dict[Tuple[str, str], Vector] = {}
+        for (a, b), vec in product.items():
+            if a not in space or b not in space:
+                raise ValueError(f"product key ({a!r}, {b!r}) outside the space")
+            entry = {k: c for k, c in vec.items() if not c.is_zero()}
+            for k in entry:
+                if k not in space:
+                    raise ValueError(f"product value label {k!r} outside the space")
+            if entry:
+                clean[(a, b)] = entry
+        self.product = clean
+        self.unit = {k: c for k, c in unit.items() if not c.is_zero()}
+        self._check_unit()
+        self._check_associative()
+
+    def mul_labels(self, a: str, b: str) -> Vector:
+        return dict(self.product.get((a, b), {}))
+
+    def mul_vectors(self, u: Vector, v: Vector) -> Vector:
+        out: Vector = {}
+        for a, ca in u.items():
+            for b, cb in v.items():
+                add_scaled(out, self.product.get((a, b), {}).items(), ca * cb)
+        return out
+
+    def mul_tensors(self, s: Tensor, t: Tensor) -> Tensor:
+        """Componentwise product on tensor powers: (a@b)(c@d) = ac @ bd."""
+        out: Tensor = {}
+        for ts, cs in s.items():
+            for tt, ct in t.items():
+                if len(ts) != len(tt):
+                    raise ValueError("tensor degrees differ")
+                partial: Tensor = {(): cs * ct}
+                for a, b in zip(ts, tt):
+                    ab = self.product.get((a, b), {})
+                    partial = tensor_product(partial, {(lab,): c for lab, c in ab.items()})
+                add_scaled(out, partial.items(), ONE)
+        return out
+
+    def _check_unit(self):
+        for lab in self.space.labels:
+            v = unit_vector(lab)
+            if self.mul_vectors(self.unit, v) != v or self.mul_vectors(v, self.unit) != v:
+                raise ValueError(f"unit law fails at {lab!r}")
+
+    def _check_associative(self):
+        """(ab)c = a(bc) on every basis triple, as ``coassoc(Delta)`` on the
+        transpose P*(k) = sum P(a, b)[k] a@b of the product P: the (a, b, c)
+        coefficient of (P* x id)P*(k) is the k-coefficient of (ab)c, and
+        that of (id x P*)P*(k) the k-coefficient of a(bc).  The triple named
+        is the first failing one in basis order: the least key, by index, at
+        which the two sides of some witness differ."""
+        transpose: Dict[str, Tensor] = {}
+        for pair, vec in self.product.items():
+            for k, c in vec.items():
+                transpose.setdefault(k, {})[pair] = c
+        memo = {"Delta": MultiLinearMap(self.space, 2, transpose)}
+        equation = ("coassoc(Delta)", *EQUATIONS["coassoc(Delta)"])
+        failing = [term for _, lhs, rhs in _expand(equation, memo, self.space.labels)
+                   if lhs != rhs
+                   for term in lhs.keys() | rhs.keys() if lhs.get(term) != rhs.get(term)]
+        if failing:
+            index = self.space.index
+            a, b, c = min(failing, key=lambda term: [index[lab] for lab in term])
+            raise ValueError(f"associativity fails at ({a!r}, {b!r}, {c!r})")
 
 
 def cocommutator_space(s: LStructure, right: str, left: str) -> List[Vector]:

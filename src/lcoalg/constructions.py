@@ -14,16 +14,15 @@ that they must satisfy, both handed to one builder, ``_entangle``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .coalgebra import (AxiomReport, LStructure, _bind, _eval_side, _expand, _side,
-                        check_axiom, solve_right_counit)
+from .coalgebra import (AxiomReport, FiniteAlgebra, LStructure, _bind, _eval_side,
+                        _expand, _side, check_axiom, solve_right_counit)
 from .complexes import flower_coproducts
 from .convolution import _bar_unit_laws
 from .graphs import de_bruijn_graph, markov_coalgebra
 from .linalg import (
     BasisSpace,
-    FiniteAlgebra,
     MultiLinearMap,
     Tensor,
     Vector,
@@ -40,11 +39,12 @@ from .scalars import ONE, ZERO, Scalar
 class ChannelMap:
     """An invertible linear map between two boundary spaces.
 
-    Invertibility is verified at construction; ``check_coalgebra_morphism``
-    and ``check_counit`` check the coalgebra-morphism and counit conditions
-    on request.  Fixed points are allowed here (the fixed-point
-    proposition needs them); the entanglement constructions enforce
-    disjointness themselves.
+    Invertibility is verified at construction.  The coalgebra-morphism and
+    counit conditions hold by construction where a coproduct and its counit
+    are transported across the channel: in ``self_entangle``,
+    Delta_star Phi = (Phi x Phi) Delta_star and eps_star Phi = eps1 on C1.
+    Fixed points are allowed here (the fixed-point proposition needs them);
+    the entanglement constructions enforce disjointness themselves.
     """
 
     def __init__(self, c1: BasisSpace, c2: BasisSpace, forward: Dict[str, Vector]):
@@ -104,27 +104,6 @@ class ChannelMap:
 
     def has_fixed_points(self) -> bool:
         return any(self.forward.get(lab) == unit_vector(lab) for lab in self.c1.labels)
-
-    # -- morphism conditions ----------------------------------------------
-
-    def check_coalgebra_morphism(
-        self, delta1: MultiLinearMap, delta2: MultiLinearMap
-    ) -> List[str]:
-        """Labels of C1 where Delta2 Phi != (Phi x Phi) Delta1."""
-        phi = _linear(BasisSpace(dict.fromkeys(self.c1.labels + self.c2.labels)),
-                      self.forward)
-        return [
-            lab for lab in self.c1.labels
-            if delta2.of_vector(self.forward[lab])
-            != phi.at_slot(phi.at_slot(delta1.of_label(lab), 1, 2), 2, 2)
-        ]
-
-    def check_counit(self, eps1: Vector, eps2: Vector) -> List[str]:
-        """Labels of C1 where eps2 Phi != eps1."""
-        return [
-            lab for lab in self.c1.labels
-            if functional_value(eps2, self.forward[lab]) != eps1.get(lab, ZERO)
-        ]
 
 
 @dataclass
@@ -531,6 +510,25 @@ def ito_pair(
     return d_right, d_left, report
 
 
+def _ito_terms(
+    algebra: FiniteAlgebra, d: MultiLinearMap, action: MultiLinearMap,
+    labels: Sequence[str], report: AxiomReport,
+) -> Iterator[Tuple[str, str, Tensor, Tensor, Tensor]]:
+    """The Ito identity d(xy) = d(x)d(y) + d(x)a(y) + a(x)d(y), products
+    componentwise on the legs: a witness on ``report`` unless d(1) = 0,
+    then (x, y, d(xy), d(x)d(y), d(x)a(y) + a(x)d(y)) for each pair of
+    ``labels``."""
+    d_unit = d.of_vector(algebra.unit)
+    if d_unit:
+        report.witnesses.append(("1", "unit_annihilation", d_unit, {}))
+    for x in labels:
+        dx, ax = d.of_label(x), action.of_label(x)
+        for y in labels:
+            dy, ay = d.of_label(y), action.of_label(y)
+            yield (x, y, d.of_vector(algebra.mul_labels(x, y)), algebra.mul_tensors(dx, dy),
+                   tensor_add(algebra.mul_tensors(dx, ay), algebra.mul_tensors(ax, dy)))
+
+
 def check_ito_derivative(
     algebra: FiniteAlgebra,
     d: MultiLinearMap,
@@ -543,32 +541,19 @@ def check_ito_derivative(
 
     with componentwise multiplication on tensor legs."""
     report = AxiomReport(axiom="ito_derivative")
-    d_unit = d.of_vector(algebra.unit)
-    if d_unit:
-        report.witnesses.append(("1", "unit_annihilation", d_unit, {}))
-    labels = algebra.space.labels
-    for x in labels:
-        dx = d.of_label(x)
-        ax = action.of_label(x)
-        for y in labels:
-            dy = d.of_label(y)
-            ay = action.of_label(y)
-            lhs = d.of_vector(algebra.mul_labels(x, y))
-            rhs = tensor_add(
-                algebra.mul_tensors(dx, dy),
-                tensor_add(
-                    algebra.mul_tensors(dx, ay), algebra.mul_tensors(ax, dy)
-                ),
-            )
-            if lhs != rhs:
-                report.witnesses.append((f"{x},{y}", "derivation", lhs, rhs))
+    for x, y, d_xy, dd, mixed in _ito_terms(algebra, d, action, algebra.space.labels,
+                                            report):
+        rhs = tensor_add(dd, mixed)
+        if d_xy != rhs:
+            report.witnesses.append((f"{x},{y}", "derivation", d_xy, rhs))
     return report
 
 
 def leibniz_coderivative(e: EntangledStructure) -> Tuple[Dict[str, Vector], AxiomReport]:
     """D_I = Phi - id on C1, with the coderivative identity verified and,
     when the ambient structure carries an algebra, the D_I(1)=0 and Ito
-    sub-checks reported (witnesses, never raised)."""
+    sub-checks reported (witnesses, never raised): the Ito identity with
+    the identity as the action, D(ab) - D(a)D(b) against aD(b) + D(a)b."""
     report = AxiomReport(axiom="leibniz_coderivative")
     table = {v: tensor_sub(e.channel.forward[v], unit_vector(v)) for v in e.c1.labels}
     # (delta1 + deltahat1) D = (D x id + id x D) Delta_star over C1, where
@@ -583,25 +568,12 @@ def leibniz_coderivative(e: EntangledStructure) -> Tuple[Dict[str, Vector], Axio
         if lhs != rhs:
             report.witnesses.append((label, "coderivative", lhs, rhs))
 
-    algebra = s.algebra
-    if algebra is not None:
-        d_unit = d.of_vector(algebra.unit)
-        if d_unit:
-            report.witnesses.append(("1", "unit_annihilation", d_unit, {}))
-        for a in e.c1.labels:
-            for b in e.c1.labels:
-                d_ab = {k: c for (k,), c in d.of_vector(algebra.mul_labels(a, b)).items()}
-                lhs_v = tensor_sub(d_ab, algebra.mul_vectors(table[a], table[b]))
-                rhs_v = tensor_add(
-                    algebra.mul_vectors(unit_vector(a), table[b]),
-                    algebra.mul_vectors(table[a], unit_vector(b)),
-                )
-                if lhs_v != rhs_v:
-                    report.witnesses.append((
-                        f"{a}*{b}", "ito_property",
-                        {(k,): c for k, c in lhs_v.items()},
-                        {(k,): c for k, c in rhs_v.items()},
-                    ))
+    if s.algebra is not None:
+        ident = _linear(s.space, {lab: unit_vector(lab) for lab in s.space.labels})
+        for a, b, d_ab, dd, mixed in _ito_terms(s.algebra, d, ident, e.c1.labels, report):
+            lhs = tensor_sub(d_ab, dd)
+            if lhs != mixed:
+                report.witnesses.append((f"{a}*{b}", "ito_property", lhs, mixed))
     return table, report
 
 

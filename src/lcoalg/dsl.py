@@ -39,11 +39,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .coalgebra import LStructure
+from .coalgebra import FiniteAlgebra, LStructure
 from .constructions import ChannelMap
 from .linalg import (
     BasisSpace,
-    FiniteAlgebra,
     MultiLinearMap,
     Tensor,
     Vector,
@@ -240,7 +239,8 @@ def _parse_chunks(rhs: str, line: int, column: int, kind: str,
 
 def parse_document(text: str) -> SpecDocument:
     """The declarations of ``text``; a DslError names the first bad line,
-    a left-hand side defined twice in one block included.
+    a left-hand side defined twice in one block and a second block of one
+    kind with one name included.
 
     Each distinct term line is read once per document: a line that repeats
     an earlier one of its kind (tensor or vector) reuses the terms read
@@ -323,10 +323,12 @@ def parse_document(text: str) -> SpecDocument:
             for sp in spaces:
                 if sp not in doc.spaces:
                     raise DslError(f"unknown space {sp!r}", lineno)
-            if kind == "algebra":
-                doc.algebras[name] = (spaces[0], {}, table)
-            else:  # (space, table), or (source, target, table) for a channel
-                getattr(doc, kind + "s")[name] = (*spaces, table)
+            blocks = getattr(doc, kind + "s")
+            if name in blocks:
+                raise DslError(f"{kind} {name!r} defined twice", lineno)
+            # (space, unit, table) for an algebra, (source, target, table) for
+            # a channel, else (space, table)
+            blocks[name] = (spaces[0], {}, table) if kind == "algebra" else (*spaces, table)
             continue
 
         if kind is None:

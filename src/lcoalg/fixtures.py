@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .coalgebra import LStructure
+from .coalgebra import FiniteAlgebra, LStructure
 from .constructions import (
     ChannelMap,
     EntangledStructure,
@@ -20,7 +20,7 @@ from .constructions import (
     self_entangle,
 )
 from .graphs import UndirectedGraph, WeightedDigraph
-from .linalg import BasisSpace, FiniteAlgebra, MultiLinearMap
+from .linalg import BasisSpace, MultiLinearMap
 from .ncpoly import NCPoly, NCTensor, AntipodeData, RewriteSystem, relation_set
 from .scalars import ONE, Q, Scalar
 

@@ -1,5 +1,5 @@
-"""Named-basis spaces, sparse multi-linear maps into tensor powers, exact
-row reduction, and finite algebras given by multiplication tables.
+"""Named-basis spaces, sparse multi-linear maps into tensor powers, and
+exact row reduction.
 
 Vectors are dicts label -> Scalar; tensors are dicts (label, ...) -> Scalar.
 Zero coefficients are never stored, so dict equality is exact map equality.
@@ -377,96 +377,3 @@ def solve_linear(matrix: Matrix, rhs: List[Scalar]) -> Optional[List[Scalar]]:
         x[pc] = rows[r][ncols]
     return x
 
-
-class FiniteAlgebra:
-    """An associative unital algebra on a basis space, by table.
-
-    Associativity and the two-sided unit law are checked exhaustively at
-    construction: the fixtures are small and a wrong table should fail fast.
-    Associativity is summed straight from the product table (see
-    ``_check_associative``).
-    """
-
-    __slots__ = ("space", "product", "unit")
-
-    def __init__(
-        self,
-        space: BasisSpace,
-        product: Dict[Tuple[Label, Label], Vector],
-        unit: Vector,
-    ):
-        self.space = space
-        clean: Dict[Tuple[Label, Label], Vector] = {}
-        for (a, b), vec in product.items():
-            if a not in space or b not in space:
-                raise ValueError(f"product key ({a!r}, {b!r}) outside the space")
-            entry = {k: c for k, c in vec.items() if not c.is_zero()}
-            for k in entry:
-                if k not in space:
-                    raise ValueError(f"product value label {k!r} outside the space")
-            if entry:
-                clean[(a, b)] = entry
-        self.product = clean
-        self.unit = {k: c for k, c in unit.items() if not c.is_zero()}
-        self._check_unit()
-        self._check_associative()
-
-    def mul_labels(self, a: Label, b: Label) -> Vector:
-        return dict(self.product.get((a, b), {}))
-
-    def mul_vectors(self, u: Vector, v: Vector) -> Vector:
-        out: Vector = {}
-        for a, ca in u.items():
-            for b, cb in v.items():
-                add_scaled(out, self.product.get((a, b), {}).items(), ca * cb)
-        return out
-
-    def mul_tensors(self, s: Tensor, t: Tensor) -> Tensor:
-        """Componentwise product on tensor powers: (a@b)(c@d) = ac @ bd."""
-        out: Tensor = {}
-        for ts, cs in s.items():
-            for tt, ct in t.items():
-                if len(ts) != len(tt):
-                    raise ValueError("tensor degrees differ")
-                partial: Tensor = {(): cs * ct}
-                for a, b in zip(ts, tt):
-                    ab = self.product.get((a, b), {})
-                    partial = tensor_product(partial, {(lab,): c for lab, c in ab.items()})
-                add_scaled(out, partial.items(), ONE)
-        return out
-
-    def _check_unit(self):
-        for lab in self.space.labels:
-            v = unit_vector(lab)
-            if self.mul_vectors(self.unit, v) != v or self.mul_vectors(v, self.unit) != v:
-                raise ValueError(f"unit law fails at {lab!r}")
-
-    def _check_associative(self):
-        """(ab)c = a(bc) on every basis triple, summed off the table:
-        (ab)c = sum_k ab[k] P(k, c) and a(bc) = sum_m bc[m] P(a, m).  Where
-        ab and bc are each one label with coefficient ONE, as in a group
-        algebra, the two sides are the table entries P(k, c) and P(a, m):
-        on a group table that comparison takes about a quarter of the time
-        of summing."""
-        product = self.product
-        # key -> k, for an entry that is one label k with coefficient ONE
-        plain = {key: k for key, vec in product.items() if len(vec) == 1
-                 for k, coeff in vec.items() if coeff is ONE}
-        labels = self.space.labels
-        for a in labels:
-            for b in labels:
-                ab = product.get((a, b), {})
-                for c in labels:
-                    k, m = plain.get((a, b)), plain.get((b, c))
-                    if k is not None and m is not None:
-                        left, right = product.get((k, c), {}), product.get((a, m), {})
-                    else:
-                        left, right = {}, {}
-                        for j, coeff in ab.items():
-                            add_scaled(left, product.get((j, c), {}).items(), coeff)
-                        for j, coeff in product.get((b, c), {}).items():
-                            add_scaled(right, product.get((a, j), {}).items(), coeff)
-                    if left != right:
-                        raise ValueError(
-                            f"associativity fails at ({a!r}, {b!r}, {c!r})"
-                        )

@@ -94,6 +94,24 @@ def test_check_missing_binding_is_usage_error(f_doc, capsys):
     assert "error:" in err
 
 
+def test_check_refuses_a_role_bound_twice(f_doc, capsys):
+    # neither binding of a role bound twice wins
+    for binds in (["--bind", "Delta=Deltatilde", "--bind", "Delta=Delta"],
+                  ["--bind", "Delta=Delta,Delta=Delta"]):
+        code, out, err = run(
+            capsys, "check", str(f_doc), "--space", "F", "--axiom", "coassoc", *binds)
+        assert (code, out) == (2, "")
+        assert err == "error: role 'Delta' is bound twice\n"
+
+
+def test_check_refuses_a_role_outside_the_system(f_doc, capsys):
+    code, out, err = run(
+        capsys, "check", str(f_doc), "--space", "F", "--axiom", "right_counit",
+        "--bind", "Delta=Delta,eps=eps,Foo=Delta")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown role 'Foo' (expected Delta | eps)\n"
+
+
 def test_support_lists_arrows(f_doc, capsys):
     code, out, _ = run(
         capsys, "support", str(f_doc), "--space", "F", "--coproducts", "Delta",
@@ -596,10 +614,12 @@ def _names(document, keyword):
 @st.composite
 def bindings(draw, document, axiom):
     """Usually each role of ``axiom`` bound to a declared name, as one or
-    several comma-joined pieces; sometimes roles left out, a piece without
-    '=', an empty piece or a role of another system."""
+    several comma-joined pieces; sometimes roles left out, a role bound
+    twice, a piece without '=', an empty piece, an unknown role or a role of
+    another system."""
+    roles = AXIOMS.get(axiom, {"roles": ("Delta",)})["roles"]
     pieces = []
-    for role in AXIOMS.get(axiom, {"roles": ("Delta",)})["roles"]:
+    for role in [*roles, *draw(st.lists(st.sampled_from(roles), max_size=1))]:
         if draw(MOSTLY):
             kind = "counit" if role.startswith("eps") else "coproduct"
             pieces.append(f"{role}={draw(_names(document, kind))}")

@@ -25,8 +25,8 @@ from lcoalg.constructions import (
 from lcoalg.complexes import flower_coproducts
 from lcoalg.fixtures import fixture_group
 from lcoalg.graphs import de_bruijn_graph, geometric_support
-from lcoalg.linalg import (BasisSpace, MultiLinearMap, add_scaled, tensor_add, tensor_sub,
-                           unit_vector)
+from lcoalg.linalg import (BasisSpace, MultiLinearMap, add_scaled, functional_value, tensor_add,
+                           tensor_sub, unit_vector)
 from lcoalg.scalars import ONE, Q, ZERO, Scalar, parse_scalar
 from test_convolution import VALUES
 
@@ -57,14 +57,12 @@ def test_channel_morphism_predicates(f_data):
     s = f_data["structure"]
     channel = f_data["channel"]
     # The channel target carries no coproduct of its own here, so test the
-    # morphism predicate against the transported coproduct (must hold).
+    # morphism condition against the transported coproduct (must hold).
     entangled = self_entangle(s, "Delta", channel)
     delta_star = entangled.structure.coproduct("Delta_star")
-    assert channel.check_coalgebra_morphism(delta_star, delta_star) == []
-    assert channel.check_counit(
-        {"a": ONE, "d": ONE}, {"x": ONE, "u": ONE}
-    ) == []
-    assert channel.check_counit({"a": ONE}, {}) == ["a"]
+    assert morphism_loop(channel, delta_star, delta_star) == []
+    assert counit_loop(channel, {"a": ONE, "d": ONE}, {"x": ONE, "u": ONE}) == []
+    assert counit_loop(channel, {"a": ONE}, {}) == ["a"]
 
 
 def test_channel_fixed_points_detected():
@@ -657,28 +655,38 @@ def test_glued_bridges_match_hand_transports(f_data, data):
 
 
 def morphism_loop(channel, delta1, delta2):
-    """The labels of ``check_coalgebra_morphism`` as its own loop found them:
-    Phi substituted by hand on each leg of Delta1."""
+    """The labels of C1 where Delta2 Phi != (Phi x Phi) Delta1, with Phi
+    substituted by hand on each leg of Delta1."""
     fwd = channel.forward
     return [lab for lab in channel.c1.labels if delta2.of_vector(fwd[lab])
             != subst_leg(subst_leg(delta1.of_label(lab), 1, fwd), 2, fwd)]
 
 
+def counit_loop(channel, eps1, eps2):
+    """The labels of C1 where eps2 Phi != eps1."""
+    return [lab for lab in channel.c1.labels
+            if functional_value(eps2, channel.forward[lab]) != eps1.get(lab, ZERO)]
+
+
 @settings(deadline=None)
 @given(data=st.data())
-def test_morphism_check_matches_the_leg_by_leg_loop(f_data, data):
-    s1, channel, _ = data.draw(_channel_inputs(f_data["structure"]))
-    c2, fwd = channel.c2, channel.forward
-    delta1 = s1.coproduct(data.draw(st.sampled_from(["Delta", "Deltatilde"])))
-    transported = MultiLinearMap(c2, 2, {
-        w: subst_leg(subst_leg(delta1.of_vector(channel.inverse[w]), 1, fwd), 2, fwd)
-        for w in c2.labels})
-    assert channel.check_coalgebra_morphism(delta1, transported) == []
-    for delta2 in (_relabelled(delta1, c2), _de_bruijn_on(c2).coproduct("DeltaM")):
-        assert (channel.check_coalgebra_morphism(delta1, delta2)
-                == morphism_loop(channel, delta1, delta2))
-    with pytest.raises(KeyError):  # Delta1 must be defined on C1
-        channel.check_coalgebra_morphism(transported, transported)
+def test_glued_channel_is_a_coalgebra_morphism_that_keeps_the_counit(f_data, data):
+    s1, channel, broken = data.draw(_channel_inputs(f_data["structure"]))
+    eps_name = data.draw(st.sampled_from([None, "eps"]))
+    try:
+        e = self_entangle(s1, "Delta", channel, eps_name=eps_name)
+    except ValueError:
+        assert broken
+        return
+    delta_star = e.coproduct("Delta_star")
+    assert morphism_loop(channel, s1.coproduct("Delta"), delta_star) == []
+    assert morphism_loop(channel, delta_star, delta_star) == []
+    if e.counits:  # eps1 is the given counit, or the one solved for
+        eps_star = e.counits["eps_star"]
+        eps1 = {v: c for v, c in eps_star.items() if v in channel.c1}
+        if eps_name is not None:
+            assert eps1 == s1.counits[eps_name]
+        assert counit_loop(channel, eps1, eps_star) == []
 
 
 # -- the coderivative identity against the loop it replaced: the oracle -------
@@ -730,3 +738,93 @@ def test_coderivative_matches_the_loop_on_random_channels(f_data, data):
         e = EntangledStructure(LStructure(e.structure.space, {
             **cps, **{role: cps[name] for role, name in roles.items()}}), channel)
     assert_coderivative_matches_loop(e)
+
+
+# -- the Ito identity against the two loops that computed it: the oracles -----
+
+
+def ito_derivative_loop(algebra, d, action):
+    """The witnesses of ``check_ito_derivative`` as its own loop found them."""
+    witnesses = []
+    d_unit = d.of_vector(algebra.unit)
+    if d_unit:
+        witnesses.append(("1", "unit_annihilation", d_unit, {}))
+    for x in algebra.space.labels:
+        dx, ax = d.of_label(x), action.of_label(x)
+        for y in algebra.space.labels:
+            dy, ay = d.of_label(y), action.of_label(y)
+            lhs = d.of_vector(algebra.mul_labels(x, y))
+            rhs = tensor_add(algebra.mul_tensors(dx, dy), tensor_add(
+                algebra.mul_tensors(dx, ay), algebra.mul_tensors(ax, dy)))
+            if lhs != rhs:
+                witnesses.append((f"{x},{y}", "derivation", lhs, rhs))
+    return witnesses
+
+
+def leibniz_ito_loop(e):
+    """The unit and Ito witnesses of ``leibniz_coderivative`` as its own loop
+    found them, on vectors: D(ab) - D(a)D(b) against aD(b) + D(a)b."""
+    table = {v: tensor_sub(e.channel.forward[v], unit_vector(v)) for v in e.c1.labels}
+    algebra = e.structure.algebra
+    d = MultiLinearMap(e.structure.space, 1, {
+        v: {(k,): c for k, c in vec.items()} for v, vec in table.items()})
+    witnesses = []
+    d_unit = d.of_vector(algebra.unit)
+    if d_unit:
+        witnesses.append(("1", "unit_annihilation", d_unit, {}))
+    for a in e.c1.labels:
+        for b in e.c1.labels:
+            d_ab = {k: c for (k,), c in d.of_vector(algebra.mul_labels(a, b)).items()}
+            lhs = tensor_sub(d_ab, algebra.mul_vectors(table[a], table[b]))
+            rhs = tensor_add(algebra.mul_vectors(unit_vector(a), table[b]),
+                             algebra.mul_vectors(table[a], unit_vector(b)))
+            if lhs != rhs:
+                witnesses.append((f"{a}*{b}", "ito_property",
+                                  {(k,): c for k, c in lhs.items()},
+                                  {(k,): c for k, c in rhs.items()}))
+    return witnesses
+
+
+@st.composite
+def _cyclic_maps(draw, space, arity):
+    """A map of ``space`` into its ``arity``-th tensor power: zero, a
+    diagonal one, or up to two random terms per label."""
+    labels = space.labels
+    shape = draw(st.sampled_from(("zero", "diagonal", "random", "random")))
+    if shape == "zero":
+        return MultiLinearMap(space, arity, {})
+    if shape == "diagonal":
+        return MultiLinearMap(space, arity, {
+            x: {(x,) * arity: draw(st.sampled_from(VALUES))} for x in labels})
+    terms = st.tuples(*[st.sampled_from(labels)] * arity)
+    return MultiLinearMap(space, arity, {
+        x: draw(st.dictionaries(terms, st.sampled_from(VALUES), max_size=2))
+        for x in labels})
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_ito_checks_match_the_loops_they_replaced(data):
+    # check_ito_derivative on a random cyclic group algebra, d and action
+    algebra = fixture_group(data.draw(st.integers(1, 4))).algebra
+    arity = data.draw(st.integers(1, 2))
+    d = data.draw(_cyclic_maps(algebra.space, arity))
+    action = data.draw(_cyclic_maps(algebra.space, arity))
+    assert check_ito_derivative(algebra, d, action).witnesses == ito_derivative_loop(
+        algebra, d, action)
+    # leibniz_coderivative on a cyclic group algebra of order 2m, split into
+    # two random halves, through a random invertible channel
+    m = data.draw(st.integers(1, 3))
+    group = fixture_group(2 * m)
+    labels = data.draw(st.permutations(group.space.labels))
+    c1, c2 = BasisSpace(labels[:m]), BasisSpace(labels[m:])
+    image = data.draw(st.permutations(c2.labels))
+    forward = {v: {w: data.draw(st.sampled_from(VALUES))} for v, w in zip(c1.labels, image)}
+    if m > 1 and data.draw(st.booleans()):
+        forward[c1.labels[0]][image[1]] = data.draw(st.sampled_from(VALUES))
+    delta = group.coproduct("Delta")
+    e = EntangledStructure(LStructure(group.space, dict.fromkeys(
+        ("Delta_star", "delta1", "deltahat1"), delta), algebra=group.algebra),
+        ChannelMap(c1, c2, forward))
+    _, report = leibniz_coderivative(e)
+    assert [w for w in report.witnesses if w[1] != "coderivative"] == leibniz_ito_loop(e)

@@ -232,6 +232,10 @@ def oracle_parse_document(text: str) -> SpecDocument:
                     if sp not in doc.spaces:
                         raise DslError(f"unknown space {sp!r}", lineno)
                 block = ("channel", m.group(1), m.group(2), m.group(3))
+            # a block is stored when it closes, so a second one of one kind
+            # and one name finds the first stored
+            if block is not None and block[1] in getattr(doc, block[0] + "s"):
+                raise DslError(f"{block[0]} {block[1]!r} defined twice", lineno)
             continue
 
         if block is None:
@@ -473,7 +477,25 @@ def test_a_second_definition_in_a_block_is_refused(block, lines, message):
         oracle_parse_document(text)
     assert str(oracle_err.value) == str(err.value)
     # A repeat in another block of the same kind is no repeat.
-    parse_document(text.replace(lines[-1], block + "\n  " + lines[-1]))
+    keyword, name, rest = block.split(" ", 2)
+    parse_document(text.replace(lines[-1], f"{keyword} {name}2 {rest}\n  {lines[-1]}"))
+
+
+@pytest.mark.parametrize("header, row", [
+    ("coproduct D on V:", "a -> <a, a>"),
+    ("counit D on V:", "a -> 1"),
+    ("algebra D on V:", "unit -> a"),
+    ("channel D : V -> V:", "a -> a"),
+])
+def test_a_second_block_with_one_name_is_refused(header, row):
+    text = f"space V = {{ a, b }}\n{header}\n  {row}\n{header}\n"
+    for reader in (parse_document, oracle_parse_document, per_line_parse_document):
+        with pytest.raises(DslError) as err:
+            reader(text)
+        assert str(err.value) == f"line 4, column 1: {header.split()[0]} 'D' defined twice"
+    # Blocks of two kinds may share a name.
+    parse_document("space V = { a }\ncoproduct D on V:\ncounit D on V:\n"
+                   "algebra D on V:\nchannel D : V -> V:\n")
 
 
 def test_bad_scalar_reports_line():
@@ -770,6 +792,8 @@ def per_line_parse_document(text: str) -> SpecDocument:
             for sp in spaces:
                 if sp not in doc.spaces:
                     raise DslError(f"unknown space {sp!r}", lineno)
+            if name in getattr(doc, kind + "s"):
+                raise DslError(f"{kind} {name!r} defined twice", lineno)
             if kind == "algebra":
                 doc.algebras[name] = (spaces[0], {}, table)
             else:

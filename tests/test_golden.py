@@ -151,6 +151,10 @@ READER_ERRORS = (
     ("channel_defined_twice", _CH + "  a -> x\n  b -> x\n  a -> 2 * x\n"),
     ("product_defined_twice", _ALG + "  a * b -> a\n  a*b -> b\n"),
     ("unit_defined_twice", _ALG + "  unit -> a\n  unit -> b\n"),
+    ("coproduct_twice", _CP + "  a -> <a, a>\ncoproduct D on V:\n  b -> <b, b>\n"),
+    ("counit_twice", _V + "counit e on V:\n  a -> 1\ncounit e on V:\n  b -> 1\n"),
+    ("algebra_twice", _ALG + "  unit -> a\nalgebra A on V:\n  unit -> b\n"),
+    ("channel_twice", _CH + "  a -> x\nchannel P : V -> W:\n  b -> x\n"),
 )
 
 # (name, document) of each coassociativity check whose expansion writes one
@@ -392,6 +396,10 @@ def transcript(workdir: str):
     # before a counit role that is not bound.
     run("check", "@F.doc", "--space", "F", "--axiom", "right_counit", "--bind", "Delta=Nope")
     run("check", "@F.doc", "--space", "F", "--axiom", "codialgebra", "--bind", "delta=Nope")
+    # A role bound twice, or one its system lacks, is a usage error.
+    run("check", "@F.doc", "--space", "F", "--axiom", "coassoc",
+        "--bind", "Delta=Deltatilde", "--bind", "Delta=Delta")
+    run("check", "@F.doc", "--space", "F", "--axiom", "coassoc", "--bind", "Delta=Delta,Foo=Delta")
     return rows
 
 

@@ -1,5 +1,5 @@
-"""Basis spaces, sparse multi-linear maps, exact row reduction, finite
-algebras."""
+"""Basis spaces, sparse multi-linear maps, exact row reduction, and the
+finite algebras built on them."""
 
 from unittest import mock
 
@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lcoalg import linalg
+from lcoalg.coalgebra import FiniteAlgebra
 from lcoalg.linalg import (
     BasisSpace,
-    FiniteAlgebra,
     MultiLinearMap,
     add_scaled,
     kernel_basis,
@@ -565,12 +565,14 @@ def test_constructor_raises_as_the_per_term_loop_on_foreign_values(table):
     assert (type(fast.value), str(fast.value)) == (type(slow.value), str(slow.value))
 
 
-# -- associativity read off the table against the vector products it replaced --
+# -- associativity as coassociativity of the transpose, against the vector
+# products: the oracle ----------------------------------------------------------
 
 
 def vector_product_check_associative(self):
-    """``FiniteAlgebra._check_associative`` as it was: both sides of every
-    triple built with ``mul_vectors`` on unit vectors."""
+    """``FiniteAlgebra._check_associative`` written as the definition: both
+    sides of every triple, in basis order, built with ``mul_vectors`` on unit
+    vectors."""
     for a in self.space.labels:
         for b in self.space.labels:
             ab = self.mul_labels(a, b)
@@ -615,7 +617,7 @@ def _associativity_outcome(space, product):
 def test_associativity_matches_the_vector_products():
     outcomes = set()
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
     @given(unital_tables())
     def agree(table):
         new = _associativity_outcome(*table)
