@@ -34,8 +34,11 @@ from .linalg import (
 from .scalars import ONE, ZERO, Scalar
 
 # A role is a map slot in an axiom schema: either a plain role name, a sum
-# of two roles, a transposed role, or the identity on the space of a role.
-Role = Union[str, Tuple[str, "Role", "Role"], Tuple[str, "Role"]]
+# of two roles, a transposed role, the identity on the space of a role, or
+# a signed sum ("signed", ((c, role, swap), ...)) of roles, each with its
+# two output legs swapped where swap is set.
+Role = Union[str, Tuple[str, "Role", "Role"], Tuple[str, "Role"],
+             Tuple[str, Tuple[Tuple[Scalar, "Role", bool], ...]]]
 # One term of a side: coeff times a chain (the first map applied to the
 # input label, then (role, slot) applications, each map of any arity) whose
 # output legs carry the equation variables given by the output order
@@ -196,7 +199,8 @@ AXIOMS: Dict[str, Dict] = {
 
 def _resolve(role: Role, memo: Dict[Role, MultiLinearMap]) -> MultiLinearMap:
     """The map of a role.  ``memo`` starts as the role bindings and keeps
-    every sum, tau or id role it builds, so each is built once per check."""
+    every sum, tau, id or signed role it builds, so each is built once per
+    check; a signed role is built in one pass over the labels."""
     got = memo.get(role)
     if got is not None:
         return got
@@ -209,6 +213,9 @@ def _resolve(role: Role, memo: Dict[Role, MultiLinearMap]) -> MultiLinearMap:
     elif role[0] == "id":
         space = _resolve(role[1], memo).domain
         got = MultiLinearMap(space, 1, {lab: {(lab,): ONE} for lab in space.labels})
+    elif role[0] == "signed":
+        got = MultiLinearMap._plus(
+            [(c, _resolve(r, memo), swap) for c, r, swap in role[1]])
     else:
         raise ValueError(f"bad role {role!r}")
     memo[role] = got

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from .coalgebra import (EQUATIONS, AxiomReport, Equation, LStructure, Side, _bind_roles,
-                        _expand)
+from .coalgebra import (EQUATIONS, AxiomReport, Equation, LStructure, Role, SideTerm,
+                        _bind_roles, _expand)
 from .linalg import BasisSpace, Vector, add_scaled, tensor_sub
 from .scalars import MINUS_ONE, ONE, Scalar
 
@@ -91,52 +91,62 @@ _BRACKET = _LEFT + ((MINUS_ONE, "right", True),)  # [x, y] = x left y - y right 
 X, Y, Z, XY, XZ, YZ = 0, 1, 2, (0, 1), (0, 2), (1, 2)
 
 
-def _nest(a, b, first, second) -> Side:
-    """The side a(first, second), where one argument is a variable and the
-    other a pair of variables under b: _nest(A, B, XY, Z) is (x b y) a z.
+def _role(product) -> Role:
+    """The role of the one map whose convolution is ``product``.
 
+    Convolution is bilinear and y *_R x is x *_tau(R) y, so a signed sum
+    of convolutions is the convolution of the signed sum of their maps,
+    each with its legs swapped where its factors are.  Equal terms merge
+    and zero ones drop, so prec + succ is the plain right role."""
+    merged: Dict[Tuple[str, bool], Scalar] = {}
+    for c, role, swap in product:
+        add_scaled(merged, [((role, swap), c)], ONE)
+    terms = tuple((c, role, swap) for (role, swap), c in merged.items())
+    if len(terms) == 1 and terms[0][0] == ONE and not terms[0][2]:
+        return terms[0][1]
+    return ("signed", terms)
+
+
+def _nest(a, b, first, second) -> SideTerm:
+    """The side term a(first, second), where one argument is a variable
+    and the other a pair of variables under b: _nest(A, B, XY, Z) is
+    (x b y) a z.
+
+    Each product is bound as one map, so a nested product is one chain:
     ((x *_B y) *_A z)(v) is the coefficient of x (x) y (x) z in
-    (B x id)A(v), so each pair of convolutions is one chain; its output
-    order records the variable each leg carries when that is not x, y, z.
-    Equal chains merge, so prec + succ reads as right."""
-    merged: Dict[Tuple, Scalar] = {}
-    for ca, ra, swap_a in a:
-        for cb, rb, swap_b in b:
-            args = (second, first) if swap_a else (first, second)
-            legs = [(arg[::-1] if swap_b else arg) if isinstance(arg, tuple) else (arg,)
-                    for arg in args]
-            slot = 1 if isinstance(args[0], tuple) else 2
-            order = legs[0] + legs[1]
-            order = None if order == (X, Y, Z) else order
-            add_scaled(merged, [((ra, ((rb, slot),), order), ca * cb)], ONE)
-    return tuple((c,) + chain for chain, c in merged.items())
+    (B x id)A(v).  Its output order records the variable each leg
+    carries when that is not x, y, z."""
+    slot = 1 if isinstance(first, tuple) else 2
+    legs = [arg if isinstance(arg, tuple) else (arg,) for arg in (first, second)]
+    order = legs[0] + legs[1]
+    return (ONE, _role(a), ((_role(b), slot),), None if order == (X, Y, Z) else order)
 
 
 _DIALGEBRA = [
-    ("left_assoc", _nest(_LEFT, _LEFT, XY, Z), _nest(_LEFT, _LEFT, X, YZ)),
-    ("right_assoc", _nest(_RIGHT, _RIGHT, XY, Z), _nest(_RIGHT, _RIGHT, X, YZ)),
-    ("inner_left", _nest(_LEFT, _LEFT, X, YZ), _nest(_LEFT, _RIGHT, X, YZ)),
-    ("middle", _nest(_LEFT, _RIGHT, XY, Z), _nest(_RIGHT, _LEFT, X, YZ)),
-    ("inner_right", _nest(_RIGHT, _LEFT, XY, Z), _nest(_RIGHT, _RIGHT, XY, Z)),
+    ("left_assoc", (_nest(_LEFT, _LEFT, XY, Z),), (_nest(_LEFT, _LEFT, X, YZ),)),
+    ("right_assoc", (_nest(_RIGHT, _RIGHT, XY, Z),), (_nest(_RIGHT, _RIGHT, X, YZ),)),
+    ("inner_left", (_nest(_LEFT, _LEFT, X, YZ),), (_nest(_LEFT, _RIGHT, X, YZ),)),
+    ("middle", (_nest(_LEFT, _RIGHT, XY, Z),), (_nest(_RIGHT, _LEFT, X, YZ),)),
+    ("inner_right", (_nest(_RIGHT, _LEFT, XY, Z),), (_nest(_RIGHT, _RIGHT, XY, Z),)),
 ]
 _TRIALGEBRA = _DIALGEBRA + [
-    ("perp_assoc", _nest(_PERP, _PERP, XY, Z), _nest(_PERP, _PERP, X, YZ)),
-    ("left_of_perp", _nest(_LEFT, _LEFT, XY, Z), _nest(_LEFT, _PERP, X, YZ)),
-    ("perp_left", _nest(_LEFT, _PERP, XY, Z), _nest(_PERP, _LEFT, X, YZ)),
-    ("middle_perp", _nest(_PERP, _LEFT, XY, Z), _nest(_PERP, _RIGHT, X, YZ)),
-    ("right_perp", _nest(_PERP, _RIGHT, XY, Z), _nest(_RIGHT, _PERP, X, YZ)),
-    ("right_of_perp", _nest(_RIGHT, _PERP, XY, Z), _nest(_RIGHT, _RIGHT, X, YZ)),
+    ("perp_assoc", (_nest(_PERP, _PERP, XY, Z),), (_nest(_PERP, _PERP, X, YZ),)),
+    ("left_of_perp", (_nest(_LEFT, _LEFT, XY, Z),), (_nest(_LEFT, _PERP, X, YZ),)),
+    ("perp_left", (_nest(_LEFT, _PERP, XY, Z),), (_nest(_PERP, _LEFT, X, YZ),)),
+    ("middle_perp", (_nest(_PERP, _LEFT, XY, Z),), (_nest(_PERP, _RIGHT, X, YZ),)),
+    ("right_perp", (_nest(_PERP, _RIGHT, XY, Z),), (_nest(_RIGHT, _PERP, X, YZ),)),
+    ("right_of_perp", (_nest(_RIGHT, _PERP, XY, Z),), (_nest(_RIGHT, _RIGHT, X, YZ),)),
 ]
 # [[x,y],z] = [[x,z],y] + [x,[y,z]]
-_LEIBNIZ = [("leibniz", _nest(_BRACKET, _BRACKET, XY, Z),
-             _nest(_BRACKET, _BRACKET, XZ, Y) + _nest(_BRACKET, _BRACKET, X, YZ))]
+_LEIBNIZ = [("leibniz", (_nest(_BRACKET, _BRACKET, XY, Z),),
+             (_nest(_BRACKET, _BRACKET, XZ, Y), _nest(_BRACKET, _BRACKET, X, YZ)))]
 # [x * y, z] = x * [y, z] + [x, z] * y
-_POISSON = [("poisson", _nest(_BRACKET, _PERP, XY, Z),
-             _nest(_PERP, _BRACKET, X, YZ) + _nest(_PERP, _BRACKET, XZ, Y))]
+_POISSON = [("poisson", (_nest(_BRACKET, _PERP, XY, Z),),
+             (_nest(_PERP, _BRACKET, X, YZ), _nest(_PERP, _BRACKET, XZ, Y)))]
 _DENDRIFORM = [
-    ("dendriform1", _nest(_LEFT, _LEFT, XY, Z), _nest(_LEFT, _LEFT + _SUCC, X, YZ)),
-    ("dendriform2", _nest(_LEFT, _SUCC, XY, Z), _nest(_SUCC, _LEFT, X, YZ)),
-    ("dendriform3", _nest(_SUCC, _SUCC, X, YZ), _nest(_SUCC, _LEFT + _SUCC, XY, Z)),
+    ("dendriform1", (_nest(_LEFT, _LEFT, XY, Z),), (_nest(_LEFT, _LEFT + _SUCC, X, YZ),)),
+    ("dendriform2", (_nest(_LEFT, _SUCC, XY, Z),), (_nest(_SUCC, _LEFT, X, YZ),)),
+    ("dendriform3", (_nest(_SUCC, _SUCC, X, YZ),), (_nest(_SUCC, _LEFT + _SUCC, XY, Z),)),
 ]
 
 

@@ -255,21 +255,32 @@ class MultiLinearMap:
     # -- algebra of maps ---------------------------------------------------
 
     def add(self, other: "MultiLinearMap") -> "MultiLinearMap":
-        return self._plus(other, ONE)
+        return MultiLinearMap._plus(((ONE, self, False), (ONE, other, False)))
 
     def sub(self, other: "MultiLinearMap") -> "MultiLinearMap":
-        return self._plus(other, MINUS_ONE)
+        return MultiLinearMap._plus(((ONE, self, False), (MINUS_ONE, other, False)))
 
-    def _plus(self, other: "MultiLinearMap", c: Scalar) -> "MultiLinearMap":
-        """self + c * other, its table listing labels in basis order."""
-        self._check_compatible(other)
+    @staticmethod
+    def _plus(terms: Sequence[Tuple[Scalar, "MultiLinearMap", bool]]) -> "MultiLinearMap":
+        """The sum of c m over the terms (c, m, swap), m's two output legs
+        swapped where swap is set, in one pass over the labels; its table
+        lists labels in basis order."""
+        head = terms[0][1]
+        for _, m, swap in terms:
+            head._check_compatible(m)
+            if swap and m.arity != 2:
+                raise ValueError("tau applies to arity-2 maps")
         table = {}
-        for label in self.domain.labels:
-            entry = dict(self.table.get(label, {}))
-            add_scaled(entry, other.table.get(label, {}).items(), c)
+        for label in head.domain.labels:
+            entry: Tensor = {}
+            for c, m, swap in terms:
+                tensor = m.table.get(label)
+                if tensor:
+                    add_scaled(entry, (((b, a), v) for (a, b), v in tensor.items())
+                               if swap else tensor.items(), c)
             if entry:
                 table[label] = entry
-        return MultiLinearMap(self.domain, self.arity, table)
+        return MultiLinearMap(head.domain, head.arity, table)
 
     def tau(self) -> "MultiLinearMap":
         """Swap the two output legs (arity-2 maps only)."""

@@ -5,6 +5,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcoalg.convolution import (
+    _BRACKET,
+    _DENDRIFORM,
+    _DIALGEBRA,
+    _LEFT,
+    _LEIBNIZ,
+    _PERP,
+    _POISSON,
+    _RIGHT,
+    _SUCC,
+    _TRIALGEBRA,
+    X,
+    XY,
+    XZ,
+    Y,
+    YZ,
+    Z,
+    _check_laws,
+    _nest,
     bracket,
     check_bar_unit,
     check_dendriform_algebra,
@@ -18,8 +36,9 @@ from lcoalg.convolution import (
 )
 from lcoalg.coalgebra import LStructure, solve_right_counit
 from lcoalg.fixtures import fixture_cibils
-from lcoalg.linalg import BasisSpace, MultiLinearMap, functional_value, tensor_add, tensor_sub
-from lcoalg.scalars import ONE, ZERO, Scalar, parse_scalar
+from lcoalg.linalg import (BasisSpace, MultiLinearMap, add_scaled, functional_value,
+                           tensor_add, tensor_sub)
+from lcoalg.scalars import MINUS_ONE, ONE, ZERO, Scalar, parse_scalar
 
 C1 = ["a", "b", "c", "d"]
 C2 = ["x", "y", "z", "u"]
@@ -379,12 +398,134 @@ def random_structures(draw):
     return LStructure(BasisSpace(labels), coproducts)
 
 
+ROLE_TRIPLES = st.lists(st.sampled_from(NAMES), min_size=3, max_size=3)
+
+
+# 40 examples, or more under a longer profile (--hypothesis-profile=ci).
 @pytest.mark.parametrize("suite", sorted(SUITES))
-@settings(max_examples=40, deadline=None)
-@given(s=random_structures(), roles=st.lists(st.sampled_from(NAMES), min_size=3,
-                                             max_size=3))
+@settings(max_examples=max(40, settings.default.max_examples), deadline=None)
+@given(s=random_structures(), roles=ROLE_TRIPLES)
 def test_law_suites_match_triple_loop(suite, s, roles):
     assert_matches_oracle(s, suite, *roles)
+
+
+# -- one map per product against the pairwise chains it replaced: the oracle --
+
+
+def expanding_nest(a, b, first, second):
+    """The side a(first, second) as a sum of chains, one for every pair of
+    summands of a and b: a swapped outer product swaps its arguments, a
+    swapped inner one reverses its pair's legs, and equal chains merge."""
+    merged = {}
+    for ca, ra, swap_a in a:
+        for cb, rb, swap_b in b:
+            args = (second, first) if swap_a else (first, second)
+            legs = [(arg[::-1] if swap_b else arg) if isinstance(arg, tuple) else (arg,)
+                    for arg in args]
+            slot = 1 if isinstance(args[0], tuple) else 2
+            order = legs[0] + legs[1]
+            order = None if order == (X, Y, Z) else order
+            add_scaled(merged, [((ra, ((rb, slot),), order), ca * cb)], ONE)
+    return tuple((c,) + chain for chain, c in merged.items())
+
+
+def law_tables(side):
+    """The equations of the five law suites, each side built by
+    ``side(a, b, first, second)``: side(A, B, XY, Z) is (x B y) A z."""
+    dialgebra = [
+        ("left_assoc", side(_LEFT, _LEFT, XY, Z), side(_LEFT, _LEFT, X, YZ)),
+        ("right_assoc", side(_RIGHT, _RIGHT, XY, Z), side(_RIGHT, _RIGHT, X, YZ)),
+        ("inner_left", side(_LEFT, _LEFT, X, YZ), side(_LEFT, _RIGHT, X, YZ)),
+        ("middle", side(_LEFT, _RIGHT, XY, Z), side(_RIGHT, _LEFT, X, YZ)),
+        ("inner_right", side(_RIGHT, _LEFT, XY, Z), side(_RIGHT, _RIGHT, XY, Z)),
+    ]
+    return {
+        "dialgebra": dialgebra,
+        "trialgebra": dialgebra + [
+            ("perp_assoc", side(_PERP, _PERP, XY, Z), side(_PERP, _PERP, X, YZ)),
+            ("left_of_perp", side(_LEFT, _LEFT, XY, Z), side(_LEFT, _PERP, X, YZ)),
+            ("perp_left", side(_LEFT, _PERP, XY, Z), side(_PERP, _LEFT, X, YZ)),
+            ("middle_perp", side(_PERP, _LEFT, XY, Z), side(_PERP, _RIGHT, X, YZ)),
+            ("right_perp", side(_PERP, _RIGHT, XY, Z), side(_RIGHT, _PERP, X, YZ)),
+            ("right_of_perp", side(_RIGHT, _PERP, XY, Z), side(_RIGHT, _RIGHT, X, YZ)),
+        ],
+        "leibniz": [("leibniz", side(_BRACKET, _BRACKET, XY, Z),
+                     side(_BRACKET, _BRACKET, XZ, Y) + side(_BRACKET, _BRACKET, X, YZ))],
+        "poisson": [("poisson", side(_BRACKET, _PERP, XY, Z),
+                     side(_PERP, _BRACKET, X, YZ) + side(_PERP, _BRACKET, XZ, Y))],
+        "dendriform_algebra": [
+            ("dendriform1", side(_LEFT, _LEFT, XY, Z), side(_LEFT, _LEFT + _SUCC, X, YZ)),
+            ("dendriform2", side(_LEFT, _SUCC, XY, Z), side(_SUCC, _LEFT, X, YZ)),
+            ("dendriform3", side(_SUCC, _SUCC, X, YZ), side(_SUCC, _LEFT + _SUCC, XY, Z)),
+        ],
+    }
+
+
+EXPANDING = law_tables(expanding_nest)
+
+
+def _chains(tables):
+    return {suite: sum(len(lhs) + len(rhs) for _, lhs, rhs in equations)
+            for suite, equations in tables.items()}
+
+
+def test_the_law_suites_bind_one_map_per_product():
+    assert law_tables(lambda *args: (_nest(*args),)) == {
+        "dialgebra": _DIALGEBRA, "trialgebra": _TRIALGEBRA, "leibniz": _LEIBNIZ,
+        "poisson": _POISSON, "dendriform_algebra": _DENDRIFORM}
+    # Chains evaluated per label: one per nested product, not one per pair
+    # of summands.
+    assert _chains(EXPANDING) == {"dialgebra": 10, "trialgebra": 22, "leibniz": 12,
+                                  "poisson": 6, "dendriform_algebra": 12}
+    assert _chains({"dendriform_algebra": _DENDRIFORM, "leibniz": _LEIBNIZ,
+                    "poisson": _POISSON}) == {
+        "dendriform_algebra": 6, "leibniz": 3, "poisson": 3}
+    # prec + succ merges to the plain right role; succ and the bracket are
+    # one signed map each.
+    assert _DENDRIFORM[0][2] == ((ONE, "left", (("right", 2),), None),)
+    assert _LEIBNIZ[0][1][0][1] == ("signed", ((ONE, "left", False),
+                                               (MINUS_ONE, "right", True)))
+
+
+def assert_matches_expanding_chains(s, suite, left, right, perp):
+    report = SUITES[suite](s, left, right, perp)
+    names = {"left": left, "right": right, "perp": perp}
+    expanded = _check_laws(s, suite, EXPANDING[suite], names)
+    assert report.axiom == expanded.axiom
+    assert _in_term_order(report.witnesses) == _in_term_order(expanded.witnesses)
+    return report
+
+
+# 100 examples, or more under a longer profile (--hypothesis-profile=ci).
+@pytest.mark.parametrize("suite", sorted(SUITES))
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(s=random_structures(), roles=ROLE_TRIPLES)
+def test_one_map_per_product_matches_the_expanding_chains(suite, s, roles):
+    assert_matches_expanding_chains(s, suite, *roles)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+@pytest.mark.parametrize("left, right, perp", [
+    ("deltahat1", "delta1", "Delta_star"),
+    ("delta1", "deltahat1", "Delta_star"),
+    ("Delta_star", "delta1", "deltahat1"),
+])
+def test_one_map_per_product_matches_the_expanding_chains_on_f(
+        f_entangled, suite, left, right, perp):
+    report = assert_matches_expanding_chains(f_entangled.structure, suite, left, right, perp)
+    assert report.passed == (left == "deltahat1")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("suite, left", [
+    ("dialgebra", "deltahat"),
+    ("leibniz", "deltahat"),
+    ("poisson", "deltahat"),
+    ("trialgebra", "deltahat"),
+    ("dendriform_algebra", "deltahat_d"),
+])
+def test_one_map_per_product_matches_the_expanding_chains_on_cibils(n, suite, left):
+    assert_matches_expanding_chains(fixture_cibils(n), suite, left, "delta", "Delta_star")
 
 
 # -- the bar unit against the convolution loop it replaced: the oracle --------

@@ -312,6 +312,69 @@ def test_map_add_and_sub_list_labels_in_basis_order(f_data):
         assert list(both.table) == ["a", "b", "c", "d"]
 
 
+# -- a signed sum of maps in one pass against add, sub and tau ----------------
+
+
+SUM_COEFFICIENTS = [ONE, MINUS_ONE, TWO, ONE / TWO, -ONE / (TWO + ONE), Q, -Q, Q ** -2]
+
+
+@st.composite
+def signed_sums(draw):
+    """1-4 terms (c, m, swap) over 1-3 arity-2 maps on 2-3 labels; a last
+    term may cancel an earlier one, swapped as it is or the other way."""
+    labels = LABEL_POOL[:draw(st.integers(min_value=2, max_value=3))]
+    space = BasisSpace(labels)
+    pairs = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
+    tables = st.dictionaries(st.sampled_from(labels), st.dictionaries(
+        pairs, st.sampled_from(SUM_COEFFICIENTS), max_size=3), max_size=len(labels))
+    maps = [MultiLinearMap(space, 2, draw(tables))
+            for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    terms = draw(st.lists(st.tuples(st.sampled_from(SUM_COEFFICIENTS),
+                                    st.sampled_from(maps), st.booleans()),
+                          min_size=1, max_size=4))
+    if len(terms) < 4 and draw(st.booleans()):
+        c, m, swap = draw(st.sampled_from(terms))
+        terms.append((-c, m, swap))
+    return terms
+
+
+def composed_signed_sum(terms):
+    """The sum as composed from ``tau``, ``add`` and ``sub``, a coefficient
+    other than +-1 scaling every entry of its map."""
+    total = None
+    for c, m, swap in terms:
+        if swap:
+            m = m.tau()
+        if c == MINUS_ONE and total is not None:
+            total = total.sub(m)
+            continue
+        if c != ONE:
+            m = MultiLinearMap(m.domain, 2,
+                               {lab: tensor_scale(t, c) for lab, t in m.table.items()})
+        total = m if total is None else total.add(m)
+    return total
+
+
+_F = MultiLinearMap(BasisSpace(["a", "b"]), 2, {"a": {("a", "b"): ONE, ("b", "b"): Q}})
+
+
+# 200 examples, or more under a longer profile (--hypothesis-profile=ci).
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(signed_sums())
+@example([(ONE, _F, False), (MINUS_ONE, _F, False)])
+@example([(Q, _F, True), (ONE, _F, False), (-Q, _F, True)])
+def test_signed_sum_matches_add_sub_and_tau(terms):
+    built = MultiLinearMap._plus(terms)
+    assert built.table == composed_signed_sum(terms).table
+    assert all(built.table.values()) and _in_basis_order(built)
+
+
+def test_signed_sum_refuses_to_swap_a_map_of_arity_one():
+    m = MultiLinearMap(BasisSpace(["a"]), 1, {"a": {("a",): ONE}})
+    with pytest.raises(ValueError, match="tau applies to arity-2 maps"):
+        MultiLinearMap._plus([(ONE, m, True)])
+
+
 # -- mul_tensors against the hand-rolled product it replaced -----------------
 
 
