@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Collection, Dict, Optional, Sequence, Set, Tuple
 
 from .coalgebra import AXIOMS, AxiomReport, LStructure, check_axiom
 from .complexes import check_boundary_forms_agree, check_complex
@@ -61,13 +61,15 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _open_structure(args) -> Tuple[SpecDocument, str, LStructure]:
+def _open_structure(args, coproducts: Optional[Collection[str]] = None
+                    ) -> Tuple[SpecDocument, str, LStructure]:
     """The document ``args.file``, the space that ``args.space`` picks in it,
-    and the structure on that space."""
+    and the structure on that space, with only the coproducts named in
+    ``coproducts``, or with all of them when it is None."""
     with open(args.file, "r", encoding="utf-8") as handle:
         doc = parse_document(handle.read())
     space = _pick_space(doc, args.space)
-    return doc, space, doc.structure(space)
+    return doc, space, doc.structure(space, coproducts)
 
 
 def _pick_space(doc: SpecDocument, requested: Optional[str]) -> str:
@@ -104,6 +106,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _bound_names(raw: Sequence[str]) -> Set[str]:
+    """The names that the --bind arguments give, read without any check:
+    the coproducts a check may read.  The structure is built from them
+    before ``_parse_bindings`` refuses a binding, so an algebra error comes
+    first."""
+    return {piece.partition("=")[2].strip() for item in raw for piece in item.split(",")}
+
+
 def _parse_bindings(raw: Sequence[str], roles: Sequence[str]) -> Dict[str, str]:
     """The role -> name bindings of the --bind arguments; a role bound twice
     or outside ``roles`` is refused, so a check is about what was named."""
@@ -129,7 +139,7 @@ def _parse_bindings(raw: Sequence[str], roles: Sequence[str]) -> Dict[str, str]:
 
 
 def cmd_check(args) -> int:
-    _, _, structure = _open_structure(args)
+    _, _, structure = _open_structure(args, _bound_names(args.bind or []))
     bindings = _parse_bindings(args.bind or [], AXIOMS[args.axiom]["roles"])
     report = check_axiom(structure, args.axiom, bindings)
     print_report(report)
@@ -216,7 +226,7 @@ def _check_complex_size(dim: int, max_degree: int) -> None:
 
 
 def cmd_complex(args) -> int:
-    _, _, structure = _open_structure(args)
+    _, _, structure = _open_structure(args, (args.coproduct,))
     _check_complex_size(structure.space.dim, args.max_degree)
     report = check_complex(
         structure, args.coproduct, args.unit,

@@ -238,10 +238,13 @@ def dot_export(g: WeightedDigraph, name: str = "G") -> str:
 def _edge_lines(text: str, split, arity: Tuple[int, ...], expected: str, row=tuple):
     """(vertices in order of appearance, ``row`` of each line's words), one
     edge per line, with ``#`` comments and blank lines skipped; a line that
-    ``split`` does not cut into a number of words in ``arity`` is refused."""
+    ``split`` does not cut into a number of words in ``arity`` is refused.
+    A line ends only at a line feed, a carriage return or the two together,
+    as in the document reader."""
     vertices: Dict[str, None] = {}
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(
+            text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

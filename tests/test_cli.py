@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcoalg import cli
+from lcoalg import cli, dsl
 from lcoalg.cli import FIXTURE_NAMES, MAX_FIXTURE_N, main
 from lcoalg.coalgebra import AXIOMS
 from lcoalg.dsl import document_from_structure, parse_document, unparse_document
@@ -454,6 +454,59 @@ def test_two_main_calls_share_no_state(f_doc, capsys):
     code, out, err = run(capsys, "check", str(f_doc), "--space", "F", "--axiom", "coassoc")
     assert (code, out) == (2, "")
     assert err == "error: \"missing binding for role 'Delta'\"\n"
+
+
+def test_check_and_complex_build_only_the_coproducts_they_read(tmp_path, capsys,
+                                                                 monkeypatch):
+    """Each MultiLinearMap that the reader's structure builds is recorded by
+    the name of its table: on cibils, a codialgebra check builds delta and
+    deltahat but not Delta_star or deltahat_d, and a complex builds only
+    its coproduct."""
+    code, text, _ = run(capsys, "fixtures", "cibils", "--n", "3")
+    assert code == 0
+    path = tmp_path / "cibils3.doc"
+    path.write_text(text)
+    tables = {name: table for name, (_, table) in parse_document(text).coproducts.items()}
+    assert list(tables) == ["Delta_star", "delta", "deltahat", "deltahat_d"]
+    assert all(a is b or a != b for a in tables.values() for b in tables.values())
+    built = []
+    real = dsl.MultiLinearMap
+
+    def recording(space, arity, table):
+        built.extend(name for name, held in tables.items() if held == table)
+        return real(space, arity, table)
+
+    monkeypatch.setattr(dsl, "MultiLinearMap", recording)
+    code, out, _ = run(capsys, "check", str(path), "--axiom", "codialgebra",
+                       "--bind", "delta=delta", "--bind", "deltahat=deltahat")
+    assert (code, out.splitlines()[0]) == (0, "check\tcodialgebra\tpass\t0")
+    assert built == ["delta", "deltahat"]
+    built.clear()
+    code, out, _ = run(capsys, "complex", str(path), "--coproduct", "Delta_star",
+                       "--unit", "a0")
+    assert code == 0
+    assert built == ["Delta_star"]
+    built.clear()
+    parse_document(text).structure("E")
+    assert built == list(tables)
+
+
+def test_an_algebra_error_comes_before_a_binding_error(tmp_path, capsys):
+    path = tmp_path / "V.doc"
+    path.write_text(
+        "space V = { e, a, b }\ncoproduct D on V:\n  e -> <e, e>\n"
+        "algebra A on V:\n  unit -> e\n  e * e -> e\n  e * a -> a\n  e * b -> b\n"
+        "  a * e -> a\n  b * e -> b\n  a * a -> 2 * b\n  a * b -> q * e\n"
+        "  b * a -> q * e\n  b * b -> a\n"
+    )
+    for binding in ("Nope=D", "Delta=Nope", "Delta", "Delta=D,Delta=D"):
+        code, out, err = run(capsys, "check", str(path), "--axiom", "coassoc",
+                             "--bind", binding)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: associativity fails at "), err
+    code, out, err = run(capsys, "complex", str(path), "--coproduct", "Nope", "--unit", "e")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: associativity fails at "), err
 
 
 @pytest.mark.parametrize("name, limit", [("cibils", 150), ("debruijn", 300), ("group", 50)])

@@ -4,8 +4,9 @@ The reader as it was before its one-pass rewrite is kept here as the
 oracle of a hypothesis property over mutated documents, and the reader as
 it was before it read each distinct term line once as the oracle of one
 over documents whose lines repeat; the chunk reader is the oracle of the
-bare-line fast path, and the unparser's old regex rule the oracle of its
-bare-or-parenthesised choice."""
+string-method term reader on any line, the two-regex reader it replaced
+its oracle on bare lines, and the unparser's old regex rule the oracle of
+its bare-or-parenthesised choice."""
 
 import operator
 import re
@@ -14,7 +15,7 @@ from functools import reduce
 from typing import Dict, List, Optional, Tuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcoalg import dsl
@@ -53,6 +54,11 @@ _PAIR_RE = re.compile(rf"<\s*{_NAME}\s*,\s*{_NAME}\s*>")
 _PAIR_TERM_RE = re.compile(rf"^(?:(.*)\*)?\s*<\s*({_NAME})\s*,\s*({_NAME})\s*>\s*$")
 _VEC_TERM_RE = re.compile(rf"^(?:(.*)\*)?\s*({_NAME})\s*$")
 _KEYWORDS = ("space", "coproduct", "counit", "algebra", "channel")
+# The changes since: a line ends only at these breaks, and a line whose
+# first word is followed by '->' or '*' is a row, even if that word is a
+# keyword.
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+_LABEL_ROW = re.compile(r"\S+\s+(->|\*)")
 
 
 # The changes since: an unbalanced bracket is reported at its column in
@@ -163,13 +169,13 @@ def oracle_parse_document(text: str) -> SpecDocument:
                     f"label {lab!r} is not declared in space {space_name!r}", lineno
                 )
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_LINE_BREAK.split(text), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
         stripped = line.strip()
         word = stripped.split(None, 1)[0]
-        if word in _KEYWORDS:
+        if word in _KEYWORDS and not _LABEL_ROW.match(stripped):
             close_block()
             if word == "space":
                 m = _SPACE_RE.match(stripped)
@@ -522,6 +528,45 @@ def test_line_outside_any_block():
     )
 
 
+# The breaks that str.splitlines knows besides "\n", "\r\n" and "\r"
+OTHER_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("brk", OTHER_BREAKS)
+def test_a_line_ends_only_at_a_newline_or_carriage_return(brk):
+    doc = parse_document(f"space V = {{ a }}\n# note{brk}coproduct D on V:\n")
+    assert doc.coproducts == {}
+    doc = parse_document(
+        f"space V = {{ a }}\r\ncoproduct D on V:  # of{brk}the paper\r  a -> <a, a>\n")
+    assert doc.coproducts == {"D": ("V", {"a": {("a", "a"): ONE}})}
+    with pytest.raises(DslError) as err:
+        parse_document(f"space V = {{ a }}\r\n#{brk}x\rcoproduct D on V:\n  a -> <a, z>\n")
+    assert str(err.value) == "line 4, column 1: label 'z' is not declared in space 'V'"
+
+
+def test_a_label_may_be_named_like_a_block_keyword():
+    text = ("space V = { space, coproduct, counit, algebra, channel }\n"
+            "space W = { counit }\n"
+            "coproduct D on V:\n  counit -> <counit, space>\n"
+            "  space -> 2 * <algebra, channel> + <coproduct, counit>\n"
+            "counit e on V:\n  coproduct -> 1\n  algebra\t-> q\n"
+            "algebra A on V:\n  unit -> space\n  counit * channel -> algebra\n"
+            "  channel\t* space -> 2 * counit\n"
+            "channel P : V -> W:\n  channel -> 2 * counit\n  space -> counit\n")
+    doc = parse_document(text)
+    assert list(doc.coproducts["D"][1]) == ["counit", "space"]
+    assert list(doc.counits["e"][1]) == ["coproduct", "algebra"]
+    assert list(doc.algebras["A"][2]) == [("counit", "channel"), ("channel", "space")]
+    assert list(doc.channels["P"][2]) == ["channel", "space"]
+    assert parse_document(unparse_document(doc)) == doc
+    # A keyword followed by anything else still starts a header.
+    for line, message in (("counit e on V", "bad counit header"),
+                          ("coproduct -- <a, a>", "bad coproduct header"),
+                          ("algebra A on V: a -> a", "bad algebra header")):
+        with pytest.raises(DslError, match=message):
+            parse_document(f"space V = {{ a }}\ncoproduct D on V:\n  {line}\n")
+
+
 def test_unbalanced_bracket():
     with pytest.raises(DslError) as err:
         parse_document(
@@ -760,13 +805,13 @@ def per_line_parse_document(text: str) -> SpecDocument:
                     f"label {lab!r} is not declared in space {space_name!r}", lineno
                 )
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_LINE_BREAK.split(text), start=1):
         code = raw.split("#", 1)[0]
         stripped = code.strip()
         if not stripped:
             continue
         word = stripped.split(None, 1)[0]
-        if word in dsl._HEADERS:
+        if word in dsl._HEADERS and not _LABEL_ROW.match(stripped):
             pattern, message, expected = dsl._HEADERS[word]
             m = pattern.match(stripped)
             if not m:
@@ -977,10 +1022,40 @@ def test_unparse_parse_unparse_over_random_structures(doc):
     assert reparsed == doc
 
 
-# -- the bare-line fast path against the chunk reader ----------------------
+# -- the string-method reader against the chunk reader and the regex one ---
+
+
+# The bare-line reader as it was before its string-method rewrite, kept as
+# an oracle: a line whose every coefficient is free of '( ) < > + *' was
+# read by two regex passes over the whole line, and any other line, and a
+# bare line that repeats a key or has a zero coefficient, went to the chunk
+# reader.
+_BARE = {
+    kind: (re.compile(f"{term}(?:\\+{term})*"), re.compile(term))
+    for kind, term in (
+        ("tensor", rf"(?:([^()<>+*]*)\*)?\s*<\s*({_NAME})\s*,\s*({_NAME})\s*>\s*"),
+        ("vector", rf"(?:([^()<>+*]*)\*)?\s*({_NAME})\s*"),
+    )
+}
+
+
+def regex_parse_terms(rhs: str, line: int, column: int, kind: str,
+                      seen: Dict[str, Scalar]) -> Dict:
+    bare_line, bare_term = _BARE[kind]
+    if not bare_line.fullmatch(rhs):
+        return dsl._parse_chunks(rhs, line, column, kind, seen)
+    found = bare_term.findall(rhs)
+    tensor = kind == "tensor"
+    out = {term[1:] if tensor else term[1]:
+           dsl._scalar(raw, line, seen) if (raw := term[0].strip()) else ONE
+           for term in found}
+    if len(out) != len(found) or any(c.is_zero() for c in out.values()):
+        return dsl._parse_chunks(rhs, line, column, kind, seen)
+    return out
+
 
 # Bare coefficients, some of them zero, unreadable or whitespace only,
-# since the fast path takes any coefficient free of '( ) < > + *'.
+# since the regex reader took any coefficient free of '( ) < > + *'.
 BARE_COEFF = st.sampled_from(
     ("",) * 6 + ("1", "2", "0", "-1", "q", "-q", "q^2", "-q^3", "3/7", "-3/7")
     + ("0/5", "q^-1", "1/q", "q - 1", "  ", "1/0", "q^", "2 3", "-", "q^100000")
@@ -1017,6 +1092,45 @@ def bare_lines(draw, kind):
     return "+".join(terms[:8])
 
 
+# Pieces of term lines, each as (well formed, not): coefficients with '*',
+# brackets, '<' or '>' and unreadable or zero ones; labels that are no
+# name; whitespace a line may hold, the non-ASCII kind too; and terms that
+# are empty, hold two pairs, an unbalanced bracket or no pair at all.
+LINE_COEFFS = (
+    ("",) * 4 + ("1", "2", "-1", "q", "-q", "q^2", "3/7", "-3/7", "q^-1", "1/q",
+                 "q - 1", "  ", "2*q", "q * 2"),
+    ("0", "0/5", "1/0", "1/0 ", "q^", "2 3", "-", "q^100000", "q<2", "2>",
+     "(1 + q)", "(q", "q)", "\u00b2", "q^("),
+)
+LINE_LABELS = (("a", "b", "x1", "_"), ("\u00e9", "1a", "a b", ""))
+LINE_SPACES = (("", " ", " ", "\t", "\x0c"), ("\u00a0",))
+
+
+@st.composite
+def term_lines(draw, kind):
+    """A term line of 1 to 6 terms, read from the well-formed pieces alone
+    or, for about half the lines, from all of them."""
+    every = draw(st.booleans())
+
+    def pick(pieces):
+        return draw(st.sampled_from(pieces[0] + pieces[1] if every else pieces[0]))
+
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        ws = [pick(LINE_SPACES) for _ in range(8)]
+        a, b = pick(LINE_LABELS), pick(LINE_LABELS)
+        pair = f"<{ws[0]}{a}{ws[1]},{ws[2]}{b}{ws[3]}>"
+        target = pick(((pair,), (f"{pair} {pair}", f"<{a}, {b}", f"{a}, {b}>",
+                                 f"<{a} {b}>", f"<{a}, {b}, {a}>", f"({a}, {b})",
+                                 f"<<{a}, {b}>>", a, ""))
+                      if kind == "tensor" else
+                      ((a,), (f"{a} {b}", pair, f"{a})", f"({a}", f"{a}>", "")))
+        coeff = pick(LINE_COEFFS)
+        star = f"{coeff}{ws[4]}*" if coeff or draw(st.booleans()) else ""
+        terms.append(f"{ws[5]}{star}{ws[6]}{target}{ws[7]}")
+    return "+".join(terms) + pick((("",), ("+", " + ")))
+
+
 def _terms_outcome(read, rhs, kind):
     try:
         return ("terms", list(read(rhs, 7, 9, kind, {}).items()))
@@ -1024,14 +1138,30 @@ def _terms_outcome(read, rhs, kind):
         return ("error", str(exc), exc.line, exc.column, exc.expected)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=max(400, settings.default.max_examples), deadline=None)
 @given(st.sampled_from(("tensor", "vector")).flatmap(
-    lambda kind: st.tuples(st.just(kind), bare_lines(kind))))
-def test_bare_fast_path_matches_the_chunk_reader(kind_and_rhs):
+    lambda kind: st.tuples(st.just(kind), term_lines(kind) | bare_lines(kind))))
+@example(("tensor", "1/0 *a+\t<a, b"))
+@example(("tensor", "1/0 * <a, b> + a, b> + <a, b + <<a, b>>"))
+@example(("tensor", "q^ * <a, b> + <a, b> <b, a>"))
+@example(("tensor", "2*q * <a, b> + q<2 * <b, a>"))
+@example(("tensor", "<a, b> + + <b, a> +"))
+@example(("tensor", "<\u00e9, b> + <1a, a>"))
+@example(("vector", "2*q * a + \u00e9"))
+def test_reader_matches_the_chunk_reader_on_any_line(kind_and_rhs):
     kind, rhs = kind_and_rhs
-    assert dsl._BARE[kind][0].fullmatch(rhs), rhs
     assert (_terms_outcome(dsl._parse_terms, rhs, kind)
             == _terms_outcome(dsl._parse_chunks, rhs, kind))
+
+
+@settings(max_examples=max(400, settings.default.max_examples), deadline=None)
+@given(st.sampled_from(("tensor", "vector")).flatmap(
+    lambda kind: st.tuples(st.just(kind), bare_lines(kind))))
+def test_reader_matches_the_regex_reader_on_bare_lines(kind_and_rhs):
+    kind, rhs = kind_and_rhs
+    assert _BARE[kind][0].fullmatch(rhs), rhs
+    assert (_terms_outcome(dsl._parse_terms, rhs, kind)
+            == _terms_outcome(regex_parse_terms, rhs, kind))
 
 
 def test_unparsed_bare_lines_take_the_fast_path(capsys, monkeypatch):

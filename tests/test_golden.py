@@ -207,6 +207,41 @@ REPEATED_LINES = (
 )
 
 
+# (name, document) of each document whose comment holds a break that
+# str.splitlines knows but the reader does not, so the rest of the comment
+# stays a comment; each runs as ``check @break_NAME.doc --axiom coassoc
+# --bind Delta=D``.  The lines of ``mixed`` end in "\r\n", "\r" and "\n".
+_ONE_LABEL = "space V = { a }\n"
+COMMENT_BREAKS = (
+    ("form_feed", _ONE_LABEL + "# note\x0ccoproduct D on V:\ncoproduct D on V:\n  a -> <a, a>\n"),
+    ("line_separator",
+     _ONE_LABEL + "coproduct D on V:  # of\u2028the paper\n  a -> <a, a>\n"),
+    ("mixed", "space V = { a }\r\n# \x0b\x1c\x85\u2029\rcoproduct D on V:\n"
+              "  a -> <a, z>\r\n"),
+)
+# An edge file whose comment holds a form feed before an edge
+COMMENT_BREAK_EDGES = "a -- b\nb -- c\n# skip\x0cw -- x\nc -- a\n"
+
+# (name, document) of each block with a row for a label named like a block
+# keyword; each runs as ``check @keyword_NAME.doc --space V --axiom coassoc
+# --bind Delta=D``
+_KEYWORD_SPACE = "space V = { space, counit, channel }\n"
+_KEYWORD_D = ("coproduct D on V:\n  space -> <space, space>\n"
+              "  counit -> <counit, counit>\n  channel -> <channel, channel>\n")
+KEYWORD_LABELS = (
+    ("coproduct", _KEYWORD_SPACE + _KEYWORD_D),
+    ("algebra", _KEYWORD_SPACE + _KEYWORD_D + "algebra A on V:\n  unit -> space\n"
+     + "".join(f"  {a} * {b} -> {c}\n" for a, b, c in (
+         ("space", "space", "space"), ("space", "counit", "counit"),
+         ("space", "channel", "channel"), ("counit", "space", "counit"),
+         ("counit", "counit", "channel"), ("counit", "channel", "space"),
+         ("channel", "space", "channel"), ("channel", "counit", "space"),
+         ("channel", "channel", "counit")))),
+    ("channel", _KEYWORD_SPACE + "space W = { algebra }\n" + _KEYWORD_D
+     + "channel P : V -> W:\n  channel -> 2 * algebra\n  space -> algebra\n"),
+)
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -400,6 +435,15 @@ def transcript(workdir: str):
     run("check", "@F.doc", "--space", "F", "--axiom", "coassoc",
         "--bind", "Delta=Deltatilde", "--bind", "Delta=Delta")
     run("check", "@F.doc", "--space", "F", "--axiom", "coassoc", "--bind", "Delta=Delta,Foo=Delta")
+    for name, text in COMMENT_BREAKS:
+        Path(path(f"break_{name}.doc")).write_text(text, encoding="utf-8", newline="")
+        run("check", f"@break_{name}.doc", "--axiom", "coassoc", "--bind", "Delta=D")
+    Path(path("break.edges")).write_text(COMMENT_BREAK_EDGES, encoding="utf-8")
+    run("embed", "--edges", "@break.edges")
+    for name, text in KEYWORD_LABELS:
+        Path(path(f"keyword_{name}.doc")).write_text(text, encoding="utf-8")
+        run("check", f"@keyword_{name}.doc", "--space", "V", "--axiom", "coassoc",
+            "--bind", "Delta=D")
     return rows
 
 

@@ -20,6 +20,7 @@ from lcoalg.graphs import (
 from lcoalg.fixtures import fixture_petersen
 from lcoalg.linalg import BasisSpace, MultiLinearMap
 from lcoalg.scalars import ONE, Q, ZERO, Scalar
+from test_dsl import OTHER_BREAKS
 
 
 def test_digraph_merges_duplicate_arrows():
@@ -166,6 +167,15 @@ def test_parse_undirected_edges():
     assert ("a", "b") in g.edges and ("b", "c") in g.edges
     with pytest.raises(ValueError):
         parse_undirected_edges("a -- b -- c")
+
+
+@pytest.mark.parametrize("brk", OTHER_BREAKS)
+def test_an_edge_line_ends_only_at_a_newline_or_carriage_return(brk):
+    g = parse_undirected_edges(f"u -- v\r\n# skip{brk}w -- x\rv -- y\n")
+    assert g.vertices == ("u", "v", "y")
+    assert g.edges == {("u", "v"), ("v", "y")}
+    with pytest.raises(ValueError, match="^line 3: "):
+        parse_digraph_edges(f"a b\r\n# {brk} c d\ra\n")
 
 
 def test_bidirected_predicate():
