@@ -11,9 +11,10 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lcoalg import cli, dsl
 from lcoalg.cli import FIXTURE_NAMES, MAX_FIXTURE_N, main
@@ -131,6 +132,16 @@ def test_support_dot_output(f_doc, capsys):
     assert code == 0
     assert out.startswith("digraph F {")
     assert '"a" -> "b";' in out
+
+
+@pytest.mark.parametrize("names", ["", ",", " , ,"])
+@pytest.mark.parametrize("dot", [(), ("--dot",)])
+def test_support_without_a_coproduct_name_is_a_usage_error(names, dot, f_doc, capsys):
+    # It printed nothing, or a graph with vertices and no arrows, and exited 0.
+    code, out, err = run(capsys, "support", str(f_doc), "--space", "F",
+                         "--coproducts", names, *dot)
+    assert (code, out) == (2, "")
+    assert err == "error: --coproducts names no coproduct\n"
 
 
 def test_entangle_self_emits_reparseable_document(f_doc, capsys):
@@ -456,18 +467,11 @@ def test_two_main_calls_share_no_state(f_doc, capsys):
     assert err == "error: \"missing binding for role 'Delta'\"\n"
 
 
-def test_check_and_complex_build_only_the_coproducts_they_read(tmp_path, capsys,
-                                                                 monkeypatch):
-    """Each MultiLinearMap that the reader's structure builds is recorded by
-    the name of its table: on cibils, a codialgebra check builds delta and
-    deltahat but not Delta_star or deltahat_d, and a complex builds only
-    its coproduct."""
-    code, text, _ = run(capsys, "fixtures", "cibils", "--n", "3")
-    assert code == 0
-    path = tmp_path / "cibils3.doc"
-    path.write_text(text)
+def _recording_builds(monkeypatch, text):
+    """The names, in build order, of the coproducts of the document ``text``
+    whose MultiLinearMap the reader's structure builds: each map is
+    recorded by the name of its table."""
     tables = {name: table for name, (_, table) in parse_document(text).coproducts.items()}
-    assert list(tables) == ["Delta_star", "delta", "deltahat", "deltahat_d"]
     assert all(a is b or a != b for a in tables.values() for b in tables.values())
     built = []
     real = dsl.MultiLinearMap
@@ -477,18 +481,54 @@ def test_check_and_complex_build_only_the_coproducts_they_read(tmp_path, capsys,
         return real(space, arity, table)
 
     monkeypatch.setattr(dsl, "MultiLinearMap", recording)
-    code, out, _ = run(capsys, "check", str(path), "--axiom", "codialgebra",
-                       "--bind", "delta=delta", "--bind", "deltahat=deltahat")
-    assert (code, out.splitlines()[0]) == (0, "check\tcodialgebra\tpass\t0")
-    assert built == ["delta", "deltahat"]
-    built.clear()
-    code, out, _ = run(capsys, "complex", str(path), "--coproduct", "Delta_star",
-                       "--unit", "a0")
-    assert code == 0
-    assert built == ["Delta_star"]
+    return tables, built
+
+
+@pytest.mark.parametrize("argv, code, wanted", [
+    (("check", "--axiom", "codialgebra", "--bind", "delta=delta", "--bind", "deltahat=deltahat"),
+     0, ["delta", "deltahat"]),
+    (("complex", "--coproduct", "Delta_star", "--unit", "a0"), 0, ["Delta_star"]),
+    (("support", "--coproducts", "deltahat,delta"), 0, ["delta", "deltahat"]),
+    (("support", "--coproducts", "delta,Nope"), 2, ["delta"]),
+    (("bracket", "--left", "deltahat_d", "--right", "delta"), 0, ["delta", "deltahat_d"]),
+    (("bracket",), 2, []),
+])
+def test_commands_build_only_the_coproducts_they_read(argv, code, wanted, tmp_path, capsys,
+                                                       monkeypatch):
+    """On cibils, a codialgebra check builds delta and deltahat but not
+    Delta_star or deltahat_d, a complex builds only its coproduct, support
+    only the coproducts it names, and bracket only --left and --right (by
+    default deltahat1 and delta1, which cibils lacks)."""
+    got, text, _ = run(capsys, "fixtures", "cibils", "--n", "3")
+    assert got == 0
+    path = tmp_path / "cibils3.doc"
+    path.write_text(text)
+    tables, built = _recording_builds(monkeypatch, text)
+    assert list(tables) == ["Delta_star", "delta", "deltahat", "deltahat_d"]
+    got, _, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert got == code, err
+    assert built == wanted
     built.clear()
     parse_document(text).structure("E")
     assert built == list(tables)
+
+
+@pytest.mark.parametrize("kind, code, wanted", [
+    (("--kind", "self"), 0, ["Delta"]),
+    (("--kind", "self", "--cotilde", "Deltatilde"), 0, ["Delta"]),
+    (("--kind", "achiral", "--cotilde", "Deltatilde"), 0, ["Delta", "Deltatilde"]),
+    (("--kind", "achiral", "--cotilde", "Nope"), 2, ["Delta"]),
+    (("--kind", "achiral"), 2, ["Delta"]),
+])
+def test_entangle_builds_only_its_coproduct_and_cotilde(kind, code, wanted, f_doc, capsys,
+                                                        monkeypatch):
+    """On F, which holds Delta and Deltatilde, a self entanglement builds
+    only --coproduct, and an achiral one --cotilde too."""
+    tables, built = _recording_builds(monkeypatch, f_doc.read_text())
+    assert list(tables) == ["Delta", "Deltatilde"]
+    got, _, err = run(capsys, "entangle", str(f_doc), "--space", "F", *kind)
+    assert got == code, err
+    assert built == wanted
 
 
 def test_an_algebra_error_comes_before_a_binding_error(tmp_path, capsys):
@@ -697,7 +737,8 @@ def cli_invocations(draw, doc_path, edges_path, missing_path):
         "check": {"--space": space, "--axiom": st.just(axiom),
                   "--bind": bindings(document, axiom)},
         "support": {"--space": space, "--dot": st.just(None),
-                    "--coproducts": st.lists(coproduct, max_size=3).map(",".join)},
+                    "--coproducts": st.one_of(st.lists(coproduct, max_size=3).map(",".join),
+                                              st.sampled_from(("", ",", " , ")))},
         "entangle": {"--space": space, "--kind": st.sampled_from(("self", "achiral") * 3 + ("x",)),
                      "--coproduct": coproduct, "--cotilde": coproduct,
                      "--channel": _names(document, "channel"),
@@ -749,6 +790,61 @@ def test_every_subcommand_keeps_the_exit_code_contract(data):
         assert sum("error:" in line for line in err.splitlines()) == 1
     else:
         assert err == ""
+
+
+# -- the one-pass parse, with the full parse as its oracle --------------------
+
+# The files of one example live in "<dir>", a temporary directory that the
+# test puts in place of that prefix.
+DOC, EDGES, MISSING = "<dir>/S.doc", "<dir>/edges", "<dir>/missing"
+GROUP2 = "space G = { g0, g1 }\ncoproduct Delta on G:\n  g0 -> <g0, g0>\n  g1 -> <g1, g1>\n"
+
+
+def _main_with(parse, argv):
+    """(exit code, stdout, stderr, [vars of the namespace] or []) of one
+    ``main(argv)`` whose arguments ``parse`` reads."""
+    namespaces = []
+
+    def recording(argv):
+        args = parse(argv)
+        namespaces.append(dict(vars(args)))
+        return args
+
+    with mock.patch.object(cli, "_parse", recording):
+        return (*_quiet_main(argv), namespaces)
+
+
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+@given(invocation=cli_invocations(DOC, EDGES, MISSING))
+@example(invocation=([], "", ""))
+@example(invocation=(["-h"], "", ""))
+@example(invocation=(["--help"], "", ""))
+@example(invocation=(["complex", "-h"], "", ""))
+@example(invocation=(["nosuch"], "", ""))
+@example(invocation=(["check"], "", ""))
+@example(invocation=(["complex", DOC, "--max", "2", "--unit", "g0"], GROUP2, ""))
+@example(invocation=(["complex", DOC, "--unit", "g0", "--", "--max-degree", "2"], GROUP2, ""))
+@example(invocation=(["check", DOC, "--axiom", "coassoc", "--bind", "Delta=Delta",
+                      "--bind", "Delta=Delta"], GROUP2, ""))
+@example(invocation=(["check", DOC, "--axiom", "right_counit", "--bind", "Delta=Delta",
+                      "--bind", "eps=eps"], GROUP2, ""))
+@example(invocation=(["complex", DOC, "--coproduct", "Delta"], GROUP2, ""))
+@example(invocation=(["fixtures", "group", "--n=2", "extra"], "", ""))
+@example(invocation=(["embed", "--bogus", "--edges", EDGES], "", "a -- b"))
+def test_one_pass_parse_matches_the_full_parse(invocation):
+    """``main`` through ``cli._parse`` and through ``_parser().parse_args``
+    gives the same exit code, stdout and stderr, and the same namespace
+    whenever the arguments parse.  The bytes of argparse's messages differ
+    from one Python to the next, so this pins them where golden rows
+    cannot."""
+    argv, document, edges = invocation
+    with tempfile.TemporaryDirectory() as workdir:
+        Path(workdir, "S.doc").write_text(document, encoding="utf-8")
+        Path(workdir, "edges").write_text(edges, encoding="utf-8")
+        argv = [arg.replace("<dir>", workdir) for arg in argv]
+        fast = _main_with(cli._parse, argv)
+        full = _main_with(lambda argv: cli._parser().parse_args(argv), argv)
+    assert fast == full
 
 
 # -- the README's command-line examples, run as real processes ---------------

@@ -444,6 +444,8 @@ def transcript(workdir: str):
         Path(path(f"keyword_{name}.doc")).write_text(text, encoding="utf-8")
         run("check", f"@keyword_{name}.doc", "--space", "V", "--axiom", "coassoc",
             "--bind", "Delta=D")
+    # A support that names no coproduct is a usage error.
+    run("support", "@F.doc", "--space", "F", "--coproducts", ",")
     return rows
 
 
