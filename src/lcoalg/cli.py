@@ -164,8 +164,15 @@ def cmd_entangle(args) -> int:
     names = [args.coproduct] + ([args.cotilde] if args.kind == "achiral" else [])
     doc, _, structure = _open_structure(args, names)
     channel = doc.channel(args.channel)
+    unread = {"self": ("cotilde", "transport"), "achiral": ("counit",)}[args.kind]
+    for option in unread:
+        if getattr(args, option) is not None:
+            raise ValueError(f"--kind {args.kind} does not read --{option}")
     if args.kind == "achiral" and not args.cotilde:
         raise ValueError("--kind achiral needs --cotilde NAME")
+    transport = "Delta" if args.transport is None else args.transport
+    if transport not in ("Delta", "Deltatilde"):
+        raise ValueError(f"--transport {transport!r} is neither Delta nor Deltatilde")
     try:
         if args.kind == "self":
             entangled = self_entangle(
@@ -177,7 +184,7 @@ def cmd_entangle(args) -> int:
                 args.coproduct,
                 args.cotilde,
                 channel,
-                transported=args.transport,
+                transported=transport,
             )
     except ValueError as exc:
         # A construction that refuses its input is a failed check, not a
@@ -365,7 +372,7 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
     p.add_argument("--cotilde", help="second coproduct for --kind achiral")
     p.add_argument("--channel", default="Phi")
     p.add_argument("--counit")
-    p.add_argument("--transport", default="Delta")
+    p.add_argument("--transport", help="Delta (the default) or Deltatilde, for --kind achiral")
     p.add_argument("--out-space", default="E")
     p.set_defaults(func=cmd_entangle)
 

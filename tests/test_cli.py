@@ -202,6 +202,31 @@ def test_entangle_achiral_without_cotilde_is_usage_error(f_doc, capsys):
     assert err == "error: --kind achiral needs --cotilde NAME\n"
 
 
+@pytest.mark.parametrize("options, message", [
+    (("--kind", "self", "--cotilde", "Deltatilde"), "--kind self does not read --cotilde"),
+    (("--kind", "self", "--transport", "Delta"), "--kind self does not read --transport"),
+    (("--cotilde", "Deltatilde"), "--kind self does not read --cotilde"),
+    (("--kind", "achiral", "--cotilde", "Deltatilde", "--counit", "eps"),
+     "--kind achiral does not read --counit"),
+    (("--kind", "achiral", "--cotilde", "Deltatilde", "--transport", "Nope"),
+     "--transport 'Nope' is neither Delta nor Deltatilde"),
+    (("--kind", "achiral", "--cotilde", "Deltatilde", "--transport", ""),
+     "--transport '' is neither Delta nor Deltatilde"),
+])
+def test_entangle_refuses_an_option_its_kind_does_not_read(options, message, f_doc, capsys):
+    code, out, err = run(capsys, "entangle", str(f_doc), "--space", "F", *options)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_entangle_achiral_transports_delta_by_default(f_doc, capsys):
+    base = ("entangle", str(f_doc), "--space", "F", "--kind", "achiral", "--cotilde",
+            "Deltatilde")
+    default = run(capsys, *base)
+    assert default[0] == 0
+    assert run(capsys, *base, "--transport", "Delta") == default
+    assert run(capsys, *base, "--transport", "Deltatilde")[1] != default[1]
+
+
 def test_bracket_table_format(f_doc, tmp_path, capsys):
     code, out, _ = run(
         capsys, "entangle", str(f_doc), "--space", "F",
@@ -515,7 +540,7 @@ def test_commands_build_only_the_coproducts_they_read(argv, code, wanted, tmp_pa
 
 @pytest.mark.parametrize("kind, code, wanted", [
     (("--kind", "self"), 0, ["Delta"]),
-    (("--kind", "self", "--cotilde", "Deltatilde"), 0, ["Delta"]),
+    (("--kind", "self", "--cotilde", "Deltatilde"), 2, ["Delta"]),
     (("--kind", "achiral", "--cotilde", "Deltatilde"), 0, ["Delta", "Deltatilde"]),
     (("--kind", "achiral", "--cotilde", "Nope"), 2, ["Delta"]),
     (("--kind", "achiral"), 2, ["Delta"]),
@@ -742,7 +767,8 @@ def cli_invocations(draw, doc_path, edges_path, missing_path):
         "entangle": {"--space": space, "--kind": st.sampled_from(("self", "achiral") * 3 + ("x",)),
                      "--coproduct": coproduct, "--cotilde": coproduct,
                      "--channel": _names(document, "channel"),
-                     "--counit": _names(document, "counit"), "--transport": coproduct,
+                     "--counit": _names(document, "counit"),
+                     "--transport": st.sampled_from(("Delta", "Deltatilde", "Nope")),
                      "--out-space": st.sampled_from(("E", "F", "x1", "1x"))},
         "bracket": {"--space": space, "--left": coproduct, "--right": coproduct},
         "complex": {"--space": space, "--coproduct": coproduct, "--unit": label,
@@ -758,6 +784,12 @@ def cli_invocations(draw, doc_path, edges_path, missing_path):
         argv += draw(st.lists(st.sampled_from(FIXTURE_NAMES + ("bogus",)), max_size=1))
     elif command != "embed":
         argv.append(file)
+    if command == "entangle" and draw(MOSTLY):
+        # --kind achiral with the --cotilde it needs, or --kind self, which
+        # refuses one; the other draws pair any kind with any option
+        kind = draw(st.sampled_from(("self", "achiral")))
+        argv += ["--kind", kind] + (["--cotilde", draw(coproduct)] if kind == "achiral" else [])
+        options = {k: v for k, v in options.items() if k not in ("--kind", "--cotilde")}
     # Each option at most once, except that --bind repeats; the options a
     # run needs are drawn more often (--space, since most fixture documents
     # declare two spaces) but left out now and then.

@@ -446,6 +446,14 @@ def transcript(workdir: str):
             "--bind", "Delta=D")
     # A support that names no coproduct is a usage error.
     run("support", "@F.doc", "--space", "F", "--coproducts", ",")
+    # So is an entangle option that its --kind does not read, and a
+    # --transport other than Delta or Deltatilde.
+    base = ("entangle", "@F.doc", "--space", "F", "--coproduct", "Delta", "--channel", "Phi")
+    run(*base, "--kind", "self", "--cotilde", "Deltatilde")
+    run(*base, "--kind", "self", "--transport", "Delta")
+    achiral = base + ("--kind", "achiral", "--cotilde", "Deltatilde")
+    run(*achiral, "--counit", "eps")
+    run(*achiral, "--transport", "Nope")
     return rows
 
 

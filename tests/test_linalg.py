@@ -669,9 +669,9 @@ def unital_tables(draw):
     return BasisSpace(labels), product
 
 
-def _associativity_outcome(space, product):
+def _associativity_outcome(space, product, unit="e"):
     try:
-        FiniteAlgebra(space, product, {"e": ONE})
+        FiniteAlgebra(space, product, {unit: ONE})
     except ValueError as exc:
         return str(exc)
     return None
@@ -691,3 +691,115 @@ def test_associativity_matches_the_vector_products():
 
     agree()
     assert outcomes == {True, False}
+
+
+# -- a full monoid table is decided by composing its index rows --------------
+
+
+def _closure(generators, points):
+    """The monoid of maps of ``points`` points that ``generators`` generate,
+    each map a tuple of images, identity first; (f g)(x) = f(g(x))."""
+    found = [tuple(range(points))]
+    for f in found:
+        for g in generators:
+            fg = tuple(f[x] for x in g)
+            if fg not in found:
+                found.append(fg)
+    return found
+
+
+@st.composite
+def monoid_shaped_tables(draw):
+    """(space, product, unit label, whether every product is one label with
+    coefficient 1).  A full monoid-shaped table: a random one on 1 to 5
+    labels (rarely associative), a cyclic group of order 1 to 5, or a monoid
+    of maps of 2 or 3 points.  Now and then one product of two labels other
+    than the unit is missing, holds a second term, or has coefficient 2 or
+    q, so that the table takes the transpose pass."""
+    kind = draw(st.sampled_from(("random", "cyclic", "maps")))
+    if kind == "random":
+        labels = [f"m{i}" for i in range(draw(st.integers(1, 5)))]
+        unit = draw(st.sampled_from(labels))
+        table = {(x, y): y if x == unit else x if y == unit else draw(st.sampled_from(labels))
+                 for x in labels for y in labels}
+    elif kind == "cyclic":
+        n = draw(st.integers(1, 5))
+        labels, unit = [f"g{i}" for i in range(n)], "g0"
+        table = {(f"g{i}", f"g{j}"): f"g{(i + j) % n}" for i in range(n) for j in range(n)}
+    else:
+        points = draw(st.integers(2, 3))
+        maps = st.tuples(*[st.integers(0, points - 1)] * points)
+        generators = draw(st.lists(maps, min_size=1, max_size=2))
+        found = _closure(generators, points)
+        if len(found) > 8:
+            found = _closure(generators[:1], points)
+        name = {f: "m" + "".join(map(str, f)) for f in found}
+        labels, unit = [name[f] for f in found], name[found[0]]
+        table = {(name[f], name[g]): name[tuple(f[x] for x in g)] for f in found for g in found}
+    labels = draw(st.permutations(labels))
+    product = {pair: {k: ONE} for pair, k in table.items()}
+    others = [x for x in labels if x != unit]
+    full = not others or draw(st.sampled_from((True, True, True, False)))
+    if not full:
+        pair = (draw(st.sampled_from(others)), draw(st.sampled_from(others)))
+        (k,) = product[pair]
+        change = draw(st.sampled_from(("missing", "two terms", "coefficient")))
+        if change == "missing":
+            del product[pair]
+        elif change == "two terms":
+            product[pair][draw(st.sampled_from([x for x in labels if x != k]))] = ONE
+        else:
+            product[pair][k] = draw(st.sampled_from((ONE + ONE, Q)))
+    return BasisSpace(labels), product, unit, full
+
+
+# Labels in the order b, e, a, unit e: four triples fail, and the least by
+# index, (b, b, a), is not the least by name, (a, a, a).
+SEVERAL_FAILURES = (
+    BasisSpace(["b", "e", "a"]),
+    {**{(x, "e"): {x: ONE} for x in "bea"}, **{("e", x): {x: ONE} for x in "bea"},
+     ("b", "b"): {"b": ONE}, ("b", "a"): {"e": ONE}, ("a", "b"): {"b": ONE},
+     ("a", "a"): {"b": ONE}},
+    "e", True)
+
+
+def test_monoid_tables_match_the_vector_products():
+    """A full monoid table takes the row path and any other the transpose
+    pass, and either gives the outcome of the vector-product oracle."""
+    outcomes, paths = set(), set()
+
+    @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
+    @given(monoid_shaped_tables())
+    @example(SEVERAL_FAILURES)
+    def agree(case):
+        space, product, unit, full = case
+        rows = []
+        real = FiniteAlgebra._monoid_rows
+
+        def recording(self):
+            rows.append(real(self) is not None)
+            return real(self)
+
+        with mock.patch.object(FiniteAlgebra, "_monoid_rows", recording):
+            new = _associativity_outcome(space, product, unit)
+        assert rows == [full]
+        with mock.patch.object(FiniteAlgebra, "_check_associative",
+                               vector_product_check_associative):
+            assert _associativity_outcome(space, product, unit) == new
+        outcomes.add(new is None)
+        paths.add(full)
+
+    agree()
+    assert outcomes == {True, False}
+    assert paths == {True, False}
+
+
+def test_the_least_failing_triple_by_index_is_named():
+    space, product, unit, _ = SEVERAL_FAILURES
+    times = {pair: next(iter(vec)) for pair, vec in product.items()}
+    labels = space.labels
+    failing = [(a, b, c) for a in labels for b in labels for c in labels
+               if times[times[a, b], c] != times[a, times[b, c]]]
+    assert failing == [("b", "b", "a"), ("b", "a", "a"), ("a", "b", "a"), ("a", "a", "a")]
+    assert _associativity_outcome(space, product, unit) == (
+        "associativity fails at ('b', 'b', 'a')")
