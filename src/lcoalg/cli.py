@@ -265,10 +265,11 @@ def cmd_embed(args) -> int:
 
 
 def _check_cibils_work(n: int, q_text: str, q: Scalar) -> None:
-    """Refuse a cibils document that would take well over a second.  It
+    """Refuse a cibils document whose powers of q would cost too much.  It
     holds about n^2 coefficients q^k with k < n, and q^k costs about k times
     the size of q (the scalar reader's measure) when q is a monomial, the
-    square of that otherwise; each budget below is about a second."""
+    square of that otherwise; a whole run at either budget below takes
+    about 0.2 s."""
     size, limit = _power_limit(q)
     if limit == MAX_MONOMIAL_POWER:
         work, budget = n * n * (n - 1) * size, 12_000_000
@@ -320,9 +321,9 @@ def _fixture_document(name: str, n: int, q_text: str) -> str:
     raise ValueError(f"unknown fixture {name!r}")
 
 
-# The largest --n of each parametric fixture: each document is built in
-# about a second at its limit, and the cost grows as n^2 (debruijn, cibils)
-# or n^3 (group).
+# The largest --n of each parametric fixture: a whole run at its limit takes
+# well under a second, and the cost grows as n^2 (debruijn, cibils) or n^3
+# (group).
 MAX_FIXTURE_N = {"cibils": 150, "debruijn": 300, "group": 50}
 
 

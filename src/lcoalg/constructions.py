@@ -276,6 +276,8 @@ def achiral_entangle(
     deltatilde2, the hat bridge deltatildehat2, and the two auxiliary glued
     coproducts Delta_star_plain / Deltatilde_star used by the Ito variant.
     """
+    if transported not in ("Delta", "Deltatilde"):
+        raise ValueError(f"transported {transported!r} is neither Delta nor Deltatilde")
     ambient = _ambient(channel)
     _require(g, "achiral", {"Delta": delta_name, "Deltatilde": deltatilde_name},
              "input pair is not achiral: ")
@@ -395,52 +397,30 @@ def cibils_structures(n: int, q: Scalar) -> LStructure:
     the dendriform pair (delta, deltahat_d) and the counit.  The gluing
     channels a_i -> q^-i x_i and a_i -> x_i are not built: no caller reads
     them, and each would invert an n x 2n matrix.
+
+    Each label is formatted once, and each shared row (a_i's, the hat row
+    of x_i) is one dict handed to every table; each map copies its rows.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if q.is_zero():
         raise ValueError("q must be invertible")
-    a_labels = [f"a{i}" for i in range(n)]
-    x_labels = [f"x{i}" for i in range(n)]
-    a_space = BasisSpace(a_labels)
-    x_space = BasisSpace(x_labels)
-    ambient = a_space.union(x_space)
-
-    def comp(i: int) -> List[Tuple[int, int]]:
-        return [(j, i - j) for j in range(i + 1)]
-
+    a = [f"a{i}" for i in range(n)]
+    x = [f"x{i}" for i in range(n)]
+    ambient = BasisSpace(a + x)
     powers = [q ** k for k in range(n)]
 
-    delta_star_table: Dict[str, Tensor] = {}
-    delta_table: Dict[str, Tensor] = {}
-    deltahat_table: Dict[str, Tensor] = {}
-    deltahat_d_table: Dict[str, Tensor] = {}
+    tables: Dict[str, Dict[str, Tensor]] = {
+        name: {} for name in ("Delta_star", "delta", "deltahat", "deltahat_d")}
+    star, delta, hat, hat_d = tables.values()
     for i in range(n):
-        delta_a: Tensor = {(f"a{j}", f"a{k}"): ONE for j, k in comp(i)}
-        delta_star_table[f"a{i}"] = dict(delta_a)
-        delta_star_table[f"x{i}"] = {
-            (f"x{j}", f"x{k}"): ONE for j, k in comp(i)
-        }
-        delta_table[f"a{i}"] = dict(delta_a)
-        delta_table[f"x{i}"] = {(f"a{j}", f"x{k}"): ONE for j, k in comp(i)}
-        deltahat_table[f"a{i}"] = dict(delta_a)
-        hat_x: Tensor = {
-            (f"x{j}", f"a{k}"): powers[k] for j, k in comp(i)
-        }
-        deltahat_table[f"x{i}"] = dict(hat_x)
-        deltahat_d_table[f"x{i}"] = dict(hat_x)
-
+        star[a[i]] = delta[a[i]] = hat[a[i]] = {(a[j], a[i - j]): ONE for j in range(i + 1)}
+        star[x[i]] = {(x[j], x[i - j]): ONE for j in range(i + 1)}
+        delta[x[i]] = {(a[j], x[i - j]): ONE for j in range(i + 1)}
+        hat[x[i]] = hat_d[x[i]] = {(x[j], a[i - j]): powers[i - j] for j in range(i + 1)}
     return LStructure(
-        ambient,
-        {
-            "Delta_star": MultiLinearMap(ambient, 2, delta_star_table),
-            "delta": MultiLinearMap(ambient, 2, delta_table),
-            "deltahat": MultiLinearMap(ambient, 2, deltahat_table),
-            "deltahat_d": MultiLinearMap(ambient, 2, deltahat_d_table),
-        },
-        counits={
-            "eps": {"a0": ONE},
-        },
+        ambient, {name: MultiLinearMap(ambient, 2, table) for name, table in tables.items()},
+        counits={"eps": {"a0": ONE}},
     )
 
 

@@ -23,6 +23,7 @@ from lcoalg.constructions import (
     sum_codipterous,
 )
 from lcoalg.complexes import flower_coproducts
+from lcoalg.dsl import document_from_structure, unparse_document
 from lcoalg.fixtures import fixture_group
 from lcoalg.graphs import de_bruijn_graph, geometric_support
 from lcoalg.linalg import (BasisSpace, MultiLinearMap, add_scaled, functional_value, tensor_add,
@@ -154,6 +155,24 @@ def test_achiral_entangle_rejects_chiral_input(f_entangled):
         achiral_entangle(sub, "delta1", "deltahat1", channel)
 
 
+def test_achiral_entangle_refuses_an_unknown_transport(f_data):
+    s, channel = f_data["structure"], f_data["channel"]
+    with pytest.raises(ValueError,
+                       match="^transported 'Nope' is neither Delta nor Deltatilde$"):
+        achiral_entangle(s, "Delta", "Deltatilde", channel, transported="Nope")
+    # The value is refused before the input pair is read at all.
+    with pytest.raises(ValueError, match="^transported 'delta' "):
+        achiral_entangle(s, "Delta", "missing", channel, transported="delta")
+    documents = []
+    for transported in ("Delta", "Deltatilde"):
+        assert _same_outcome(
+            lambda: achiral_entangle(s, "Delta", "Deltatilde", channel, transported),
+            lambda: hand_achiral_entangle(s, "Delta", "Deltatilde", channel, transported))
+        built = achiral_entangle(s, "Delta", "Deltatilde", channel, transported)
+        documents.append(unparse_document(document_from_structure("E", built.structure)))
+    assert documents[0] != documents[1]
+
+
 def test_achiral_entangle_quantum_sphere(sphere_data):
     s = sphere_data["structure"]
     assert check_axiom(
@@ -263,6 +282,77 @@ def test_cibils_axioms(n, q_text):
     total = s.coproduct("delta").add(s.coproduct("deltahat_d"))
     probe = s.with_coproduct("Delta_bar", total)
     assert check_axiom(probe, "coassoc", {"Delta": "Delta_bar"}).passed
+
+
+def comp_cibils_structures(n, q):
+    """The composition builder that formatted every label of every term and
+    copied each shared row: the oracle of ``cibils_structures``."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if q.is_zero():
+        raise ValueError("q must be invertible")
+    a_space = BasisSpace([f"a{i}" for i in range(n)])
+    ambient = a_space.union(BasisSpace([f"x{i}" for i in range(n)]))
+
+    def comp(i):
+        return [(j, i - j) for j in range(i + 1)]
+
+    powers = [q ** k for k in range(n)]
+    delta_star_table, delta_table, deltahat_table, deltahat_d_table = {}, {}, {}, {}
+    for i in range(n):
+        delta_a = {(f"a{j}", f"a{k}"): ONE for j, k in comp(i)}
+        delta_star_table[f"a{i}"] = dict(delta_a)
+        delta_star_table[f"x{i}"] = {(f"x{j}", f"x{k}"): ONE for j, k in comp(i)}
+        delta_table[f"a{i}"] = dict(delta_a)
+        delta_table[f"x{i}"] = {(f"a{j}", f"x{k}"): ONE for j, k in comp(i)}
+        deltahat_table[f"a{i}"] = dict(delta_a)
+        hat_x = {(f"x{j}", f"a{k}"): powers[k] for j, k in comp(i)}
+        deltahat_table[f"x{i}"] = dict(hat_x)
+        deltahat_d_table[f"x{i}"] = dict(hat_x)
+    return LStructure(ambient, {
+        "Delta_star": MultiLinearMap(ambient, 2, delta_star_table),
+        "delta": MultiLinearMap(ambient, 2, delta_table),
+        "deltahat": MultiLinearMap(ambient, 2, deltahat_table),
+        "deltahat_d": MultiLinearMap(ambient, 2, deltahat_d_table),
+    }, counits={"eps": {"a0": ONE}})
+
+
+def _rows(cp):
+    """A map's table, labels and terms in their stored order."""
+    return [(label, list(row.items())) for label, row in cp.table.items()]
+
+
+CIBILS_Q_TEXTS = ["q", "-9/2", "q^-1", "1+q", "3*q^2"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), q_text=st.sampled_from(CIBILS_Q_TEXTS))
+def test_cibils_tables_match_the_composition_builder(n, q_text):
+    q = parse_scalar(q_text)
+    got, want = cibils_structures(n, q), comp_cibils_structures(n, q)
+    assert got.space == want.space
+    assert list(got.coproducts) == list(want.coproducts)
+    for name, cp in want.coproducts.items():
+        assert _rows(got.coproduct(name)) == _rows(cp), name
+    assert got.counits == want.counits
+    assert unparse_document(document_from_structure("E", got)) == unparse_document(
+        document_from_structure("E", want))
+
+
+def test_cibils_maps_share_no_row():
+    # The a-rows and hat x-rows are handed to several tables; every map
+    # must still own its rows, or building on one map would change another.
+    s = cibils_structures(4, Q)
+    rows = [id(row) for cp in s.coproducts.values() for row in cp.table.values()]
+    assert len(rows) == len(set(rows))
+
+
+def test_cibils_refuses_n_and_q_as_before():
+    for n, q in ((0, Q), (3, ZERO)):
+        with pytest.raises(ValueError) as want:
+            comp_cibils_structures(n, q)
+        with pytest.raises(ValueError, match=f"^{want.value}$"):
+            cibils_structures(n, q)
 
 
 def test_cibils_bridge_values():

@@ -178,13 +178,6 @@ def test_an_edge_line_ends_only_at_a_newline_or_carriage_return(brk):
         parse_digraph_edges(f"a b\r\n# {brk} c d\ra\n")
 
 
-def test_bidirected_predicate():
-    sym = WeightedDigraph(["a", "b"], [("a", "b", ONE), ("b", "a", Q)])
-    asym = WeightedDigraph(["a", "b"], [("a", "b", ONE)])
-    assert sym.is_bidirected()
-    assert not asym.is_bidirected()
-
-
 # -- the indexed covering check against the pairwise one ---------------------
 
 
@@ -316,3 +309,27 @@ def test_indexed_covering_check_matches_pairwise(case):
         lambda: _report(pairwise_covering_check(g, s, family)))
     assert _outcome(lambda: list(geometric_support(s, family).arrows.items())) == _outcome(
         lambda: list(copying_support(s, family).items()))
+
+
+def test_covering_check_reads_each_support_from_its_table(monkeypatch):
+    # A cycle on 35 vertices and 16 chords: 51 edges, so the natural lift
+    # carries a family of 1 + 2 * 51 = 103 members.
+    vertices = [f"v{i}" for i in range(35)]
+    edges = [(vertices[i], vertices[(i + 1) % 35]) for i in range(35)]
+    edges += [(vertices[i], vertices[i + 17]) for i in range(16)]
+    digraph, structure, family = natural_lift(UndirectedGraph(vertices, edges))
+    assert len(family) == 103
+    built = []
+    init = WeightedDigraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(WeightedDigraph, "__init__", counting_init)
+    report = covering_check(digraph, structure, family)
+    assert report.passed and report.witnesses == []
+    assert len(built) == 0
+    assert list(geometric_support(structure, family).arrows.items()) == list(
+        copying_support(structure, family).items())
+    assert len(built) == 1
