@@ -18,7 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .coalgebra import (EQUATIONS, AxiomReport, Equation, LStructure, Role, SideTerm,
                         _bind_roles, _expand)
-from .linalg import BasisSpace, Vector, add_scaled, tensor_sub
+from .linalg import BasisSpace, Products, Vector, add_scaled, tensor_sub
 from .scalars import MINUS_ONE, ONE, Scalar
 
 Functional = Vector  # label -> value; the coefficient vector in the dual basis
@@ -71,12 +71,21 @@ def structure_constants(
     right_name: str = "delta1",
 ) -> Dict[Tuple[str, str], Functional]:
     """Brackets of dual-basis functionals, expanded in the dual basis
-    (a functional's dual-basis coefficients are its values on labels)."""
+    (a functional's dual-basis coefficients are its values on labels).
+    Only a pair (i, j) that the left bridge's transpose holds, or (j, i)
+    the right one's, is bracketed: the cost is one ``bracket`` per held
+    pair plus d^2 empty entries.  Errors come as from the all-pairs loop."""
     duals = dual_basis(s.space)
     out: Dict[Tuple[str, str], Functional] = {}
+    legs = None
     for i in row_labels:
         for j in col_labels:
-            out[(i, j)] = bracket(s, duals[i], duals[j], left_name, right_name)
+            f, g = duals[i], duals[j]
+            if legs is None:
+                legs = (s.coproduct(left_name).by_legs(),
+                        s.coproduct(right_name).by_legs())
+            held = j in legs[0].get(i, ()) or i in legs[1].get(j, ())
+            out[(i, j)] = bracket(s, f, g, left_name, right_name) if held else {}
     return out
 
 
@@ -157,10 +166,11 @@ def _check_laws(
     the witness for (i, j, k) is the functional v -> coefficient of
     (i, j, k), and triples come in basis order."""
     memo = _bind_roles(s, names, names)
+    products: Products = {}  # one product memo for every equation
     rank = s.space.index.__getitem__
     report = AxiomReport(axiom=axiom)
     for equation in equations:
-        rows = list(_expand(equation, memo, s.space.labels))
+        rows = list(_expand(equation, memo, s.space.labels, products))
         failing = set()
         for _, lhs, rhs in rows:
             if lhs != rhs:

@@ -9,9 +9,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcoalg import coalgebra, convolution
+from lcoalg import cli, coalgebra, convolution
 from lcoalg.coalgebra import (
     AXIOMS,
+    AxiomReport,
     EQUATIONS,
     LStructure,
     _bind,
@@ -19,14 +20,15 @@ from lcoalg.coalgebra import (
     _expand,
     _same_by_tables,
     check_axiom,
-    cocommutator_space,
     solve_left_counit,
     solve_right_counit,
 )
+from lcoalg.dsl import parse_document
 from lcoalg.graphs import markov_coalgebra, parse_digraph_edges
 from lcoalg.fixtures import fixture_cibils, fixture_debruijn
 from lcoalg.linalg import BasisSpace, MultiLinearMap, add_scaled
 from lcoalg.scalars import MINUS_ONE, ONE, Q, ZERO, Scalar
+from test_linalg import kernel_basis, plain_at_slot
 
 
 def test_axiom_catalogue_names():
@@ -178,6 +180,23 @@ SYMMETRIC = "u v\nv u\nu u\nv v\nv w\nw v\nw w"
 ASYMMETRIC = "u v\nu u\nv v\nw w\nv w"
 
 
+def cocommutator_space(s, right, left):
+    """Kernel basis of (Delta - tau Deltatilde), flattened to a matrix."""
+    diff = s.coproduct(right).sub(s.coproduct(left).tau())
+    labels = s.space.labels
+    row_index = {}
+    rows = []
+    for j, lab in enumerate(labels):
+        for term, coeff in diff.of_label(lab).items():
+            key = (term[0], term[1])
+            if key not in row_index:
+                row_index[key] = len(rows)
+                rows.append([ZERO] * len(labels))
+            rows[row_index[key]][j] = coeff
+    vectors = kernel_basis(rows, ncols=len(labels))
+    return [{lab: c for lab, c in zip(labels, vec) if not c.is_zero()} for vec in vectors]
+
+
 def test_bidirected_iff_full_cocommutator():
     sym = markov_coalgebra(parse_digraph_edges(SYMMETRIC))
     asym = markov_coalgebra(parse_digraph_edges(ASYMMETRIC))
@@ -218,12 +237,12 @@ def test_with_coproduct_returns_new_structure(f_data):
 # -- the support-only evaluator against the all-labels one -------------------
 
 
-def all_labels_expand(equation, memo, labels):
+def all_labels_expand(equation, memo, labels, products=None):
     """The evaluator before it skipped labels outside the support: both
     sides of the equation on every label."""
     lhs, rhs = _bind(equation[1], memo), _bind(equation[2], memo)
     for label in labels:
-        yield label, _eval_side(lhs, label), _eval_side(rhs, label)
+        yield label, _eval_side(lhs, label, products), _eval_side(rhs, label, products)
 
 
 LABELS = ["a", "b", "c", "d"]
@@ -240,9 +259,9 @@ LAW_SUITES = (
 
 
 @st.composite
-def sparse_structures(draw):
+def sparse_structures(draw, values=VALUES):
     """Coproducts on two to four labels, each with an image on only some of
-    them, and one counit."""
+    them, and one counit, all with coefficients from ``values``."""
     labels = LABELS[:draw(st.integers(2, 4))]
     pairs = [(x, y) for x in labels for y in labels]
     space = BasisSpace(labels)
@@ -250,12 +269,13 @@ def sparse_structures(draw):
     for name in NAMES:
         imaged = draw(st.lists(st.sampled_from(labels), max_size=3, unique=True))
         table = {
-            lab: draw(st.dictionaries(st.sampled_from(pairs), st.sampled_from(VALUES),
+            lab: draw(st.dictionaries(st.sampled_from(pairs), st.sampled_from(values),
                                       min_size=1, max_size=3))
             for lab in imaged
         }
         coproducts[name] = MultiLinearMap(space, 2, table)
-    counit = draw(st.dictionaries(st.sampled_from(labels), st.sampled_from(VALUES[:-1]),
+    nonzero = [value for value in values if not value.is_zero()]
+    counit = draw(st.dictionaries(st.sampled_from(labels), st.sampled_from(nonzero),
                                   max_size=4))
     return LStructure(space, coproducts, {"e": counit})
 
@@ -285,6 +305,63 @@ def test_support_only_expand_matches_all_labels(s, names):
             mock.patch.object(convolution, "_expand", all_labels_expand):
         slow = _every_check(s, names)
     assert fast == slow
+
+
+# -- one product memo per check against the memo-free evaluator -------------
+
+# Shared q^k objects, as a q-twisted fixture's tables hold them, so that a
+# check multiplies the same pair of objects again and again.
+SHARED_POWERS = [ONE, MINUS_ONE, Q, -Q, Q ** 2, Q ** -1, Q ** 3,
+                 Scalar.from_rational(Fraction(3, 7))]
+
+
+def _verdicts(results):
+    """Each report's verdict, witness labels and witness tensors, in order."""
+    reports = [AxiomReport(axiom, witnesses) for axiom, witnesses in results]
+    return [(r.axiom, r.verdict, r.witness_labels(),
+             [(label, eq, list(lhs.items()), list(rhs.items()))
+              for label, eq, lhs, rhs in r.witnesses])
+            for r in reports]
+
+
+# 60 examples, or more under a longer profile (--hypothesis-profile=ci).
+@settings(max_examples=max(60, settings.default.max_examples), deadline=None)
+@given(s=sparse_structures() | sparse_structures(SHARED_POWERS),
+       names=st.lists(st.sampled_from(NAMES), min_size=3, max_size=3))
+def test_one_memo_per_check_matches_the_memo_free_evaluator(s, names):
+    with_memo = _verdicts(_every_check(s, names))
+    with mock.patch.object(MultiLinearMap, "at_slot", plain_at_slot):
+        without = _verdicts(_every_check(s, names))
+    assert with_memo == without
+
+
+@pytest.mark.parametrize("q_text", ["q", "3/7"])
+@pytest.mark.parametrize("axiom, bindings", [
+    ("codialgebra", {"delta": "delta", "deltahat": "deltahat"}),
+    ("dendriform_coalgebra", {"delta": "delta", "deltahat": "deltahat_d"}),
+])
+def test_a_cibils_check_multiplies_each_pair_of_coefficients_once(
+    monkeypatch, q_text, axiom, bindings
+):
+    # The structure as ``lcoalg check`` reads it from ``fixtures cibils``.
+    text = cli._fixture_document("cibils", 12, q_text)
+    s = parse_document(text).structure("E", tuple(bindings.values()))
+    calls = []
+    real = Scalar.__mul__
+    monkeypatch.setattr(Scalar, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    assert check_axiom(s, axiom, bindings).passed
+    # 55 distinct pairs of table coefficients; without the memo, 220 products
+    assert len(calls) == 55
+
+
+def test_witness_labels_name_each_tag_once_in_first_seen_order():
+    report = AxiomReport("codialgebra", [
+        (label, eq, {}, {}) for label, eq in (
+            ("b", "codialg4"), ("a", "coassoc(delta)"), ("b", "codialg4"),
+            ("a", "codialg4"), ("a", "coassoc(delta)"), ("b", "codialg4"))])
+    assert report.witness_labels() == [
+        "codialg4@b", "coassoc(delta)@a", "codialg4@a"]
+    assert AxiomReport("codialgebra").witness_labels() == []
 
 
 # -- the catalogue as it was written before the equation table: the oracle --
@@ -506,9 +583,9 @@ def test_every_system_runs_each_equation_through_the_one_evaluator(f_data):
     s = f_data["structure"]
     calls = []
 
-    def counted(equation, memo, labels):
+    def counted(equation, memo, labels, products=None):
         calls.append(equation[0])
-        return expand(equation, memo, labels)
+        return expand(equation, memo, labels, products)
 
     expand = coalgebra._expand
     with mock.patch.object(coalgebra, "_expand", counted):
@@ -815,13 +892,13 @@ def _at_slot_calls_by_equation(check):
     calls, current = [], [None]
     expand, at_slot = coalgebra._expand, MultiLinearMap.at_slot
 
-    def traced_expand(equation, memo, labels):
+    def traced_expand(equation, memo, labels, products=None):
         current[0] = equation[0]
-        yield from expand(equation, memo, labels)
+        yield from expand(equation, memo, labels, products)
 
-    def traced_at_slot(self, tensor, slot, degree):
+    def traced_at_slot(self, tensor, slot, degree, products=None):
         calls.append(current[0])
-        return at_slot(self, tensor, slot, degree)
+        return at_slot(self, tensor, slot, degree, products)
 
     with mock.patch.object(coalgebra, "_expand", traced_expand), \
             mock.patch.object(convolution, "_expand", traced_expand), \

@@ -4,6 +4,7 @@ structure constants, and the exhaustive law suites on the glued fixture."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lcoalg import convolution
 from lcoalg.convolution import (
     _BRACKET,
     _DENDRIFORM,
@@ -584,3 +585,53 @@ def test_bar_unit_refuses_a_functional_off_the_space(f_entangled):
     # The convolution loop skipped such a label; a counit may not name one.
     with pytest.raises(ValueError, match="counit 'eps_star' mentions unknown label 'nope'"):
         check_bar_unit(f_entangled.structure, {"a": ONE, "nope": ONE})
+
+
+# -- the held-pairs table against the all-pairs loop: the oracle -------------
+
+
+def all_pairs_structure_constants(s, row_labels, col_labels, left_name, right_name):
+    """structure_constants as it was: one bracket for every pair."""
+    duals = dual_basis(s.space)
+    out = {}
+    for i in row_labels:
+        for j in col_labels:
+            out[(i, j)] = bracket(s, duals[i], duals[j], left_name, right_name)
+    return out
+
+
+def _table_outcome(build, *args):
+    try:
+        table = build(*args)
+    except KeyError as exc:
+        return ("error", str(exc))
+    return ("table", [(pair, list(value.items())) for pair, value in table.items()])
+
+
+# 100 examples, or more under a longer profile (--hypothesis-profile=ci).
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(s=random_structures(), data=st.data())
+def test_structure_constants_match_the_all_pairs_loop(s, data):
+    # Rows and columns may repeat a label, miss the space ("z") or be
+    # empty, and a bridge name may be unknown ("Nope").
+    labels = st.lists(st.sampled_from(list(s.space.labels) + ["z"]), max_size=4)
+    rows, cols = data.draw(labels), data.draw(labels)
+    names = data.draw(st.lists(st.sampled_from(NAMES + ["Nope"]), min_size=2, max_size=2))
+    assert _table_outcome(structure_constants, s, rows, cols, *names) == _table_outcome(
+        all_pairs_structure_constants, s, rows, cols, *names)
+
+
+def test_structure_constants_bracket_only_the_held_pairs(f_entangled, monkeypatch):
+    s = f_entangled.structure
+    calls = []
+    real = convolution.conv_product
+    monkeypatch.setattr(convolution, "conv_product",
+                        lambda *args: calls.append(args[1]) or real(*args))
+    labels = s.space.labels
+    table = structure_constants(s, labels, labels)
+    assert len(table) == len(labels) ** 2
+    left, right = s.coproduct("deltahat1").by_legs(), s.coproduct("delta1").by_legs()
+    held = {(i, j) for i in labels for j in labels
+            if j in left.get(i, ()) or i in right.get(j, ())}
+    assert 0 < len(calls) == 2 * len(held) < 2 * len(labels) ** 2
+    assert all(table[pair] == {} for pair in table.keys() - held)

@@ -12,7 +12,6 @@ from lcoalg.linalg import (
     BasisSpace,
     MultiLinearMap,
     add_scaled,
-    kernel_basis,
     rref,
     solve_linear,
     tensor_add,
@@ -151,6 +150,30 @@ def _matvec(matrix, vec):
     return [
         sum((a * x for a, x in zip(row, vec)), ZERO) for row in matrix
     ]
+
+
+def kernel_basis(matrix, ncols=None):
+    """Basis of the kernel of the matrix (columns = domain coordinates)."""
+    if not matrix:
+        if ncols is None:
+            return []
+        basis = []
+        for j in range(ncols):
+            v = [ZERO] * ncols
+            v[j] = ONE
+            basis.append(v)
+        return basis
+    ncols = len(matrix[0])
+    rows, pivots = rref(matrix)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [ZERO] * ncols
+        v[fc] = ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(v)
+    return basis
 
 
 @given(matrices())
@@ -544,6 +567,72 @@ def test_at_slot_sums_only_on_a_repeated_key(monkeypatch):
     assert not sums
     assert m.at_slot({("a",): Q, ("b",): ONE}, 1, 1) == {("a", "b"): Q}  # cancels
     assert sums
+
+
+# -- the product memo against the memo-free at_slot ---------------------------
+
+
+def plain_at_slot(self, tensor, slot, degree, products=None):
+    """MultiLinearMap.at_slot before its product memo: ``products`` is
+    ignored and every product of two non-unit factors is computed."""
+    if not 1 <= slot <= degree:
+        raise ValueError(f"slot {slot} out of range for degree {degree}")
+    table, i = self.table, slot - 1
+    out = {}
+    written = 0
+    for term, coeff in tensor.items():
+        if len(term) != degree:
+            raise ValueError(f"term {term} does not have degree {degree}")
+        image = table.get(term[i])
+        if not image or not coeff.num:
+            continue
+        head, tail = term[:i], term[slot:]
+        written += len(image)
+        for mid, c in image.items():
+            out[head + mid + tail] = c if coeff is ONE else coeff if c is ONE else coeff * c
+    if len(out) == written:
+        return out
+    out = {}
+    for term, coeff in tensor.items():
+        image = table.get(term[i])
+        if image:
+            head, tail = term[:i], term[slot:]
+            add_scaled(out, ((head + mid + tail, c) for mid, c in image.items()), coeff)
+    return out
+
+
+@settings(deadline=None)
+@given(st.lists(slot_cases(), min_size=1, max_size=6))
+def test_a_shared_memo_matches_the_memo_free_at_slot(cases):
+    products = {}
+    for m, tensor, slot, degree in cases:
+        assert _outcome(m.at_slot, tensor, slot, degree, products) == _outcome(
+            plain_at_slot, m, tensor, slot, degree)
+        assert _outcome(m.at_slot, tensor, slot, degree) == _outcome(
+            plain_at_slot, m, tensor, slot, degree)
+
+
+def _fresh(n, k):
+    """A new Scalar n q^k that no other object shares."""
+    return Scalar.from_rational(n) * Q ** k
+
+
+def test_one_memo_outlives_the_scalars_of_each_call():
+    # Each round builds its map and tensor from new scalars and drops them
+    # after the call, so their ids are free for the next round's scalars.
+    # The memo keeps both factors of each product alive: every product is
+    # a miss, and each tensor is the one fresh products give.
+    space = BasisSpace(["a", "b"])
+    products = {}
+    for k in range(300):
+        m = MultiLinearMap(space, 2, {
+            "a": {("a", "b"): _fresh(k % 5 + 2, k % 3), ("b", "b"): _fresh(-3, 1)},
+            "b": {("b", "a"): _fresh(k + 2, -1)}})
+        tensor = {("a",): _fresh(k % 7 + 2, 1), ("b",): _fresh(-(k % 4) - 2, 0)}
+        got = m.at_slot(tensor, 1, 1, products)
+        assert list(got.items()) == list(plain_at_slot(m, tensor, 1, 1).items()), k
+        del m, tensor, got
+    assert len(products) == 3 * 300
 
 
 # -- the whole-table constructor against the per-term loop it replaced --------
